@@ -73,7 +73,7 @@ func runColdChurn(cfg runConfig) (*outcome, error) {
 		slots []*churnSlot
 		cls   []*client.Client
 	}
-	st, setupS, err := setupRounds(5, func(round int) (state, error) {
+	st, setup, err := setupRounds(5, func(round int) (state, error) {
 		srv, err := startServer(filepath.Join(cfg.dir, fmt.Sprintf("setup%d", round)), churnResident, rec)
 		if err != nil {
 			return state{}, err
@@ -108,7 +108,7 @@ func runColdChurn(cfg runConfig) (*outcome, error) {
 	}
 	srv := st.srv
 	defer srv.stop()
-	o.set("setup_s", setupS)
+	o.set("setup_s", setup.seconds())
 
 	// update_ms.* cells: the first slot of each family on a fixed 10% prefix
 	// of its first schedule, so the cells do not depend on where the

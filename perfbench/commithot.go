@@ -33,7 +33,7 @@ const (
 	hotSliceBatches = hotCap / hotBatch / 4
 	// hotWhatIfProbe what-if batches per stream after every slice measure
 	// previews (the load itself only commits).
-	hotWhatIfProbe = 50
+	hotWhatIfProbe = 100
 )
 
 var hotHyper = hyper{eta: 0.05, lambda: 0.01, batch: 500, iter: 100}
@@ -67,7 +67,7 @@ func runCommitHot(cfg runConfig) (*outcome, error) {
 		srv     *server
 		streams []*hotStream
 	}
-	st, setupS, err := setupRounds(5, func(round int) (state, error) {
+	st, setup, err := setupRounds(5, func(round int) (state, error) {
 		srv, err := startServer(filepath.Join(cfg.dir, fmt.Sprintf("setup%d", round)), 0, rec)
 		if err != nil {
 			return state{}, err
@@ -102,7 +102,6 @@ func runCommitHot(cfg runConfig) (*outcome, error) {
 	}
 	srv := st.srv
 	defer srv.stop()
-	o.set("setup_s", setupS)
 
 	// Direct captures: the references for the output checks, and the
 	// update_ms.* cells (each stream's first two whole schedules).
@@ -146,9 +145,10 @@ func runCommitHot(cfg runConfig) (*outcome, error) {
 		},
 		// Streams that completed their schedule retire their session and
 		// create its replacement, one at a time on a collected heap, so every
-		// replacement create meets the same conditions. Then both streams'
-		// clients send what-if batches of 8 sets sharing a 24-row prefix plus
-		// 4 rows each to the preview session, and update_ms.* makes a pass.
+		// replacement create meets the same conditions, and one more set-up
+		// round runs. Then, with no spill running, both streams' clients send
+		// what-if batches of 8 sets sharing a 24-row prefix plus 4 rows each
+		// to the preview session, and update_ms.* makes a pass.
 		probe: func() error {
 			for i, s := range st.streams {
 				if f := hotRetire(ctx, retire, s, cfg.seed, i); f != nil {
@@ -158,6 +158,13 @@ func runCommitHot(cfg runConfig) (*outcome, error) {
 			if retire.failed.Load() > 0 {
 				return fmt.Errorf("retiring a completed session: %s", retire.firstErr.Load())
 			}
+			if st.streams[0].pos == 0 {
+				if err := setup.again(); err != nil {
+					return err
+				}
+			}
+			srv.tiered.Flush()
+			runtime.GC()
 			probe.begin()
 			parallel(hotStreams, func(i int) {
 				s := st.streams[i]
@@ -169,7 +176,6 @@ func runCommitHot(cfg runConfig) (*outcome, error) {
 				}
 			})
 			probe.finish()
-			srv.tiered.Flush() // time the cells with no spill running beside them
 			return upd.pass()
 		},
 		atBoundary:  func() bool { return st.streams[0].pos == 0 },
@@ -179,6 +185,7 @@ func runCommitHot(cfg runConfig) (*outcome, error) {
 	if err != nil {
 		return nil, err
 	}
+	o.set("setup_s", setup.seconds())
 	commitE2E(o, window)
 	whatifE2E(o, probe)
 	upd.report(o)
@@ -187,6 +194,7 @@ func runCommitHot(cfg runConfig) (*outcome, error) {
 	o.set("create_p50_ms", retire.createMs.q(0.5))
 	if traced != nil {
 		finishTrace(o, cfg, "commit-hot", traced)
+		whatifLayer(o, probe) // the load itself sends no what-ifs
 	}
 	for _, p := range []*phase{setupPh, probe, retire, window, traced} {
 		if p != nil {

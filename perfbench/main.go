@@ -4,7 +4,7 @@
 // attempted, failed and metrics. The metric names and units come from
 // BENCHMARK.json, read from the working directory (the repository root).
 //
-//	bash perfbench/run.sh --workload commit-hot --seed 1 --seconds 20 --trace 0
+//	bash perfbench/run.sh --workload commit-hot --seed 1 --seconds 30 --trace 0
 //
 // Three service workloads (commit-hot, cold-churn, whatif-mix) drive an
 // in-process loopback priu/service server through the priu/client SDK; the
@@ -125,7 +125,7 @@ func main() { os.Exit(run()) }
 func run() int {
 	workload := flag.String("workload", "", "workload: commit-hot | cold-churn | whatif-mix | paper-sec6")
 	seed := flag.Int64("seed", 1, "workload seed; the same seed generates the same inputs")
-	seconds := flag.Float64("seconds", 20, "length of the measured window")
+	seconds := flag.Float64("seconds", 30, "length of the measured window")
 	trace := flag.Int("trace", 0, "1 = report per-layer metrics from a traced run")
 	flag.Parse()
 	fn, ok := workloads[*workload]

@@ -23,9 +23,11 @@ import (
 const (
 	paperScale = 0.5
 	// paperCommitChunk library commits after every sweep pass: 2-row
-	// batches on higgs PrIU-opt, the log growing to 10% of n and restarting.
+	// batches on higgs PrIU-opt, the log growing over paperCommitCycle
+	// chunks (300 rows, about 3% of n) and restarting.
 	paperCommitChunk = 50
 	paperCommitBatch = 2
+	paperCommitCycle = 3
 	// paperWhatIfChunk planner batches of 8 sets on higgs PrIU-opt after
 	// every sweep pass.
 	paperWhatIfChunk = 45
@@ -48,21 +50,30 @@ func runPaperSec6(cfg runConfig) (*outcome, error) {
 	o := &outcome{}
 	rec := newRecorder()
 	prepMs := map[string][]float64{}
-	preps, setupS, err := setupRounds(3, func(int) (map[string]*bench.Prepared, error) {
+	prepare := func(id string) (*bench.Prepared, error) {
+		w, err := bench.WorkloadByID(id)
+		if err != nil {
+			return nil, err
+		}
+		// The data is the workload's own, whatever the seed: how long
+		// Prepare takes depends on the data (mostly cov-small's), so the seed
+		// picks only the removal sets and the commit and what-if rows.
+		w = w.Scale(paperScale)
+		start := time.Now()
+		p, err := bench.Prepare(w)
+		if err != nil {
+			return nil, fmt.Errorf("preparing %s: %w", id, err)
+		}
+		prepMs[id] = append(prepMs[id], float64(time.Since(start).Nanoseconds())/1e6)
+		return p, nil
+	}
+	preps, _, err := setupRounds(3, func(int) (map[string]*bench.Prepared, error) {
 		m := map[string]*bench.Prepared{}
 		for _, id := range paperWorkloads {
-			w, err := bench.WorkloadByID(id)
+			p, err := prepare(id)
 			if err != nil {
 				return nil, err
 			}
-			w = w.Scale(paperScale)
-			w.Seed += cfg.seed * 7919
-			start := time.Now()
-			p, err := bench.Prepare(w)
-			if err != nil {
-				return nil, fmt.Errorf("preparing %s: %w", id, err)
-			}
-			prepMs[id] = append(prepMs[id], float64(time.Since(start).Nanoseconds())/1e6)
 			m[id] = p
 		}
 		return m, nil
@@ -70,16 +81,6 @@ func runPaperSec6(cfg runConfig) (*outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	o.set("setup_s", setupS)
-	// The workloads' Prepare times differ several-fold, so a median over all
-	// of them would jump between workloads; create_p50_ms is the geometric
-	// mean of each workload's median instead, as update_ms.* is over cells.
-	var prepMedians []float64
-	for _, id := range paperWorkloads {
-		prepMedians = append(prepMedians, median(prepMs[id]))
-		o.set("gbm.prepare_ms."+id, median(prepMs[id]))
-	}
-	o.set("create_p50_ms", geomean(prepMedians))
 
 	var cells []*paperCell
 	removals := map[[2]int][]int{}
@@ -136,11 +137,17 @@ func runPaperSec6(cfg runConfig) (*outcome, error) {
 	// whole window. Traced, the passes alternate u t t u ...
 	higgs := preps["higgs"]
 	opt, _ := higgs.Updater(bench.MethodPrIUOpt)
-	commits := &libraryCommits{upd: opt, rows: perm(higgs.N(), cfg.seed*13)[:higgs.N()/10]}
+	// One cycle of the commit log is paperCommitCycle chunks, and the window
+	// ends on a cycle boundary, so every run and every schedule of slices
+	// covers the same spread of log lengths.
+	perChunk := paperCommitChunk * paperCommitBatch
+	logRows := paperCommitCycle * perChunk
+	commits := &libraryCommits{upd: opt, rows: perm(higgs.N(), cfg.seed*13)[:logRows]}
 	previews := newLibraryWhatIfs(opt, higgs.N(), cfg.seed)
 	commitPh, whatifPh, win := newPhase(nil, rec), newPhase(nil, rec), newPhase(nil, rec)
+	commitPh.unit = logRows / perChunk
 	deadline := time.Now().Add(time.Duration(cfg.seconds * float64(time.Second)))
-	for i := 0; i < 3 || time.Now().Before(deadline); i++ {
+	for i := 0; i < 3 || time.Now().Before(deadline) || commits.pos < logRows; i++ {
 		traced := cfg.trace && (i%4 == 1 || i%4 == 2)
 		if traced {
 			rec.on.Store(true)
@@ -160,7 +167,26 @@ func runPaperSec6(cfg runConfig) (*outcome, error) {
 		if err := previews.run(whatifPh); err != nil {
 			return nil, err
 		}
+		// Every pass prepares one workload again, in turn, so the Prepare
+		// times sample the whole window as well as set-up.
+		if _, err := prepare(paperWorkloads[i%len(paperWorkloads)]); err != nil {
+			return nil, err
+		}
+		runtime.GC()
 	}
+	// The workloads' Prepare times differ several-fold, so a median over all
+	// of them would jump between workloads; create_p50_ms is the geometric
+	// mean of each workload's median instead, as update_ms.* is over cells.
+	// Set-up prepares all four, so setup_s is the sum of the medians.
+	var prepMedians []float64
+	var setupMs float64
+	for _, id := range paperWorkloads {
+		prepMedians = append(prepMedians, median(prepMs[id]))
+		setupMs += median(prepMs[id])
+		o.set("gbm.prepare_ms."+id, median(prepMs[id]))
+	}
+	o.set("create_p50_ms", geomean(prepMedians))
+	o.set("setup_s", setupMs/1e3)
 	var attempted int64
 	for _, c := range cells {
 		attempted += int64(len(c.times) + len(c.traced))
@@ -259,6 +285,7 @@ type libraryCommits struct {
 
 // run makes the next paperCommitChunk commits.
 func (l *libraryCommits) run(p *phase) error {
+	runtime.GC() // the sweep's garbage is not collected inside the chunk
 	p.begin()
 	defer p.finish()
 	for k := 0; k < paperCommitChunk; k++ {
@@ -296,6 +323,7 @@ func newLibraryWhatIfs(upd priu.Updater, n int, seed int64) *libraryWhatIfs {
 
 // run evaluates the next paperWhatIfChunk batches.
 func (l *libraryWhatIfs) run(p *phase) error {
+	runtime.GC()
 	p.begin()
 	defer p.finish()
 	for end := l.k + paperWhatIfChunk; l.k < end; l.k++ {

@@ -2,7 +2,7 @@
 # Builds the benchmark from the checkout's sources and runs it with the given
 # arguments. Run from the repository root:
 #
-#	bash perfbench/run.sh --workload commit-hot --seed 1 --seconds 20 --trace 0
+#	bash perfbench/run.sh --workload commit-hot --seed 1 --seconds 30 --trace 0
 #
 # Every file the build and the run write stays inside the checkout: the Go
 # build cache, the binary and the spill directories live under the build

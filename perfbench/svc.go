@@ -46,6 +46,18 @@ type phase struct {
 	before counters
 	delta  counters
 	last   store.Stats
+	// slices records every slice, for the rates, which are medians over
+	// schedules; unit is how many slices make one schedule.
+	slices []sliceRec
+	mark   sliceRec
+	unit   int
+}
+
+// sliceRec is one slice of a phase: the rows and sets it completed, and its
+// length.
+type sliceRec struct {
+	rows, sets int64
+	secs       float64
 }
 
 // counters are the cumulative figures the program reports that a phase
@@ -97,6 +109,7 @@ func newPhase(srv *server, rec *recorder) *phase { return &phase{srv: srv, rec: 
 // begin starts a slice of the phase.
 func (p *phase) begin() {
 	p.before = p.read()
+	p.mark = sliceRec{rows: p.rows.Load(), sets: p.whatifSets.Load()}
 	p.start = time.Now()
 }
 
@@ -105,6 +118,28 @@ func (p *phase) finish() {
 	p.end = time.Now()
 	p.active += p.end.Sub(p.start)
 	p.delta.addDelta(p.read(), p.before)
+	s := p.mark
+	s.rows, s.sets = p.rows.Load()-s.rows, p.whatifSets.Load()-s.sets
+	s.secs = p.end.Sub(p.start).Seconds()
+	p.slices = append(p.slices, s)
+}
+
+// rate is the median, over the phase's schedules (runs of unit slices), of
+// the count that n takes per second of the schedule. A slow spell of the
+// host moves the schedules it lands in, not the run's figure.
+func (p *phase) rate(n func(sliceRec) int64) float64 {
+	unit := max(p.unit, 1)
+	var per []float64
+	var c int64
+	var secs float64
+	for i, s := range p.slices {
+		c, secs = c+n(s), secs+s.secs
+		if (i+1)%unit == 0 || i == len(p.slices)-1 {
+			per = append(per, ratio(float64(c), secs))
+			c, secs = 0, 0
+		}
+	}
+	return median(per)
 }
 
 func (p *phase) seconds() float64 { return p.active.Seconds() }
@@ -222,18 +257,20 @@ func (p *phase) deleteSession(ctx context.Context, cl *client.Client, sess strin
 	return nil
 }
 
-// commitE2E reports the commit metrics of a window.
+// commitE2E reports the commit metrics of a window. The p99s go into the
+// run's record only: on a 2-core host they spread too far from run to run
+// for a bound (see README.md).
 func commitE2E(o *outcome, p *phase) {
 	o.set("commit_p50_ms", p.commitMs.q(0.5))
 	o.set("commit_p99_ms", p.commitMs.q(0.99))
-	o.set("commit_rows_per_s", ratio(float64(p.rows.Load()), p.seconds()))
+	o.set("commit_rows_per_s", p.rate(func(s sliceRec) int64 { return s.rows }))
 	o.note("commit_samples", fmt.Sprint(p.commitMs.len()))
 }
 
 func whatifE2E(o *outcome, p *phase) {
 	o.set("whatif_p50_ms", p.whatifMs.q(0.5))
 	o.set("whatif_p99_ms", p.whatifMs.q(0.99))
-	o.set("whatif_sets_per_s", ratio(float64(p.whatifSets.Load()), p.seconds()))
+	o.set("whatif_sets_per_s", p.rate(func(s sliceRec) int64 { return s.sets }))
 	o.note("whatif_samples", fmt.Sprint(p.whatifMs.len()))
 }
 
@@ -258,9 +295,7 @@ func layerMetrics(o *outcome, p *phase) {
 	o.set("core.update_p99_ms", p.updateMs.q(0.99))
 	o.set("core.update_share", ratio(p.updateMs.sum(), p.commitOverMs.sum()+p.updateMs.sum()))
 	o.set("core.capture_ms", p.captureMs.q(0.5))
-	o.set("core.whatif_eval_ms", p.evalMs.q(0.5))
-	o.set("core.whatif_cache_hits_per_set", ratio(float64(p.cacheHits.Load()), float64(p.whatifSets.Load())))
-	o.set("core.whatif_incremental_ratio", ratio(float64(p.increment.Load()), float64(p.whatifs.Load())))
+	whatifLayer(o, p)
 	o.set("gen_late_ms", p.lateMs.q(0.5))
 	o.set("par.inline_ratio", ratio(float64(p.delta.inline), float64(p.delta.dispatches+p.delta.inline)))
 
@@ -307,6 +342,14 @@ func layerMetrics(o *outcome, p *phase) {
 	o.set("store.spill_ms", hist("priu_store_spill_seconds").quantile(0.5)*1e3)
 	o.set("store.fsync_ms", hist("priu_store_fsync_seconds").quantile(0.5)*1e3)
 	o.set("store.compaction_ms", hist("priu_store_compaction_seconds").quantile(0.5)*1e3)
+}
+
+// whatifLayer derives the what-if per-layer metrics of a phase from the
+// figures the service reports on the wire.
+func whatifLayer(o *outcome, p *phase) {
+	o.set("core.whatif_eval_ms", p.evalMs.q(0.5))
+	o.set("core.whatif_cache_hits_per_set", ratio(float64(p.cacheHits.Load()), float64(p.whatifSets.Load())))
+	o.set("core.whatif_incremental_ratio", ratio(float64(p.increment.Load()), float64(p.whatifs.Load())))
 }
 
 // selfTimes links the spans into trees and sums each layer's self time: a
@@ -471,10 +514,13 @@ type window struct {
 // schedule it runs). It returns the untraced window and the traced one (nil
 // when untraced), or the first error of a probe.
 func measure(cfg runConfig, o *outcome, srv *server, rec *recorder, primary func(*phase) *samples, w window) (*phase, *phase, error) {
+	per := max(w.perSchedule, 1)
 	u := newPhase(srv, rec)
+	u.unit = per
 	var t *phase
 	if cfg.trace {
 		t = newPhase(srv, rec)
+		t.unit = per
 	}
 	end := time.Now().Add(time.Duration(cfg.seconds * float64(time.Second)))
 	more := func(i int) bool {
@@ -483,7 +529,6 @@ func measure(cfg runConfig, o *outcome, srv *server, rec *recorder, primary func
 		}
 		return time.Now().Before(end) || !w.atBoundary()
 	}
-	per := max(w.perSchedule, 1)
 	traced := func(i int) bool { return cfg.trace && (i/per)%2 == 1 }
 	var meds []float64 // median primary latency per slice
 	for i := 0; more(i); i++ {
@@ -537,30 +582,57 @@ func finishTrace(o *outcome, cfg runConfig, name string, t *phase) {
 	}
 }
 
-// setupRounds runs setup n times and returns the median duration and the
-// result of the last round. Each earlier round is torn down, and the heap
-// collected, before the next one starts, so every round starts alike.
-func setupRounds[T any](n int, setup func(round int) (T, error), teardown func(T)) (T, float64, error) {
-	var (
-		last  T
-		times []float64
-	)
+// setups times a workload's set-up: rounds at the start of the run, and
+// more rounds during the window (again), each torn down at once. setup_s is
+// the median over all of them, so a slow spell of the host at the start of a
+// run does not decide it.
+type setups[T any] struct {
+	setup    func(round int) (T, error)
+	teardown func(T)
+	times    []float64
+}
+
+// round runs one set-up on a collected heap, so every round starts alike.
+func (s *setups[T]) round() (T, error) {
+	runtime.GC()
+	start := time.Now()
+	v, err := s.setup(len(s.times))
+	s.times = append(s.times, time.Since(start).Seconds())
+	return v, err
+}
+
+// again runs one more round and tears it down.
+func (s *setups[T]) again() error {
+	v, err := s.round()
+	if err != nil {
+		return err
+	}
+	s.teardown(v)
+	return nil
+}
+
+// seconds is the median set-up time over all rounds.
+func (s *setups[T]) seconds() float64 { return median(s.times) }
+
+// setupRounds runs setup n times and returns the result of the last round
+// and the rounds' timer. Each earlier round is torn down before the next one
+// starts.
+func setupRounds[T any](n int, setup func(round int) (T, error), teardown func(T)) (T, *setups[T], error) {
+	s := &setups[T]{setup: setup, teardown: teardown}
+	var last T
 	for r := 0; r < n; r++ {
 		if r > 0 {
 			teardown(last)
 			var zero T
 			last = zero
 		}
-		runtime.GC()
-		start := time.Now()
-		v, err := setup(r)
-		times = append(times, time.Since(start).Seconds())
+		v, err := s.round()
 		if err != nil {
-			return last, 0, err
+			return last, nil, err
 		}
 		last = v
 	}
-	return last, median(times), nil
+	return last, s, nil
 }
 
 // parallel runs fn(0..n-1) on n goroutines and waits for all of them.

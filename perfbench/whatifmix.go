@@ -76,7 +76,7 @@ func runWhatIfMix(cfg runConfig) (*outcome, error) {
 		cw, cc *client.Client
 		sess   *mixSession
 	}
-	st, setupS, err := setupRounds(5, func(round int) (state, error) {
+	st, setup, err := setupRounds(5, func(round int) (state, error) {
 		srv, err := startServer(filepath.Join(cfg.dir, fmt.Sprintf("setup%d", round)), 0, rec)
 		if err != nil {
 			return state{}, err
@@ -99,7 +99,7 @@ func runWhatIfMix(cfg runConfig) (*outcome, error) {
 	}
 	srv := st.srv
 	defer srv.stop()
-	o.set("setup_s", setupS)
+	o.set("setup_s", setup.seconds())
 
 	d, err := newDirect(req)
 	if err != nil {
