@@ -45,11 +45,11 @@ func (v *View) Update(removed []int) (*gbm.Model, error) {
 	if v.m == nil {
 		return nil, fmt.Errorf("closedform: view not initialized")
 	}
-	rm, err := gbm.RemovalSet(v.data.N(), removed)
+	mask, ids, err := gbm.Removals(v.data.N(), removed)
 	if err != nil {
 		return nil, err
 	}
-	nEff := v.data.N() - len(rm)
+	nEff := v.data.N() - len(ids)
 	if nEff <= 0 {
 		return nil, fmt.Errorf("closedform: removal leaves no samples")
 	}
@@ -58,7 +58,7 @@ func (v *View) Update(removed []int) (*gbm.Model, error) {
 	mPrime := v.m.Clone()
 	nPrime := mat.CloneVec(v.n)
 	for i := 0; i < v.data.N(); i++ {
-		if !rm[i] {
+		if mask == nil || !mask[i] {
 			continue
 		}
 		xi := v.data.X.Row(i)

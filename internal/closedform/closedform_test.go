@@ -57,7 +57,7 @@ func TestViewUpdateCloseToGBMBaseline(t *testing.T) {
 		t.Fatal(err)
 	}
 	removed := []int{3, 77, 120}
-	rm, _ := gbm.RemovalSet(150, removed)
+	rm, _, _ := gbm.Removals(150, removed)
 	gd, err := gbm.TrainLinear(d, cfg, sched, rm)
 	if err != nil {
 		t.Fatal(err)

@@ -301,17 +301,11 @@ func rollRecurrence(z []float64, iters int, coef func(i int) (gamma, beta, z0 fl
 	})
 }
 
-// removalMask converts a removal set into a dense boolean mask for cheap
-// membership checks in the per-batch-member hot loops.
-func removalMask(n int, removed map[int]bool) []bool {
-	if len(removed) == 0 {
-		return nil
+// survivors returns the sample count n' = n − dn left after dn distinct
+// removals, rejecting a removal set that leaves no samples.
+func survivors(n, dn int) (int, error) {
+	if n-dn <= 0 {
+		return 0, fmt.Errorf("core: removal leaves no samples")
 	}
-	mask := make([]bool, n)
-	for i, v := range removed {
-		if v && i >= 0 && i < n {
-			mask[i] = true
-		}
-	}
-	return mask
+	return n - dn, nil
 }

@@ -63,7 +63,7 @@ func TestLinearPrIUExactMatchFullMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	removed := pickRemoved(200, 20, 3)
-	rm, _ := gbm.RemovalSet(200, removed)
+	rm, _, _ := gbm.Removals(200, removed)
 	want, err := gbm.TrainLinear(d, cfg, sched, rm)
 	if err != nil {
 		t.Fatal(err)
@@ -109,7 +109,7 @@ func TestLinearPrIUSVDCloseToBaseL(t *testing.T) {
 		t.Fatalf("rank %d should not exceed batch size", lp.MaxRank())
 	}
 	removed := pickRemoved(150, 3, 8)
-	rm, _ := gbm.RemovalSet(150, removed)
+	rm, _, _ := gbm.Removals(150, removed)
 	want, err := gbm.TrainLinear(d, cfg, sched, rm)
 	if err != nil {
 		t.Fatal(err)
@@ -136,7 +136,7 @@ func TestLinearPrIUSVDZeroEpsilonIsExactRankWise(t *testing.T) {
 		t.Fatal(err)
 	}
 	removed := pickRemoved(60, 6, 10)
-	rm, _ := gbm.RemovalSet(60, removed)
+	rm, _, _ := gbm.Removals(60, removed)
 	want, err := gbm.TrainLinear(d, cfg, sched, rm)
 	if err != nil {
 		t.Fatal(err)
@@ -162,7 +162,7 @@ func TestLinearOptCloseToBaseL(t *testing.T) {
 	}
 	for _, k := range []int{1, 15} {
 		removed := pickRemoved(300, k, int64(k))
-		rm, _ := gbm.RemovalSet(300, removed)
+		rm, _, _ := gbm.Removals(300, removed)
 		want, err := gbm.TrainLinear(d, cfg, sched, rm)
 		if err != nil {
 			t.Fatal(err)
@@ -186,7 +186,7 @@ func TestLinearOptLargeRemovalUsesDensePath(t *testing.T) {
 		t.Fatal(err)
 	}
 	removed := pickRemoved(200, 40, 14) // Δn=40 > m=4
-	rm, _ := gbm.RemovalSet(200, removed)
+	rm, _, _ := gbm.Removals(200, removed)
 	want, err := gbm.TrainLinear(d, cfg, sched, rm)
 	if err != nil {
 		t.Fatal(err)
@@ -260,7 +260,7 @@ func TestLogisticPrIUCloseToBaseL(t *testing.T) {
 	}
 	for _, k := range []int{2, 20} {
 		removed := pickRemoved(200, k, int64(30+k))
-		rm, _ := gbm.RemovalSet(200, removed)
+		rm, _, _ := gbm.Removals(200, removed)
 		want, err := gbm.TrainLogistic(d, cfg, sched, rm)
 		if err != nil {
 			t.Fatal(err)
@@ -290,7 +290,7 @@ func TestLogisticPrIUSVDMode(t *testing.T) {
 		t.Fatal("expected SVD regime")
 	}
 	removed := pickRemoved(120, 4, 26)
-	rm, _ := gbm.RemovalSet(120, removed)
+	rm, _, _ := gbm.Removals(120, removed)
 	want, err := gbm.TrainLogistic(d, cfg, sched, rm)
 	if err != nil {
 		t.Fatal(err)
@@ -315,7 +315,7 @@ func TestLogisticOptCloseToBaseL(t *testing.T) {
 		t.Fatalf("ts = %d, want 0.7·400", lo.Ts())
 	}
 	removed := pickRemoved(200, 4, 28)
-	rm, _ := gbm.RemovalSet(200, removed)
+	rm, _, _ := gbm.Removals(200, removed)
 	want, err := gbm.TrainLogistic(d, cfg, sched, rm)
 	if err != nil {
 		t.Fatal(err)
@@ -377,7 +377,7 @@ func TestMultinomialPrIUCloseToBaseL(t *testing.T) {
 		t.Fatalf("linearized multinomial cosine %v vs exact", cos)
 	}
 	removed := pickRemoved(240, 6, 33)
-	rm, _ := gbm.RemovalSet(240, removed)
+	rm, _, _ := gbm.Removals(240, removed)
 	want, err := gbm.TrainMultinomial(d, cfg, sched, rm)
 	if err != nil {
 		t.Fatal(err)
@@ -441,7 +441,7 @@ func TestSparsePrIUCloseToBaseL(t *testing.T) {
 		t.Fatalf("sparse linearized cosine %v", cos)
 	}
 	removed := pickRemoved(150, 5, 43)
-	rm, _ := gbm.RemovalSet(150, removed)
+	rm, _, _ := gbm.Removals(150, removed)
 	want, err := gbm.TrainLogisticSparse(d, cfg, sched, rm)
 	if err != nil {
 		t.Fatal(err)
@@ -583,7 +583,7 @@ func TestTheorem5ErrorScalesWithRemovalFraction(t *testing.T) {
 	}
 	dist := func(k int) float64 {
 		removed := pickRemoved(200, k, 82)
-		rm, _ := gbm.RemovalSet(200, removed)
+		rm, _, _ := gbm.Removals(200, removed)
 		want, err := gbm.TrainLogistic(d, cfg, sched, rm)
 		if err != nil {
 			t.Fatal(err)

@@ -111,11 +111,10 @@ func (lp *LinearProvenance) Update(removed []int) (*gbm.Model, error) {
 	if lp.caches == nil {
 		return nil, ErrNoCapture
 	}
-	rm, err := gbm.RemovalSet(lp.data.N(), removed)
+	mask, _, err := gbm.Removals(lp.data.N(), removed)
 	if err != nil {
 		return nil, err
 	}
-	mask := removalMask(lp.data.N(), rm)
 	m := lp.data.M()
 	w := make([]float64, m)
 	gw := make([]float64, m)

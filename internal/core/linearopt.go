@@ -64,21 +64,24 @@ func (lo *LinearOpt) Model() *gbm.Model { return lo.model }
 
 // Update computes the updated model parameters after removing the given
 // samples, using incremental eigenvalue updates and the closed iteration of
-// Eq 17 with constant learning rate.
+// Eq 17 with constant learning rate. Removed rows fold in the order given (a
+// repeated id counts at its first occurrence) — the order the what-if cursor
+// folds a deletion log in, so a cursor that applied the same log batch by
+// batch evaluates to these exact bits.
 func (lo *LinearOpt) Update(removed []int) (*gbm.Model, error) {
 	if lo.eig == nil {
 		return nil, ErrNoCapture
 	}
-	rm, err := gbm.RemovalSet(lo.data.N(), removed)
+	_, ids, err := gbm.Removals(lo.data.N(), removed)
+	if err != nil {
+		return nil, err
+	}
+	nEff, err := survivors(lo.data.N(), len(ids))
 	if err != nil {
 		return nil, err
 	}
 	m := lo.data.M()
-	dn := len(rm)
-	nEff := lo.data.N() - dn
-	if nEff <= 0 {
-		return nil, fmt.Errorf("core: removal leaves no samples")
-	}
+	dn := len(ids)
 
 	// Updated eigenvalues of M' = M − ΔXᵀΔX (Eq 18). Two cost regimes as in
 	// the paper's complexity analysis O(min{Δn,m}·m²):
@@ -90,31 +93,30 @@ func (lo *LinearOpt) Update(removed []int) (*gbm.Model, error) {
 		cPrime = mat.CloneVec(lo.eig.Values)
 	} else if dn < m {
 		dx := mat.NewDense(dn, m)
-		r := 0
-		for i := 0; i < lo.data.N(); i++ {
-			if rm[i] {
-				copy(dx.Row(r), lo.data.X.Row(i))
-				mat.Axpy(nPrime, -lo.data.Y[i], lo.data.X.Row(i))
-				r++
-			}
+		for r, i := range ids {
+			xi := lo.data.X.Row(i)
+			copy(dx.Row(r), xi)
+			mat.Axpy(nPrime, -lo.data.Y[i], xi)
 		}
 		cPrime = lo.eig.UpdateValuesLowRank(dx)
 	} else {
 		delta := mat.NewDense(m, m)
-		for i := 0; i < lo.data.N(); i++ {
-			if !rm[i] {
-				continue
-			}
+		for _, i := range ids {
 			xi := lo.data.X.Row(i)
 			mat.AddOuter(delta, xi, xi, -1)
 			mat.Axpy(nPrime, -lo.data.Y[i], xi)
 		}
 		cPrime = lo.eig.UpdateValues(delta)
 	}
+	return lo.eigenTail(cPrime, nPrime, nEff), nil
+}
 
-	// Roll Eq 17's per-eigencoordinate recurrence with w⁽⁰⁾ = 0:
-	// z_i ← γ_i·z_i + β_i with γ_i = 1 − ηλ − 2η·c'_i/n' and
-	// β_i = 2η/n'·(QᵀN')_i, for τ iterations — O(τm).
+// eigenTail rolls Eq 17's per-eigencoordinate recurrence with w⁽⁰⁾ = 0:
+// z_i ← γ_i·z_i + β_i with γ_i = 1 − ηλ − 2η·c'_i/n' and β_i = 2η/n'·(QᵀN')_i,
+// for τ iterations — O(τm) — and maps z back out of the eigenbasis. Update
+// and the what-if cursor share it, given the updated eigenvalues c' and N'.
+func (lo *LinearOpt) eigenTail(cPrime, nPrime []float64, nEff int) *gbm.Model {
+	m := lo.data.M()
 	eta, lambda := lo.cfg.Eta, lo.cfg.Lambda
 	qtn := lo.eig.Q.MulVecT(nPrime)
 	z := make([]float64, m)
@@ -124,7 +126,7 @@ func (lo *LinearOpt) Update(removed []int) (*gbm.Model, error) {
 			0
 	})
 	w := lo.eig.Q.MulVec(z)
-	return &gbm.Model{Task: dataset.Regression, W: mat.NewDenseData(1, m, w)}, nil
+	return &gbm.Model{Task: dataset.Regression, W: mat.NewDenseData(1, m, w)}
 }
 
 // FootprintBytes returns the offline state's memory: Q, the eigenvalues and

@@ -146,21 +146,20 @@ func (lp *LogisticProvenance) Update(removed []int) (*gbm.Model, error) {
 	if lp.caches == nil {
 		return nil, ErrNoCapture
 	}
-	rm, err := gbm.RemovalSet(lp.data.N(), removed)
+	mask, _, err := gbm.Removals(lp.data.N(), removed)
 	if err != nil {
 		return nil, err
 	}
 	m := lp.data.M()
 	w := make([]float64, m)
-	lp.updateInto(w, rm, 0, lp.cfg.Iterations)
+	lp.updateInto(w, mask, 0, lp.cfg.Iterations)
 	return &gbm.Model{Task: dataset.BinaryClassification, W: mat.NewDenseData(1, m, w)}, nil
 }
 
 // updateInto rolls the incremental update from iteration t0 (exclusive of
 // tEnd) on the parameter vector w in place. Shared with PrIU-opt, which uses
 // t0 > 0 for its post-termination phase.
-func (lp *LogisticProvenance) updateInto(w []float64, rm map[int]bool, t0, tEnd int) {
-	mask := removalMask(lp.data.N(), rm)
+func (lp *LogisticProvenance) updateInto(w []float64, mask []bool, t0, tEnd int) {
 	m := lp.data.M()
 	cw := make([]float64, m)
 	scratchLen := lp.maxRank

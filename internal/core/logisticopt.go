@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/dataset"
 	"repro/internal/gbm"
 	"repro/internal/interp"
@@ -92,41 +90,32 @@ func (lo *LogisticOpt) Ts() int { return lo.ts }
 
 // Update computes the updated parameters: PrIU iterations up to ts, then the
 // eigen-space recurrence for the remaining τ−ts iterations with incrementally
-// updated eigenvalues (Eq 18) and the stabilized D*.
+// updated eigenvalues (Eq 18) and the stabilized D*. Removed rows fold into
+// the Gram corrections and D*' in the order given (a repeated id counts at
+// its first occurrence), the what-if cursor's fold order.
 func (lo *LogisticOpt) Update(removed []int) (*gbm.Model, error) {
 	if lo.eig == nil {
 		return nil, ErrNoCapture
 	}
 	d := lo.prov.data
-	rm, err := gbm.RemovalSet(d.N(), removed)
+	mask, ids, err := gbm.Removals(d.N(), removed)
 	if err != nil {
 		return nil, err
 	}
-	m := d.M()
-	dn := len(rm)
-	nEff := d.N() - dn
-	if nEff <= 0 {
-		return nil, fmt.Errorf("core: removal leaves no samples")
+	nEff, err := survivors(d.N(), len(ids))
+	if err != nil {
+		return nil, err
 	}
 
-	// Phase 1: PrIU incremental iterations 0..ts.
-	w := make([]float64, m)
-	lo.prov.updateInto(w, rm, 0, lo.ts)
-
-	// Phase 2 preparation: eigenvalues of C*' = C* − ΔC* where
-	// ΔC* = Σ_{i∈R} aᵢ,*·xᵢxᵢᵀ (aᵢ,* ≤ 0 ⇒ −ΔC* = ZᵀZ with rows √(−aᵢ,*)xᵢ),
-	// and D*' = D* − ΔD*.
+	// Eigenvalues of C*' = C* − ΔC* where ΔC* = Σ_{i∈R} aᵢ,*·xᵢxᵢᵀ
+	// (aᵢ,* ≤ 0 ⇒ −ΔC* = ZᵀZ with rows √(−aᵢ,*)xᵢ), and D*' = D* − ΔD*.
 	dStar := mat.CloneVec(lo.dStar)
 	var cPrime []float64
-	if dn == 0 {
+	if len(ids) == 0 {
 		cPrime = mat.CloneVec(lo.eig.Values)
 	} else {
-		z := mat.NewDense(dn, m)
-		r := 0
-		for i := 0; i < d.N(); i++ {
-			if !rm[i] {
-				continue
-			}
+		z := mat.NewDense(len(ids), d.M())
+		for r, i := range ids {
 			xi := d.X.Row(i)
 			s := sqrtAbs(lo.aStar[i])
 			dst := z.Row(r)
@@ -134,24 +123,31 @@ func (lo *LogisticOpt) Update(removed []int) (*gbm.Model, error) {
 				dst[j] = s * v
 			}
 			mat.Axpy(dStar, -lo.bStar[i]*d.Y[i], xi)
-			r++
 		}
 		cPrime = lo.eig.UpdateValuesGram(z, +1)
 	}
+	return lo.finish(mask, cPrime, dStar, nEff), nil
+}
 
-	// Phase 2: coordinate recurrences in the eigenbasis —
-	// z ← (1−ηλ + η·c'ᵢ/n')·z + η·(QᵀD*')ᵢ/n', for τ−ts iterations.
+// finish runs both update phases given the removal mask, the updated
+// eigenvalues c' of C*' and D*': PrIU incremental iterations 0..ts, then the
+// coordinate recurrences in the eigenbasis —
+// z ← (1−ηλ + η·c'ᵢ/n')·z + η·(QᵀD*')ᵢ/n', for τ−ts iterations. Update and
+// the what-if cursor share it.
+func (lo *LogisticOpt) finish(mask []bool, cPrime, dStar []float64, nEff int) *gbm.Model {
+	m := lo.prov.data.M()
+	w := make([]float64, m)
+	lo.prov.updateInto(w, mask, 0, lo.ts)
 	eta, lambda := lo.prov.cfg.Eta, lo.prov.cfg.Lambda
 	zc := lo.eig.Q.MulVecT(w)
 	dt := lo.eig.Q.MulVecT(dStar)
-	rem := lo.fullIterations - lo.ts
-	rollRecurrence(zc, rem, func(i int) (gamma, beta, z0 float64) {
+	rollRecurrence(zc, lo.fullIterations-lo.ts, func(i int) (gamma, beta, z0 float64) {
 		return 1 - eta*lambda + eta*cPrime[i]/float64(nEff),
 			eta * dt[i] / float64(nEff),
 			zc[i]
 	})
 	w = lo.eig.Q.MulVec(zc)
-	return &gbm.Model{Task: dataset.BinaryClassification, W: mat.NewDenseData(1, m, w)}, nil
+	return &gbm.Model{Task: dataset.BinaryClassification, W: mat.NewDenseData(1, m, w)}
 }
 
 // FootprintBytes returns the provenance memory: the ts-truncated PrIU caches

@@ -188,13 +188,13 @@ func (mp *MultinomialProvenance) Update(removed []int) (*gbm.Model, error) {
 	if mp.caches == nil {
 		return nil, ErrNoCapture
 	}
-	rm, err := gbm.RemovalSet(mp.data.N(), removed)
+	mask, _, err := gbm.Removals(mp.data.N(), removed)
 	if err != nil {
 		return nil, err
 	}
 	m, q := mp.data.M(), mp.q
 	w := mat.NewDense(q, m)
-	mp.updateInto(w, rm, 0, mp.cfg.Iterations)
+	mp.updateInto(w, mask, 0, mp.cfg.Iterations)
 	return &gbm.Model{Task: dataset.MultiClassification, W: w}, nil
 }
 
@@ -206,8 +206,7 @@ func (mp *MultinomialProvenance) Update(removed []int) (*gbm.Model, error) {
 // and the nested kernels (including the SVD caches' transpose mat-vec, which
 // reduces via par.MapReduceDet) are bitwise-deterministic at any worker
 // count, so the update is too.
-func (mp *MultinomialProvenance) updateInto(w *mat.Dense, rm map[int]bool, t0, tEnd int) {
-	mask := removalMask(mp.data.N(), rm)
+func (mp *MultinomialProvenance) updateInto(w *mat.Dense, mask []bool, t0, tEnd int) {
 	m, q := mp.data.M(), mp.q
 	eta, lambda := mp.cfg.Eta, mp.cfg.Lambda
 	decay := 1 - eta*lambda

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/dataset"
 	"repro/internal/gbm"
 	"repro/internal/mat"
@@ -99,70 +97,69 @@ func (mo *MultinomialOpt) Model() *gbm.Model { return mo.prov.Model() }
 func (mo *MultinomialOpt) Ts() int { return mo.ts }
 
 // Update computes the updated parameters: PrIU iterations to ts, then the
-// per-class eigen recurrences with incrementally updated eigenvalues.
+// per-class eigen recurrences with incrementally updated eigenvalues. Removed
+// rows fold in the order given (a repeated id counts at its first
+// occurrence), the what-if cursor's fold order.
 func (mo *MultinomialOpt) Update(removed []int) (*gbm.Model, error) {
 	if mo.eigs == nil {
 		return nil, ErrNoCapture
 	}
 	d := mo.prov.data
-	rm, err := gbm.RemovalSet(d.N(), removed)
+	mask, ids, err := gbm.Removals(d.N(), removed)
+	if err != nil {
+		return nil, err
+	}
+	nEff, err := survivors(d.N(), len(ids))
 	if err != nil {
 		return nil, err
 	}
 	m, q, n := d.M(), mo.prov.q, d.N()
-	dn := len(rm)
-	nEff := n - dn
-	if nEff <= 0 {
-		return nil, fmt.Errorf("core: removal leaves no samples")
+	cPrimes := make([][]float64, q)
+	dStars := make([][]float64, q)
+	for k := 0; k < q; k++ {
+		dStars[k] = mat.CloneVec(mo.dStar[k])
+		if len(ids) == 0 {
+			cPrimes[k] = mat.CloneVec(mo.eigs[k].Values)
+			continue
+		}
+		// ΔC*ₖ = Σ_{i∈R} aₖᵢ,*·xᵢxᵢᵀ = ZᵀZ with rows √aₖᵢ,*·xᵢ (a ≥ 0);
+		// removal subtracts it, so the eigenvalue update uses sign −1.
+		z := mat.NewDense(len(ids), m)
+		for r, i := range ids {
+			xi := d.X.Row(i)
+			s := sqrtAbs(mo.aStar[k*n+i])
+			dst := z.Row(r)
+			for j, v := range xi {
+				dst[j] = s * v
+			}
+			mat.Axpy(dStars[k], -mo.cStar[k*n+i], xi)
+		}
+		cPrimes[k] = mo.eigs[k].UpdateValuesGram(z, -1)
 	}
+	return mo.finish(mask, cPrimes, dStars, nEff), nil
+}
 
-	// Phase 1: PrIU to ts.
+// finish runs both update phases given the removal mask and, per class, the
+// updated eigenvalues of C*ₖ' and D*ₖ': PrIU to ts, then each class's
+// eigenbasis recurrence for the remaining τ−ts iterations. Update and the
+// what-if cursor share it.
+func (mo *MultinomialOpt) finish(mask []bool, cPrimes, dStars [][]float64, nEff int) *gbm.Model {
+	m, q := mo.prov.data.M(), mo.prov.q
 	w := mat.NewDense(q, m)
-	mo.prov.updateInto(w, rm, 0, mo.ts)
-
-	// Phase 2: per-class eigen recurrences.
+	mo.prov.updateInto(w, mask, 0, mo.ts)
 	eta, lambda := mo.prov.cfg.Eta, mo.prov.cfg.Lambda
 	rem := mo.fullIterations - mo.ts
-	removedIdx := make([]int, 0, dn)
-	for i := 0; i < n; i++ {
-		if rm[i] {
-			removedIdx = append(removedIdx, i)
-		}
-	}
 	for k := 0; k < q; k++ {
-		dStar := mat.CloneVec(mo.dStar[k])
-		var cPrime []float64
-		if dn == 0 {
-			cPrime = mat.CloneVec(mo.eigs[k].Values)
-		} else {
-			// ΔC*ₖ = Σ_{i∈R} aₖᵢ,*·xᵢxᵢᵀ = ZᵀZ with rows √aₖᵢ,*·xᵢ (a ≥ 0);
-			// removal subtracts it, so the eigenvalue update uses sign −1.
-			z := mat.NewDense(dn, m)
-			for r, i := range removedIdx {
-				xi := d.X.Row(i)
-				s := sqrtAbs(mo.aStar[k*n+i])
-				dst := z.Row(r)
-				for j, v := range xi {
-					dst[j] = s * v
-				}
-				mat.Axpy(dStar, -mo.cStar[k*n+i], xi)
-			}
-			cPrime = mo.eigs[k].UpdateValuesGram(z, -1)
-		}
 		zc := mo.eigs[k].Q.MulVecT(w.Row(k))
-		dt := mo.eigs[k].Q.MulVecT(dStar)
-		for i := 0; i < m; i++ {
-			gamma := 1 - eta*lambda - eta*cPrime[i]/float64(nEff)
-			beta := -eta * dt[i] / float64(nEff)
-			zi := zc[i]
-			for t := 0; t < rem; t++ {
-				zi = gamma*zi + beta
-			}
-			zc[i] = zi
-		}
+		dt := mo.eigs[k].Q.MulVecT(dStars[k])
+		rollRecurrence(zc, rem, func(i int) (gamma, beta, z0 float64) {
+			return 1 - eta*lambda - eta*cPrimes[k][i]/float64(nEff),
+				-eta * dt[i] / float64(nEff),
+				zc[i]
+		})
 		copy(w.Row(k), mo.eigs[k].Q.MulVec(zc))
 	}
-	return &gbm.Model{Task: dataset.MultiClassification, W: w}, nil
+	return &gbm.Model{Task: dataset.MultiClassification, W: w}
 }
 
 // FootprintBytes returns the provenance memory: the ts-truncated PrIU caches

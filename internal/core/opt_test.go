@@ -26,7 +26,7 @@ func TestMultinomialOptCloseToBaseL(t *testing.T) {
 		t.Fatalf("ts = %d, want 0.7·300", mo.Ts())
 	}
 	removed := pickRemoved(240, 5, 93)
-	rm, _ := gbm.RemovalSet(240, removed)
+	rm, _, _ := gbm.Removals(240, removed)
 	want, err := gbm.TrainMultinomial(d, cfg, sched, rm)
 	if err != nil {
 		t.Fatal(err)

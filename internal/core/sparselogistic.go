@@ -97,11 +97,10 @@ func (sp *SparseLogisticProvenance) Update(removed []int) (*gbm.Model, error) {
 	if sp.aCoef == nil {
 		return nil, ErrNoCapture
 	}
-	rm, err := gbm.RemovalSet(sp.data.N(), removed)
+	mask, _, err := gbm.Removals(sp.data.N(), removed)
 	if err != nil {
 		return nil, err
 	}
-	mask := removalMask(sp.data.N(), rm)
 	d := sp.data
 	m := d.M()
 	w := make([]float64, m)

@@ -3,61 +3,112 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/dataset"
 	"repro/internal/gbm"
 	"repro/internal/mat"
 )
 
 // What-if evaluation: forkable, read-only cursors over a PrIU-opt capture.
 //
-// A WhatIfState accumulates a removal set incrementally — Apply(id) folds one
-// more removed row into the state's partial sums — and Eval materializes the
-// updated model for the set applied so far, without touching the underlying
+// A WhatIfState accumulates a removal log incrementally — Apply folds more
+// removed rows into the state's partial sums — and Eval materializes the
+// updated model for the log applied so far, without touching the underlying
 // updater. Fork copies the partial sums, so a planner can apply a shared
 // prefix of several candidate sets once and branch: k overlapping sets cost
-// the union's row work instead of k full replays.
+// the union's row work instead of k full replays. A live session keeps one
+// cursor across commits, so a commit costs Apply(batch) + Eval instead of a
+// full-log Update.
 //
-// Bitwise contract: for every applied set R (strictly ascending, as Apply
-// enforces), Eval() returns the exact bits Update(R) would. This holds
-// because the incremental accumulators replay the same floating-point
-// operation sequence as the batch path: rows are folded in ascending index
-// order, each eigenvalue's Gram correction sums dot² over rows in that same
-// order starting from zero, and the per-eigenvector dot uses the identical
-// operand order as Dense.MulVecInto (row element × eigenvector element,
-// ascending coordinates). The remaining algebra (Values[i] ± s, the
-// recurrence tails) is copied verbatim from the Update implementations.
+// Bitwise contract: log order is the canonical fold order. For every applied
+// log L (the concatenation of the Apply batches; ids distinct across all
+// calls, in any order), Eval() returns the exact bits Update(L) would. This
+// holds because Update folds removed rows in the order given and the
+// incremental accumulators replay the same floating-point operation
+// sequence: rows fold into N'/D*' in log order, each eigenvalue's Gram
+// correction sums dot² over rows in that same order starting from zero, and
+// the per-eigenvector dot uses the identical operand order as
+// Dense.MulVecInto (row element × eigenvector element, ascending
+// coordinates). Both paths then run the same per-family tail (eigenTail /
+// finish).
 
 // WhatIfState is a forkable what-if cursor. Apply folds additional removed
-// row ids into the state (ids must be strictly ascending across all Apply
-// calls — the order the batch Update paths scan rows in); Fork returns an
-// independent copy sharing only immutable captured state; Eval returns the
-// model the updater's Update would produce for the applied set. A state
-// whose Apply returned an error must be discarded.
+// row ids into the state (ids must be distinct across all Apply calls, in
+// any order; the concatenation is the fold order); Fork returns an
+// independent copy sharing only immutable captured state, in O(m + |log|);
+// Eval returns the model the updater's Update of the applied log would
+// produce. A rejected Apply leaves the state unchanged. A state is not safe
+// for concurrent use.
 type WhatIfState interface {
 	Apply(ids []int) error
 	Fork() WhatIfState
 	Eval() (*gbm.Model, error)
 }
 
-// extendWhatIfIDs validates that ids are in range and strictly ascending
-// past the current tail, returning the extended id list. Validation is
-// complete before the caller mutates any accumulator, so a rejected batch
-// leaves the state usable.
-func extendWhatIfIDs(cur, ids []int, n int) ([]int, error) {
-	last := -1
-	if len(cur) > 0 {
-		last = cur[len(cur)-1]
+// removalLog is a cursor's applied ids in log order plus what Apply needs to
+// keep them distinct: hi, the largest applied id, admits the strictly
+// ascending appends of a what-if planner with no membership lookup, and
+// mask — owned, never shared with forks, built on the first out-of-order
+// Apply — answers membership for a live session's arbitrary-order batches.
+// Leaving the mask out of Fork keeps forking O(|log|), not O(n).
+type removalLog struct {
+	n    int
+	ids  []int
+	hi   int
+	mask []bool
+}
+
+func newRemovalLog(n int) removalLog { return removalLog{n: n, hi: -1} }
+
+// extend validates ids — in range, distinct from each other and from every
+// applied id — and appends them. Validation completes before the caller
+// folds anything, and a rejected batch leaves the log unchanged.
+func (l *removalLog) extend(ids []int) error {
+	if err := gbm.CheckRemovals(l.n, ids); err != nil {
+		return err
 	}
+	// Strictly ascending past hi exactly when every id tops the running max.
+	ascending, hi := true, l.hi
 	for _, id := range ids {
-		if id < 0 || id >= n {
-			return nil, fmt.Errorf("core: whatif id %d out of range [0,%d)", id, n)
+		if id > hi {
+			hi = id
+		} else {
+			ascending = false
 		}
-		if id <= last {
-			return nil, fmt.Errorf("core: whatif ids must be strictly ascending (%d after %d)", id, last)
-		}
-		last = id
 	}
-	return append(cur, ids...), nil
+	if !ascending && l.mask == nil {
+		l.mask = make([]bool, l.n)
+		for _, id := range l.ids {
+			l.mask[id] = true
+		}
+	}
+	if l.mask != nil {
+		for k, id := range ids {
+			if l.mask[id] {
+				for _, u := range ids[:k] {
+					l.mask[u] = false
+				}
+				return fmt.Errorf("core: whatif id %d is duplicated or already applied", id)
+			}
+			l.mask[id] = true
+		}
+	}
+	l.hi = hi
+	l.ids = append(l.ids, ids...)
+	return nil
+}
+
+func (l *removalLog) fork() removalLog {
+	return removalLog{n: l.n, ids: append([]int(nil), l.ids...), hi: l.hi}
+}
+
+// removalMask returns the applied set as the dense mask the PrIU phase-1
+// roll indexes: the owned mask when Apply built one, else a transient one
+// (a planner's forks never retain an n-sized mask).
+func (l *removalLog) removalMask() []bool {
+	if l.mask != nil {
+		return l.mask
+	}
+	mask, _, _ := gbm.Removals(l.n, l.ids) // ids were validated by extend
+	return mask
 }
 
 // linearWhatIf incrementally maintains N' = N − Σ yᵢxᵢ and the per-eigenvalue
@@ -67,7 +118,7 @@ type linearWhatIf struct {
 	// qt is Qᵀ (rows are eigenvectors), shared read-only across forks so the
 	// per-row dot products run over contiguous memory.
 	qt     *mat.Dense
-	ids    []int
+	log    removalLog
 	nPrime []float64
 	sSum   []float64
 }
@@ -80,14 +131,14 @@ func (lo *LinearOpt) WhatIf() (WhatIfState, error) {
 	return &linearWhatIf{
 		lo:     lo,
 		qt:     lo.eig.Q.T(),
+		log:    newRemovalLog(lo.data.N()),
 		nPrime: mat.CloneVec(lo.n),
 		sSum:   make([]float64, lo.data.M()),
 	}, nil
 }
 
 func (s *linearWhatIf) Apply(ids []int) error {
-	ext, err := extendWhatIfIDs(s.ids, ids, s.lo.data.N())
-	if err != nil {
+	if err := s.log.extend(ids); err != nil {
 		return err
 	}
 	for _, id := range ids {
@@ -98,7 +149,6 @@ func (s *linearWhatIf) Apply(ids []int) error {
 			s.sSum[j] += d * d
 		}
 	}
-	s.ids = ext
 	return nil
 }
 
@@ -106,39 +156,30 @@ func (s *linearWhatIf) Fork() WhatIfState {
 	return &linearWhatIf{
 		lo:     s.lo,
 		qt:     s.qt,
-		ids:    append([]int(nil), s.ids...),
+		log:    s.log.fork(),
 		nPrime: mat.CloneVec(s.nPrime),
 		sSum:   mat.CloneVec(s.sSum),
 	}
 }
 
 func (s *linearWhatIf) Eval() (*gbm.Model, error) {
-	dn := len(s.ids)
+	dn := len(s.log.ids)
 	m := s.lo.data.M()
 	if dn == 0 || dn >= m {
 		// Regimes the incremental Gram accumulation does not model: the
 		// empty set clones the eigenvalues and Δn ≥ m switches to the dense
 		// congruence — both served exactly by the (pure) batch path.
-		return s.lo.Update(s.ids)
+		return s.lo.Update(s.log.ids)
 	}
-	nEff := s.lo.data.N() - dn
-	if nEff <= 0 {
-		return nil, fmt.Errorf("core: removal leaves no samples")
+	nEff, err := survivors(s.lo.data.N(), dn)
+	if err != nil {
+		return nil, err
 	}
 	cPrime := make([]float64, m)
 	for i := range cPrime {
 		cPrime[i] = s.lo.eig.Values[i] - s.sSum[i]
 	}
-	eta, lambda := s.lo.cfg.Eta, s.lo.cfg.Lambda
-	qtn := s.lo.eig.Q.MulVecT(s.nPrime)
-	z := make([]float64, m)
-	rollRecurrence(z, s.lo.cfg.Iterations, func(i int) (gamma, beta, z0 float64) {
-		return 1 - eta*lambda - 2*eta*cPrime[i]/float64(nEff),
-			2 * eta / float64(nEff) * qtn[i],
-			0
-	})
-	w := s.lo.eig.Q.MulVec(z)
-	return &gbm.Model{Task: dataset.Regression, W: mat.NewDenseData(1, m, w)}, nil
+	return s.lo.eigenTail(cPrime, s.nPrime, nEff), nil
 }
 
 // logisticWhatIf incrementally maintains D*' and the Gram corrections
@@ -147,7 +188,7 @@ func (s *linearWhatIf) Eval() (*gbm.Model, error) {
 type logisticWhatIf struct {
 	lo      *LogisticOpt
 	qt      *mat.Dense
-	ids     []int
+	log     removalLog
 	dStar   []float64
 	sSum    []float64
 	scratch []float64
@@ -158,22 +199,22 @@ func (lo *LogisticOpt) WhatIf() (WhatIfState, error) {
 	if lo.eig == nil {
 		return nil, ErrNoCapture
 	}
-	m := lo.prov.data.M()
+	d := lo.prov.data
 	return &logisticWhatIf{
 		lo:      lo,
 		qt:      lo.eig.Q.T(),
+		log:     newRemovalLog(d.N()),
 		dStar:   mat.CloneVec(lo.dStar),
-		sSum:    make([]float64, m),
-		scratch: make([]float64, m),
+		sSum:    make([]float64, d.M()),
+		scratch: make([]float64, d.M()),
 	}, nil
 }
 
 func (s *logisticWhatIf) Apply(ids []int) error {
-	d := s.lo.prov.data
-	ext, err := extendWhatIfIDs(s.ids, ids, d.N())
-	if err != nil {
+	if err := s.log.extend(ids); err != nil {
 		return err
 	}
+	d := s.lo.prov.data
 	for _, id := range ids {
 		xi := d.X.Row(id)
 		sc := sqrtAbs(s.lo.aStar[id])
@@ -187,7 +228,6 @@ func (s *logisticWhatIf) Apply(ids []int) error {
 		}
 		mat.Axpy(s.dStar, -s.lo.bStar[id]*d.Y[id], xi)
 	}
-	s.ids = ext
 	return nil
 }
 
@@ -195,7 +235,7 @@ func (s *logisticWhatIf) Fork() WhatIfState {
 	return &logisticWhatIf{
 		lo:      s.lo,
 		qt:      s.qt,
-		ids:     append([]int(nil), s.ids...),
+		log:     s.log.fork(),
 		dStar:   mat.CloneVec(s.dStar),
 		sSum:    mat.CloneVec(s.sSum),
 		scratch: make([]float64, len(s.scratch)),
@@ -203,37 +243,19 @@ func (s *logisticWhatIf) Fork() WhatIfState {
 }
 
 func (s *logisticWhatIf) Eval() (*gbm.Model, error) {
-	dn := len(s.ids)
+	dn := len(s.log.ids)
 	if dn == 0 {
 		return s.lo.Update(nil)
 	}
-	d := s.lo.prov.data
-	m := d.M()
-	nEff := d.N() - dn
-	if nEff <= 0 {
-		return nil, fmt.Errorf("core: removal leaves no samples")
-	}
-	rm, err := gbm.RemovalSet(d.N(), s.ids)
+	nEff, err := survivors(s.log.n, dn)
 	if err != nil {
 		return nil, err
 	}
-	w := make([]float64, m)
-	s.lo.prov.updateInto(w, rm, 0, s.lo.ts)
-	cPrime := make([]float64, m)
+	cPrime := make([]float64, len(s.sSum))
 	for i := range cPrime {
 		cPrime[i] = s.lo.eig.Values[i] + s.sSum[i]
 	}
-	eta, lambda := s.lo.prov.cfg.Eta, s.lo.prov.cfg.Lambda
-	zc := s.lo.eig.Q.MulVecT(w)
-	dt := s.lo.eig.Q.MulVecT(s.dStar)
-	rem := s.lo.fullIterations - s.lo.ts
-	rollRecurrence(zc, rem, func(i int) (gamma, beta, z0 float64) {
-		return 1 - eta*lambda + eta*cPrime[i]/float64(nEff),
-			eta * dt[i] / float64(nEff),
-			zc[i]
-	})
-	w = s.lo.eig.Q.MulVec(zc)
-	return &gbm.Model{Task: dataset.BinaryClassification, W: mat.NewDenseData(1, m, w)}, nil
+	return s.lo.finish(s.log.removalMask(), cPrime, s.dStar, nEff), nil
 }
 
 // multinomialWhatIf is the per-class generalization: D*ₖ' and the class-k
@@ -242,7 +264,7 @@ func (s *logisticWhatIf) Eval() (*gbm.Model, error) {
 type multinomialWhatIf struct {
 	mo      *MultinomialOpt
 	qts     []*mat.Dense
-	ids     []int
+	log     removalLog
 	dStar   [][]float64
 	sSum    [][]float64
 	scratch []float64
@@ -253,29 +275,29 @@ func (mo *MultinomialOpt) WhatIf() (WhatIfState, error) {
 	if mo.eigs == nil {
 		return nil, ErrNoCapture
 	}
-	m, q := mo.prov.data.M(), mo.prov.q
+	d, q := mo.prov.data, mo.prov.q
 	s := &multinomialWhatIf{
 		mo:      mo,
 		qts:     make([]*mat.Dense, q),
+		log:     newRemovalLog(d.N()),
 		dStar:   make([][]float64, q),
 		sSum:    make([][]float64, q),
-		scratch: make([]float64, m),
+		scratch: make([]float64, d.M()),
 	}
 	for k := 0; k < q; k++ {
 		s.qts[k] = mo.eigs[k].Q.T()
 		s.dStar[k] = mat.CloneVec(mo.dStar[k])
-		s.sSum[k] = make([]float64, m)
+		s.sSum[k] = make([]float64, d.M())
 	}
 	return s, nil
 }
 
 func (s *multinomialWhatIf) Apply(ids []int) error {
-	d := s.mo.prov.data
-	n := d.N()
-	ext, err := extendWhatIfIDs(s.ids, ids, n)
-	if err != nil {
+	if err := s.log.extend(ids); err != nil {
 		return err
 	}
+	d := s.mo.prov.data
+	n := d.N()
 	for _, id := range ids {
 		xi := d.X.Row(id)
 		for k := range s.qts {
@@ -291,7 +313,6 @@ func (s *multinomialWhatIf) Apply(ids []int) error {
 			mat.Axpy(s.dStar[k], -s.mo.cStar[k*n+id], xi)
 		}
 	}
-	s.ids = ext
 	return nil
 }
 
@@ -299,7 +320,7 @@ func (s *multinomialWhatIf) Fork() WhatIfState {
 	f := &multinomialWhatIf{
 		mo:      s.mo,
 		qts:     s.qts,
-		ids:     append([]int(nil), s.ids...),
+		log:     s.log.fork(),
 		dStar:   make([][]float64, len(s.dStar)),
 		sSum:    make([][]float64, len(s.sSum)),
 		scratch: make([]float64, len(s.scratch)),
@@ -312,41 +333,20 @@ func (s *multinomialWhatIf) Fork() WhatIfState {
 }
 
 func (s *multinomialWhatIf) Eval() (*gbm.Model, error) {
-	dn := len(s.ids)
+	dn := len(s.log.ids)
 	if dn == 0 {
 		return s.mo.Update(nil)
 	}
-	d := s.mo.prov.data
-	m, q := d.M(), s.mo.prov.q
-	nEff := d.N() - dn
-	if nEff <= 0 {
-		return nil, fmt.Errorf("core: removal leaves no samples")
-	}
-	rm, err := gbm.RemovalSet(d.N(), s.ids)
+	nEff, err := survivors(s.log.n, dn)
 	if err != nil {
 		return nil, err
 	}
-	w := mat.NewDense(q, m)
-	s.mo.prov.updateInto(w, rm, 0, s.mo.ts)
-	eta, lambda := s.mo.prov.cfg.Eta, s.mo.prov.cfg.Lambda
-	rem := s.mo.fullIterations - s.mo.ts
-	for k := 0; k < q; k++ {
-		cPrime := make([]float64, m)
-		for i := range cPrime {
-			cPrime[i] = s.mo.eigs[k].Values[i] - s.sSum[k][i]
+	cPrimes := make([][]float64, len(s.sSum))
+	for k, sum := range s.sSum {
+		cPrimes[k] = make([]float64, len(sum))
+		for i := range sum {
+			cPrimes[k][i] = s.mo.eigs[k].Values[i] - sum[i]
 		}
-		zc := s.mo.eigs[k].Q.MulVecT(w.Row(k))
-		dt := s.mo.eigs[k].Q.MulVecT(s.dStar[k])
-		for i := 0; i < m; i++ {
-			gamma := 1 - eta*lambda - eta*cPrime[i]/float64(nEff)
-			beta := -eta * dt[i] / float64(nEff)
-			zi := zc[i]
-			for t := 0; t < rem; t++ {
-				zi = gamma*zi + beta
-			}
-			zc[i] = zi
-		}
-		copy(w.Row(k), s.mo.eigs[k].Q.MulVec(zc))
 	}
-	return &gbm.Model{Task: dataset.MultiClassification, W: w}, nil
+	return s.mo.finish(s.log.removalMask(), cPrimes, s.dStar, nEff), nil
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // sortedRemoved picks k distinct removal ids and returns them ascending, the
-// order WhatIfState.Apply requires.
+// order a what-if planner walks its prefix tree in.
 func sortedRemoved(n, k int, seed int64) []int {
 	ids := pickRemoved(n, k, seed)
 	sort.Ints(ids)
@@ -257,16 +257,19 @@ func TestWhatIfApplyValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := st.Apply([]int{9}); err == nil {
-		t.Fatal("duplicate id must be rejected")
+		t.Fatal("already-applied id must be rejected")
 	}
-	if err := st.Apply([]int{3}); err == nil {
-		t.Fatal("descending id must be rejected")
+	if err := st.Apply([]int{11, 7, 11}); err == nil {
+		t.Fatal("duplicate id within a batch must be rejected")
+	}
+	if err := st.Apply([]int{12, 5}); err == nil {
+		t.Fatal("out-of-order batch reaching an applied id must be rejected")
 	}
 	if err := st.Apply([]int{60}); err == nil {
 		t.Fatal("out-of-range id must be rejected")
 	}
-	// A rejected batch leaves the state intact: the applied set is still
-	// {5, 9} and evaluates exactly.
+	// A rejected batch leaves the state intact: the applied log is still
+	// [5 9] and evaluates exactly.
 	got, err := st.Eval()
 	if err != nil {
 		t.Fatal(err)
@@ -276,4 +279,123 @@ func TestWhatIfApplyValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertBitwise(t, "post-rejection state", got, want)
+	// Ids need only be distinct: a descending batch is accepted, and the
+	// rejected batches above left none of their ids marked as applied.
+	if err := st.Apply([]int{12, 11, 7, 3}); err != nil {
+		t.Fatalf("descending distinct batch rejected: %v", err)
+	}
+	if got, err = st.Eval(); err != nil {
+		t.Fatal(err)
+	}
+	if want, err = lo.Update([]int{5, 9, 12, 11, 7, 3}); err != nil {
+		t.Fatal(err)
+	}
+	assertBitwise(t, "log-order state", got, want)
+}
+
+// TestWhatIfLogOrderBitwise commits a shuffled removal log in uneven batches
+// through one cursor per opt family — a live session's commit path — and
+// checks every intermediate Eval against Update of the log so far, bit for
+// bit. Update folds in the order given, so it also checks that a repeated id
+// counts once, at its first occurrence, and that a fork of the live cursor
+// taken mid-log agrees with its own log.
+func TestWhatIfLogOrderBitwise(t *testing.T) {
+	type capture struct {
+		name string
+		n    int
+		upd  func([]int) (*gbm.Model, error)
+		st   func() (WhatIfState, error)
+	}
+	dl, err := dataset.GenerateRegression("wlog-lin", 160, 12, 0.05, 21)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo, err := NewLinearOpt(dl, gbm.Config{Eta: 0.01, Lambda: 0.05, BatchSize: 40, Iterations: 60, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := dataset.GenerateBinary("wlog-log", 150, 5, 1.2, 22)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bcfg := gbm.Config{Eta: 0.05, Lambda: 0.02, BatchSize: 30, Iterations: 80, Seed: 7}
+	bsched, err := gbm.NewSchedule(150, bcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lg, err := CaptureLogisticOpt(db, bcfg, bsched, testLin, Options{Mode: ModeFull})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dm, err := dataset.GenerateMulticlass("wlog-mul", 180, 5, 3, 2.5, 23)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mcfg := gbm.Config{Eta: 0.05, Lambda: 0.02, BatchSize: 36, Iterations: 80, Seed: 9}
+	msched, err := gbm.NewSchedule(180, mcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mo, err := CaptureMultinomialOpt(dm, mcfg, msched, Options{Mode: ModeSVD})
+	if err != nil {
+		t.Fatal(err)
+	}
+	caps := []capture{
+		// 160 rows × 12 features: the log crosses Δn = m, so the linear
+		// cursor's Eval moves from its Gram sums onto the dense regime.
+		{"linear-opt", 160, lo.Update, lo.WhatIf},
+		{"logistic-opt", 150, lg.Update, lg.WhatIf},
+		{"multinomial-opt", 180, mo.Update, mo.WhatIf},
+	}
+	for _, c := range caps {
+		log := pickRemoved(c.n, 17, 77)
+		live, err := c.st()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fork WhatIfState
+		pos := 0
+		for _, size := range []int{3, 1, 5, 2, 6} {
+			batch := log[pos : pos+size]
+			pos += size
+			if err := live.Apply(batch); err != nil {
+				t.Fatalf("%s: Apply(%v): %v", c.name, batch, err)
+			}
+			got, err := live.Eval()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := c.upd(log[:pos])
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertBitwise(t, c.name+" live cursor", got, want)
+			if pos == 4 {
+				fork = live.Fork()
+			}
+		}
+		// The fork stopped at log[:4]; extending it in a different order
+		// must match Update of its own log, untouched by the live cursor.
+		if err := fork.Apply([]int{log[10], log[5]}); err != nil {
+			t.Fatal(err)
+		}
+		got, err := fork.Eval()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := c.upd(append(append([]int(nil), log[:4]...), log[10], log[5]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertBitwise(t, c.name+" fork", got, want)
+		// Duplicates in an Update argument count at their first occurrence.
+		dup := append(append([]int(nil), log[:6]...), log[2], log[0])
+		if got, err = c.upd(dup); err != nil {
+			t.Fatal(err)
+		}
+		if want, err = c.upd(log[:6]); err != nil {
+			t.Fatal(err)
+		}
+		assertBitwise(t, c.name+" duplicate-tolerant Update", got, want)
+	}
 }

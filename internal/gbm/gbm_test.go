@@ -2,6 +2,7 @@ package gbm
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/dataset"
@@ -108,15 +109,33 @@ func TestSurvivorCountAndRemovalSet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rm, err := RemovalSet(5, []int{0, 3})
+	rm, ids, err := Removals(5, []int{3, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := s.SurvivorCount(0, rm); got != 3 {
 		t.Fatalf("SurvivorCount = %d", got)
 	}
-	if _, err := RemovalSet(5, []int{7}); err == nil {
-		t.Fatal("expected range error")
+	if got := s.SurvivorCount(0, nil); got != 5 {
+		t.Fatalf("SurvivorCount(nil) = %d", got)
+	}
+	if !reflect.DeepEqual(ids, []int{3, 0}) {
+		t.Fatalf("ids = %v, want the input order", ids)
+	}
+	// Duplicates collapse onto their first occurrence, in log order, on a
+	// private copy (the caller's slice is left alone).
+	in := []int{4, 1, 4, 2, 1}
+	if _, ids, err = Removals(5, in); err != nil || !reflect.DeepEqual(ids, []int{4, 1, 2}) {
+		t.Fatalf("dedup ids = %v (err %v), want [4 1 2]", ids, err)
+	}
+	if !reflect.DeepEqual(in, []int{4, 1, 4, 2, 1}) {
+		t.Fatalf("Removals mutated its input: %v", in)
+	}
+	if mask, ids, err := Removals(5, nil); mask != nil || ids != nil || err != nil {
+		t.Fatalf("empty removal = %v %v %v, want all nil", mask, ids, err)
+	}
+	if _, _, err := Removals(5, []int{1, 7}); err == nil || err.Error() != "gbm: removed index 7 out of range [0,5)" {
+		t.Fatalf("range error = %v", err)
 	}
 }
 
@@ -179,7 +198,7 @@ func TestTrainLinearWithRemovalMatchesRetrainOnSubset(t *testing.T) {
 		t.Fatal(err)
 	}
 	removedIdx := []int{5, 17, 40}
-	rm, _ := RemovalSet(60, removedIdx)
+	rm, _, _ := Removals(60, removedIdx)
 	got, err := TrainLinear(d, cfg, sched, rm)
 	if err != nil {
 		t.Fatal(err)
@@ -304,8 +323,8 @@ func TestEmptyBatchOnlyRegularizes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	all := map[int]bool{}
-	for i := 0; i < 10; i++ {
+	all := make([]bool, 10)
+	for i := range all {
 		all[i] = true
 	}
 	model, err := TrainLinear(d, cfg, sched, all)

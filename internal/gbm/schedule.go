@@ -47,8 +47,12 @@ func (s *Schedule) N() int { return s.n }
 // Batch returns the index slice of batch t (aliased, do not modify).
 func (s *Schedule) Batch(t int) []int { return s.batches[t] }
 
-// SurvivorCount returns how many members of batch t survive the removal set.
-func (s *Schedule) SurvivorCount(t int, removed map[int]bool) int {
+// SurvivorCount returns how many members of batch t survive the removal
+// mask (see Removals; nil removes nothing).
+func (s *Schedule) SurvivorCount(t int, removed []bool) int {
+	if removed == nil {
+		return len(s.batches[t])
+	}
 	c := 0
 	for _, i := range s.batches[t] {
 		if !removed[i] {
@@ -68,31 +72,43 @@ func (s *Schedule) FootprintBytes() int64 {
 	return total
 }
 
-// RemovalSet converts a list of removed sample indices into the set form the
-// trainers accept, validating ranges.
-func RemovalSet(n int, removed []int) (map[int]bool, error) {
-	set := make(map[int]bool, len(removed))
-	for _, r := range removed {
-		if r < 0 || r >= n {
-			return nil, fmt.Errorf("gbm: removed index %d out of range [0,%d)", r, n)
-		}
-		set[r] = true
+// Removals validates removed sample indices against [0,n) and returns the
+// dense membership mask the per-batch-member hot loops index, together with
+// the distinct ids in first-occurrence order (removed itself when it holds
+// no duplicates, so the common case allocates only the mask). Both are nil
+// when removed is empty; every consumer treats a nil mask as "nothing
+// removed".
+func Removals(n int, removed []int) (mask []bool, ids []int, err error) {
+	if len(removed) == 0 {
+		return nil, nil, nil
 	}
-	return set, nil
+	if err := CheckRemovals(n, removed); err != nil {
+		return nil, nil, err
+	}
+	mask = make([]bool, n)
+	ids = removed
+	copied := false
+	for k, r := range removed {
+		if mask[r] {
+			if !copied { // first duplicate: continue on a private copy
+				ids, copied = append([]int(nil), removed[:k]...), true
+			}
+			continue
+		}
+		mask[r] = true
+		if copied {
+			ids = append(ids, r)
+		}
+	}
+	return mask, ids, nil
 }
 
-// removalMask converts a removal set into a dense boolean mask for O(1)
-// membership checks in the per-batch-member hot loops. A nil set yields a
-// nil mask (indexing a nil mask is avoided by the callers' length check).
-func removalMask(n int, removed map[int]bool) []bool {
-	if len(removed) == 0 {
-		return nil
-	}
-	mask := make([]bool, n)
-	for i, v := range removed {
-		if v && i >= 0 && i < n {
-			mask[i] = true
+// CheckRemovals reports the first removed index outside [0,n).
+func CheckRemovals(n int, removed []int) error {
+	for _, r := range removed {
+		if r < 0 || r >= n {
+			return fmt.Errorf("gbm: removed index %d out of range [0,%d)", r, n)
 		}
 	}
-	return mask
+	return nil
 }

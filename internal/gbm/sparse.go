@@ -9,9 +9,9 @@ import (
 )
 
 // TrainLogisticSparse runs mb-SGD binary logistic regression over a CSR
-// dataset (the RCV1-style path of Sec 5.3). removed may be nil, in which
-// case this is the sparse BaseL retrainer.
-func TrainLogisticSparse(d *dataset.SparseDataset, cfg Config, sched *Schedule, removed map[int]bool) (*Model, error) {
+// dataset (the RCV1-style path of Sec 5.3). A non-nil removed mask
+// makes this the sparse BaseL retrainer.
+func TrainLogisticSparse(d *dataset.SparseDataset, cfg Config, sched *Schedule, removed []bool) (*Model, error) {
 	if err := cfg.Validate(d.N()); err != nil {
 		return nil, err
 	}
@@ -21,7 +21,6 @@ func TrainLogisticSparse(d *dataset.SparseDataset, cfg Config, sched *Schedule, 
 	if d.Task != dataset.BinaryClassification {
 		return nil, fmt.Errorf("gbm: TrainLogisticSparse requires binary labels, got %v", d.Task)
 	}
-	mask := removalMask(d.N(), removed)
 	m := d.M()
 	w := make([]float64, m)
 	step := make([]float64, m)
@@ -30,7 +29,7 @@ func TrainLogisticSparse(d *dataset.SparseDataset, cfg Config, sched *Schedule, 
 		mat.ZeroVec(step)
 		bU := 0
 		for _, i := range batch {
-			if mask != nil && mask[i] {
+			if removed != nil && removed[i] {
 				continue
 			}
 			bU++

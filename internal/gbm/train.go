@@ -10,17 +10,17 @@ import (
 
 // Trainers implement the update rules of the paper's Eq 5 (linear), Eq 6
 // (binary logistic) and the softmax analogue (multinomial), replaying a
-// shared Schedule. A non-nil removed set turns a trainer into the BaseL
-// retraining baseline: removed samples are excluded from every mini-batch
-// and the batch denominator becomes the survivor count B_U^(t) (Eq 12/13).
+// shared Schedule. A non-nil removed mask (see Removals) turns a trainer into
+// the BaseL retraining baseline: removed samples are excluded from every
+// mini-batch and the batch denominator becomes the survivor count B_U^(t)
+// (Eq 12/13).
 
 // TrainLinear runs mb-SGD for ridge linear regression (Eq 5) and returns the
 // final model. removed may be nil.
-func TrainLinear(d *dataset.Dataset, cfg Config, sched *Schedule, removed map[int]bool) (*Model, error) {
+func TrainLinear(d *dataset.Dataset, cfg Config, sched *Schedule, removed []bool) (*Model, error) {
 	if err := checkTrainArgs(d, cfg, sched); err != nil {
 		return nil, err
 	}
-	mask := removalMask(d.N(), removed)
 	m := d.M()
 	w := make([]float64, m)
 	grad := make([]float64, m)
@@ -29,7 +29,7 @@ func TrainLinear(d *dataset.Dataset, cfg Config, sched *Schedule, removed map[in
 		mat.ZeroVec(grad)
 		bU := 0
 		for _, i := range batch {
-			if mask != nil && mask[i] {
+			if removed != nil && removed[i] {
 				continue
 			}
 			bU++
@@ -53,14 +53,13 @@ func TrainLinear(d *dataset.Dataset, cfg Config, sched *Schedule, removed map[in
 
 // TrainLogistic runs mb-SGD for L2-regularized binary logistic regression
 // with the exact sigmoid (Eq 6). removed may be nil.
-func TrainLogistic(d *dataset.Dataset, cfg Config, sched *Schedule, removed map[int]bool) (*Model, error) {
+func TrainLogistic(d *dataset.Dataset, cfg Config, sched *Schedule, removed []bool) (*Model, error) {
 	if err := checkTrainArgs(d, cfg, sched); err != nil {
 		return nil, err
 	}
 	if d.Task != dataset.BinaryClassification {
 		return nil, fmt.Errorf("gbm: TrainLogistic requires binary labels, got %v", d.Task)
 	}
-	mask := removalMask(d.N(), removed)
 	m := d.M()
 	w := make([]float64, m)
 	step := make([]float64, m)
@@ -69,7 +68,7 @@ func TrainLogistic(d *dataset.Dataset, cfg Config, sched *Schedule, removed map[
 		mat.ZeroVec(step)
 		bU := 0
 		for _, i := range batch {
-			if mask != nil && mask[i] {
+			if removed != nil && removed[i] {
 				continue
 			}
 			bU++
@@ -94,14 +93,13 @@ func TrainLogistic(d *dataset.Dataset, cfg Config, sched *Schedule, removed map[
 
 // TrainMultinomial runs mb-SGD for L2-regularized multinomial logistic
 // regression with the exact softmax. removed may be nil.
-func TrainMultinomial(d *dataset.Dataset, cfg Config, sched *Schedule, removed map[int]bool) (*Model, error) {
+func TrainMultinomial(d *dataset.Dataset, cfg Config, sched *Schedule, removed []bool) (*Model, error) {
 	if err := checkTrainArgs(d, cfg, sched); err != nil {
 		return nil, err
 	}
 	if d.Task != dataset.MultiClassification {
 		return nil, fmt.Errorf("gbm: TrainMultinomial requires multiclass labels, got %v", d.Task)
 	}
-	mask := removalMask(d.N(), removed)
 	m, q := d.M(), d.Classes
 	w := mat.NewDense(q, m)
 	grad := mat.NewDense(q, m)
@@ -112,7 +110,7 @@ func TrainMultinomial(d *dataset.Dataset, cfg Config, sched *Schedule, removed m
 		grad.Zero()
 		bU := 0
 		for _, i := range batch {
-			if mask != nil && mask[i] {
+			if removed != nil && removed[i] {
 				continue
 			}
 			bU++

@@ -117,12 +117,12 @@ func NewCached(d *dataset.Dataset, model *gbm.Model, lambda float64) (*Cached, e
 // removed samples' gradients from the cached sum, renormalize, add the
 // regularizer and solve against the cached full-data Hessian factorization.
 func (c *Cached) Update(removed []int) (*gbm.Model, error) {
-	rm, err := gbm.RemovalSet(c.data.N(), removed)
+	_, ids, err := gbm.Removals(c.data.N(), removed)
 	if err != nil {
 		return nil, err
 	}
 	n, m := c.data.N(), c.data.M()
-	nEff := n - len(rm)
+	nEff := n - len(ids)
 	if nEff <= 0 {
 		return nil, fmt.Errorf("influence: removal leaves no samples")
 	}
@@ -134,7 +134,7 @@ func (c *Cached) Update(removed []int) (*gbm.Model, error) {
 	par.For(c.q, 1, func(klo, khi int) {
 		for k := klo; k < khi; k++ {
 			g := mat.CloneVec(c.grad[k])
-			for i := range rm {
+			for _, i := range ids {
 				mat.Axpy(g, -c.gscale[k][i], c.data.X.Row(i))
 			}
 			wk := c.model.W.Row(k)

@@ -69,7 +69,7 @@ func TestCachedDegradesFasterThanDirect(t *testing.T) {
 		t.Fatal(err)
 	}
 	removed := pickRemoved(300, 90, 6)
-	rm, _ := gbm.RemovalSet(300, removed)
+	rm, _, _ := gbm.Removals(300, removed)
 	retrained, err := gbm.TrainLogistic(d, cfg, sched, rm)
 	if err != nil {
 		t.Fatal(err)
@@ -112,7 +112,7 @@ func TestCachedMulticlassRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rm, _ := gbm.RemovalSet(210, removed)
+	rm, _, _ := gbm.Removals(210, removed)
 	want, err := gbm.TrainMultinomial(d, cfg, sched, rm)
 	if err != nil {
 		t.Fatal(err)

@@ -37,12 +37,12 @@ func UpdateLinear(d *dataset.Dataset, model *gbm.Model, lambda float64, removed 
 	if d.Task != dataset.Regression {
 		return nil, fmt.Errorf("influence: UpdateLinear requires regression data, got %v", d.Task)
 	}
-	rm, err := gbm.RemovalSet(d.N(), removed)
+	mask, ids, err := gbm.Removals(d.N(), removed)
 	if err != nil {
 		return nil, err
 	}
 	n, m := d.N(), d.M()
-	nEff := n - len(rm)
+	nEff := n - len(ids)
 	if nEff <= 0 {
 		return nil, fmt.Errorf("influence: removal leaves no samples")
 	}
@@ -50,7 +50,7 @@ func UpdateLinear(d *dataset.Dataset, model *gbm.Model, lambda float64, removed 
 	hess := mat.NewDense(m, m)
 	grad := make([]float64, m)
 	for i := 0; i < n; i++ {
-		if rm[i] {
+		if mask != nil && mask[i] {
 			continue
 		}
 		xi := d.X.Row(i)
@@ -77,12 +77,12 @@ func UpdateLogistic(d *dataset.Dataset, model *gbm.Model, lambda float64, remove
 	if d.Task != dataset.BinaryClassification {
 		return nil, fmt.Errorf("influence: UpdateLogistic requires binary data, got %v", d.Task)
 	}
-	rm, err := gbm.RemovalSet(d.N(), removed)
+	mask, ids, err := gbm.Removals(d.N(), removed)
 	if err != nil {
 		return nil, err
 	}
 	n, m := d.N(), d.M()
-	nEff := n - len(rm)
+	nEff := n - len(ids)
 	if nEff <= 0 {
 		return nil, fmt.Errorf("influence: removal leaves no samples")
 	}
@@ -91,7 +91,7 @@ func UpdateLogistic(d *dataset.Dataset, model *gbm.Model, lambda float64, remove
 	grad := make([]float64, m)
 	inv := 1.0 / float64(nEff)
 	for i := 0; i < n; i++ {
-		if rm[i] {
+		if mask != nil && mask[i] {
 			continue
 		}
 		xi := d.X.Row(i)
@@ -123,13 +123,13 @@ func UpdateMultinomial(d *dataset.Dataset, model *gbm.Model, lambda float64, rem
 	if d.Task != dataset.MultiClassification {
 		return nil, fmt.Errorf("influence: UpdateMultinomial requires multiclass data, got %v", d.Task)
 	}
-	rm, err := gbm.RemovalSet(d.N(), removed)
+	mask, ids, err := gbm.Removals(d.N(), removed)
 	if err != nil {
 		return nil, err
 	}
 	n, m := d.N(), d.M()
 	q := model.W.Rows()
-	nEff := n - len(rm)
+	nEff := n - len(ids)
 	if nEff <= 0 {
 		return nil, fmt.Errorf("influence: removal leaves no samples")
 	}
@@ -144,7 +144,7 @@ func UpdateMultinomial(d *dataset.Dataset, model *gbm.Model, lambda float64, rem
 		grads[k] = make([]float64, m)
 	}
 	for i := 0; i < n; i++ {
-		if rm[i] {
+		if mask != nil && mask[i] {
 			continue
 		}
 		xi := d.X.Row(i)

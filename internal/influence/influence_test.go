@@ -34,7 +34,7 @@ func TestUpdateLinearSmallRemovalAccurate(t *testing.T) {
 		t.Fatal(err)
 	}
 	removed := pickRemoved(300, 3, 3)
-	rm, _ := gbm.RemovalSet(300, removed)
+	rm, _, _ := gbm.Removals(300, removed)
 	want, err := gbm.TrainLinear(d, cfg, sched, rm)
 	if err != nil {
 		t.Fatal(err)
@@ -67,7 +67,7 @@ func TestUpdateLogisticDegradesWithLargeRemoval(t *testing.T) {
 	}
 	dist := func(k int) float64 {
 		removed := pickRemoved(300, k, 6)
-		rm, _ := gbm.RemovalSet(300, removed)
+		rm, _, _ := gbm.Removals(300, removed)
 		want, err := gbm.TrainLogistic(d, cfg, sched, rm)
 		if err != nil {
 			t.Fatal(err)
@@ -99,7 +99,7 @@ func TestUpdateLogisticSmallRemovalReasonable(t *testing.T) {
 		t.Fatal(err)
 	}
 	removed := pickRemoved(200, 2, 9)
-	rm, _ := gbm.RemovalSet(200, removed)
+	rm, _, _ := gbm.Removals(200, removed)
 	want, err := gbm.TrainLogistic(d, cfg, sched, rm)
 	if err != nil {
 		t.Fatal(err)
@@ -132,7 +132,7 @@ func TestUpdateMultinomial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rm, _ := gbm.RemovalSet(240, removed)
+	rm, _, _ := gbm.Removals(240, removed)
 	want, err := gbm.TrainMultinomial(d, cfg, sched, rm)
 	if err != nil {
 		t.Fatal(err)

@@ -10,9 +10,10 @@ import (
 
 // TestCaptureDeterministicAcrossWorkers locks in the contract behind the
 // parallel capture/update paths: with the par cutoffs pinned, training,
-// provenance capture, snapshot serialization and incremental updates produce
-// bitwise-identical results at any worker count. Tiny cutoffs force every
-// parallel kernel to engage even at test sizes.
+// provenance capture, snapshot serialization, incremental updates and
+// commits through the live cursor produce bitwise-identical results at any
+// worker count. Tiny cutoffs force every parallel kernel to engage even at
+// test sizes.
 func TestCaptureDeterministicAcrossWorkers(t *testing.T) {
 	pc, pm := par.Cutoffs()
 	par.SetCutoffs(64, 64)
@@ -23,6 +24,7 @@ func TestCaptureDeterministicAcrossWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	removed := []int{3, 17, 42, 99, 140}
+	commitLog := []int{99, 3, 140, 17, 42}
 
 	families := []string{
 		FamilyLinear, FamilyLinearOpt, FamilyLogistic, FamilyLogisticOpt,
@@ -50,8 +52,8 @@ func TestCaptureDeterministicAcrossWorkers(t *testing.T) {
 			}
 			for _, mode := range modes {
 				type capture struct {
-					model, updated []float64
-					snap           []byte
+					model, updated, committed []float64
+					snap                      []byte
 				}
 				run := func() capture {
 					opts := append(testOpts(), mode.opt)
@@ -67,9 +69,33 @@ func TestCaptureDeterministicAcrossWorkers(t *testing.T) {
 					if err != nil {
 						t.Fatalf("Update(%s/%s): %v", fam, mode.name, err)
 					}
+					// The commit path: a cursor rebuilt from a logged prefix,
+					// then one out-of-order batch folded on top — the bits of
+					// Update of the log in commit order.
+					cur, err := ReplayLog(u, ds.N(), commitLog[:2])
+					if err != nil {
+						t.Fatalf("ReplayLog(%s/%s): %v", fam, mode.name, err)
+					}
+					if err := cur.Apply(commitLog[2:]); err != nil {
+						t.Fatalf("cursor Apply(%s/%s): %v", fam, mode.name, err)
+					}
+					committed, err := cur.Eval()
+					if err != nil {
+						t.Fatalf("cursor Eval(%s/%s): %v", fam, mode.name, err)
+					}
+					direct, err := u.Update(commitLog)
+					if err != nil {
+						t.Fatalf("Update(%s/%s, log): %v", fam, mode.name, err)
+					}
+					for i, v := range direct.W.Data() {
+						if math.Float64bits(v) != math.Float64bits(committed.W.Data()[i]) {
+							t.Fatalf("%s/%s: cursor commit differs from Update(log) (param %d)", fam, mode.name, i)
+						}
+					}
 					c := capture{snap: snap.Bytes()}
 					c.model = append(c.model, u.Model().W.Data()...)
 					c.updated = append(c.updated, upd.W.Data()...)
+					c.committed = append(c.committed, committed.W.Data()...)
 					return c
 				}
 				prev := SetWorkers(1)
@@ -87,6 +113,12 @@ func TestCaptureDeterministicAcrossWorkers(t *testing.T) {
 						if math.Float64bits(v) != math.Float64bits(got.updated[i]) {
 							t.Fatalf("%s/%s: updated model differs at workers=%d (param %d: %v vs %v)",
 								fam, mode.name, w, i, v, got.updated[i])
+						}
+					}
+					for i, v := range base.committed {
+						if math.Float64bits(v) != math.Float64bits(got.committed[i]) {
+							t.Fatalf("%s/%s: cursor commit differs at workers=%d (param %d: %v vs %v)",
+								fam, mode.name, w, i, v, got.committed[i])
 						}
 					}
 					if !bytes.Equal(base.snap, got.snap) {

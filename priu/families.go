@@ -187,7 +187,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			rm, err := gbm.RemovalSet(d.N(), removed)
+			rm, _, err := gbm.Removals(d.N(), removed)
 			if err != nil {
 				return nil, err
 			}
@@ -204,7 +204,7 @@ func init() {
 			}
 			gcfg := cfg.gbm()
 			return func(removed []int) (*Model, error) {
-				rm, err := gbm.RemovalSet(d.N(), removed)
+				rm, _, err := gbm.Removals(d.N(), removed)
 				if err != nil {
 					return nil, err
 				}
@@ -275,13 +275,13 @@ func densePrep(family string, ds TrainingSet, cfg Config) (*dataset.Dataset, *gb
 }
 
 // denseRetrain adapts one of the gbm trainers into a Family.Retrain hook.
-func denseRetrain(family string, train func(*dataset.Dataset, gbm.Config, *gbm.Schedule, map[int]bool) (*Model, error)) func(TrainingSet, Config, []int) (*Model, error) {
+func denseRetrain(family string, train func(*dataset.Dataset, gbm.Config, *gbm.Schedule, []bool) (*Model, error)) func(TrainingSet, Config, []int) (*Model, error) {
 	return func(ds TrainingSet, cfg Config, removed []int) (*Model, error) {
 		d, sched, err := densePrep(family, ds, cfg)
 		if err != nil {
 			return nil, err
 		}
-		rm, err := gbm.RemovalSet(d.N(), removed)
+		rm, _, err := gbm.Removals(d.N(), removed)
 		if err != nil {
 			return nil, err
 		}
@@ -291,7 +291,7 @@ func denseRetrain(family string, train func(*dataset.Dataset, gbm.Config, *gbm.S
 
 // denseRetrainer is the prepared variant of denseRetrain: the schedule is
 // built once, outside any caller's timed region.
-func denseRetrainer(family string, train func(*dataset.Dataset, gbm.Config, *gbm.Schedule, map[int]bool) (*Model, error)) func(TrainingSet, Config) (func([]int) (*Model, error), error) {
+func denseRetrainer(family string, train func(*dataset.Dataset, gbm.Config, *gbm.Schedule, []bool) (*Model, error)) func(TrainingSet, Config) (func([]int) (*Model, error), error) {
 	return func(ds TrainingSet, cfg Config) (func([]int) (*Model, error), error) {
 		d, sched, err := densePrep(family, ds, cfg)
 		if err != nil {
@@ -299,7 +299,7 @@ func denseRetrainer(family string, train func(*dataset.Dataset, gbm.Config, *gbm
 		}
 		gcfg := cfg.gbm()
 		return func(removed []int) (*Model, error) {
-			rm, err := gbm.RemovalSet(d.N(), removed)
+			rm, _, err := gbm.Removals(d.N(), removed)
 			if err != nil {
 				return nil, err
 			}

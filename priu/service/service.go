@@ -844,7 +844,7 @@ func (s *Server) deleteOne(ctx context.Context, ten *Tenant, sessionID string, r
 			if sess.GoneLocked() {
 				return DeleteResponse{}, nil, true
 			}
-			r, e := s.applyDeletionLocked(ctx, sess, removed)
+			r, e := s.applyDeletionLocked(ctx, sess, removed, v1Fold(sess.Deleted, removed))
 			return r, e, false
 		}()
 		if retry {
@@ -868,16 +868,50 @@ func (s *Server) deleteOne(ctx context.Context, ten *Tenant, sessionID string, r
 // client input), which v1 reports as 500.
 var errInternal = errors.New("internal error")
 
-// applyDeletionLocked extends the session's cumulative removal log, runs the
-// incremental update and swaps in the new model. Callers hold sess.Mu and
-// have checked GoneLocked.
-func (s *Server) applyDeletionLocked(ctx context.Context, sess *Session, removed []int) (DeleteResponse, error) {
+// v1Fold returns the part of a v1 batch the session's cursor folds. v1
+// tolerates ids repeated within the batch or already in the log — they
+// still join the log as sent and count toward total_deleted — so only each
+// new id's first occurrence folds.
+func v1Fold(log, removed []int) []int {
+	seen := loggedOf(log, removed)
+	fold := make([]int, 0, len(removed))
+	for _, i := range removed {
+		if !seen[i] {
+			seen[i] = true
+			fold = append(fold, i)
+		}
+	}
+	return fold
+}
+
+// loggedOf maps each of removed's ids to whether the deletion log already
+// holds it. It indexes the (small) batch and scans the log once, so a commit
+// never builds an index of the whole log.
+func loggedOf(log, removed []int) map[int]bool {
+	seen := make(map[int]bool, len(removed))
+	for _, i := range removed {
+		seen[i] = false
+	}
+	for _, i := range log {
+		if _, ok := seen[i]; ok {
+			seen[i] = true
+		}
+	}
+	return seen
+}
+
+// applyDeletionLocked appends removed to the session's cumulative removal
+// log, folds fold (removed's ids new to the log; removed itself when the
+// batch was validated distinct and new) through the session's live cursor
+// and swaps in the new model. Callers hold sess.Mu and have checked
+// GoneLocked.
+func (s *Server) applyDeletionLocked(ctx context.Context, sess *Session, removed, fold []int) (DeleteResponse, error) {
 	sess.Touch()
 	// Deletions are cumulative within a session.
 	all := append(append([]int(nil), sess.Deleted...), removed...)
 	start := time.Now()
 	_, span := obs.StartSpan(ctx, "update")
-	updated, err := sess.Upd.Update(all)
+	updated, err := sess.FoldLocked(fold)
 	span.End()
 	dt := time.Since(start)
 	s.updateSeconds.Observe(dt.Seconds())
@@ -888,7 +922,9 @@ func (s *Server) applyDeletionLocked(ctx context.Context, sess *Session, removed
 	cmp, err := metrics.Compare(updated, sess.Model)
 	if err != nil {
 		// The updated model disagreeing in shape with the cached one is a
-		// server-side invariant failure, not bad client input.
+		// server-side invariant failure, not bad client input. The cursor
+		// already holds the batch, which is not committed: drop it.
+		sess.DropCursorLocked()
 		return DeleteResponse{}, fmt.Errorf("%w: comparing models: %v", errInternal, err)
 	}
 	sess.Deleted = all

@@ -608,7 +608,7 @@ func (s *Server) applyV2Batch(ctx context.Context, id, wireID string, removed []
 			if apiErr := s.validateBatchLocked(sess, removed); apiErr != nil {
 				return DeleteResponse{}, apiErr, nil, false
 			}
-			r, e := s.applyDeletionLocked(ctx, sess, removed)
+			r, e := s.applyDeletionLocked(ctx, sess, removed, removed)
 			return r, nil, e, false
 		}()
 		if retry {
@@ -841,10 +841,7 @@ func (s *Server) validateBatchLocked(sess *Session, removed []int) *APIError {
 		}
 	}
 	n := sess.DS.N()
-	seen := make(map[int]bool, len(sess.Deleted)+len(removed))
-	for _, i := range sess.Deleted {
-		seen[i] = true
-	}
+	seen := loggedOf(sess.Deleted, removed)
 	for _, i := range removed {
 		if i < 0 || i >= n {
 			return &APIError{

@@ -790,6 +790,10 @@ type spillCut struct {
 	payload   []byte
 	sum       []byte
 	isDelta   bool
+	// dirty records that gen was not yet persisted at the cut. Only then
+	// can a racing publish make the cut redundant (covered); a cut of a
+	// clean session re-creates a missing chain and must land.
+	dirty bool
 	// fromLen/fromUpdates name the chain tip a delta cut extends — the
 	// publish guard; toLen is the deletion-log length at the cut.
 	fromLen     int64
@@ -832,6 +836,7 @@ func (t *Tiered) cutLocked(sess *Session) (cut *spillCut, needPush bool, err err
 		sess: sess, id: sess.ID, kind: sess.Kind, createdAt: sess.CreatedAt,
 		gen: sess.gen.Load(), updates: sess.Updates, lastUpd: sess.LastUpdateSeconds,
 		footprint: sess.footprint, toLen: int64(len(sess.Deleted)),
+		dirty: sess.Dirty(),
 	}
 	t.mu.Lock()
 	if e := t.index[sess.ID]; e != nil && e.local && e.logLen >= 0 && e.logLen <= cut.toLen {
@@ -858,6 +863,14 @@ func (t *Tiered) cutLocked(sess *Session) (cut *spillCut, needPush bool, err err
 		cut.deleted = append([]int(nil), sess.Deleted...)
 	}
 	return cut, false, nil
+}
+
+// covered reports whether another publish already persisted the cut's
+// generation — the eviction's synchronous spill and a write-behind cut of
+// the same generation race to publish, and the loser must not write the
+// same state a second time.
+func (cut *spillCut) covered() bool {
+	return cut.dirty && cut.gen <= cut.sess.persistedGen.Load()
 }
 
 // serialize renders the cut's file bytes into the payload buffer. Called
@@ -902,6 +915,10 @@ func (cut *spillCut) serialize() error {
 // budget (evicting LRU spill files to make room), then the rename.
 func (t *Tiered) publishCut(cut *spillCut) (bool, error) {
 	spillStart := time.Now()
+	if cut.covered() {
+		t.staleSpills.Add(1)
+		return false, errStaleSpill
+	}
 	if cut.payload == nil {
 		if err := t.faultAt("spill.serialize"); err != nil {
 			t.spillErrors.Add(1)
@@ -937,6 +954,15 @@ func (t *Tiered) publishCut(cut *spillCut) (bool, error) {
 		// the incarnations apart — only this flag can. (Every removal path —
 		// Delete, eviction, duplicate Put — marks the outgoing copy gone
 		// before releasing t.mu, so the flag is authoritative here.)
+		t.mu.Unlock()
+		_ = os.Remove(tmpName)
+		t.staleSpills.Add(1)
+		return false, errStaleSpill
+	}
+	if cut.covered() {
+		// Re-checked under t.mu, where every publish advances persistedGen:
+		// a racing publish of this generation landed while the payload was
+		// being written.
 		t.mu.Unlock()
 		_ = os.Remove(tmpName)
 		t.staleSpills.Add(1)

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/gbm"
 	"repro/internal/par"
 )
 
@@ -19,9 +20,12 @@ import (
 // across a batch); here the "plan" is the partially-applied updater state.
 
 // WhatIfState is the forkable what-if cursor capability (see
-// internal/core): Apply folds removed ids in strictly ascending order, Fork
-// branches an independent copy, Eval returns the model Update would produce
-// for the applied set without mutating the updater.
+// internal/core): Apply folds removed ids — distinct across all calls, in
+// any order — onto the cursor's log, Fork branches an independent copy, Eval
+// returns the model Update of the applied log would produce without mutating
+// the updater. Log order is the canonical fold order: a cursor that applied
+// a deletion log batch by batch evaluates to the exact bits of one Update of
+// that log, which is what lets a session commit in O(batch).
 type WhatIfState = core.WhatIfState
 
 // WhatIfer is the optional capability of updaters that can answer what-if
@@ -76,18 +80,7 @@ type WhatIfPlanner struct {
 // incremental cursor does not cover) degrades to replay rather than erroring
 // — the results are identical either way.
 func NewWhatIfPlanner(u Updater) (*WhatIfPlanner, error) {
-	var (
-		st  WhatIfState
-		inc bool
-	)
-	if wi, ok := u.(WhatIfer); ok {
-		if s, err := wi.WhatIf(); err == nil {
-			st, inc = s, true
-		}
-	}
-	if st == nil {
-		st = &replayWhatIf{upd: u}
-	}
+	st, inc := newWhatIfState(u)
 	return &WhatIfPlanner{
 		root:        &whatifNode{state: st},
 		nodes:       1,
@@ -108,9 +101,15 @@ func (p *WhatIfPlanner) CacheHits() int64 { return p.hits }
 func (p *WhatIfPlanner) Nodes() int { return p.nodes }
 
 // leaf walks/extends the trie to the node holding exactly ids (which must be
-// strictly ascending and duplicate-free). Past MaxNodes the remaining suffix
-// is applied onto a transient fork that is not retained.
+// strictly ascending: a set has one canonical path, so overlapping sets
+// share their prefixes). Past MaxNodes the remaining suffix is applied onto
+// a transient fork that is not retained.
 func (p *WhatIfPlanner) leaf(ids []int) (*whatifNode, error) {
+	for i := 1; i < len(ids); i++ {
+		if ids[i] <= ids[i-1] {
+			return nil, fmt.Errorf("priu: whatif set must be strictly ascending (%d after %d)", ids[i], ids[i-1])
+		}
+	}
 	cur := p.root
 	for i, id := range ids {
 		if child, ok := cur.children[id]; ok {
@@ -206,8 +205,39 @@ func (p *WhatIfPlanner) EvalBatch(sets [][]int, workers int) []WhatIfResult {
 	return out
 }
 
+// newWhatIfState returns a root cursor over u: the incremental WhatIfer
+// capability when u has one that initializes, else the pure-replay fallback
+// (an updater whose WhatIf fails — e.g. a provenance mode the incremental
+// cursor does not cover — degrades rather than erroring; the results are
+// identical either way). incremental reports which one it is.
+func newWhatIfState(u Updater) (st WhatIfState, incremental bool) {
+	if wi, ok := u.(WhatIfer); ok {
+		if s, err := wi.WhatIf(); err == nil {
+			return s, true
+		}
+	}
+	return &replayWhatIf{upd: u}, false
+}
+
+// ReplayLog returns a cursor over u — captured on a training set of n rows —
+// with the deletion log folded in log order, a repeated id counting at its
+// first occurrence: the state a session that committed log batch by batch
+// holds, and so the cursor a session rebuilds after a restore. Eval on it
+// returns the bits of u.Update(log).
+func ReplayLog(u Updater, n int, log []int) (WhatIfState, error) {
+	_, ids, err := gbm.Removals(n, log)
+	if err != nil {
+		return nil, err
+	}
+	st, _ := newWhatIfState(u)
+	if err := st.Apply(ids); err != nil {
+		return nil, err
+	}
+	return st, nil
+}
+
 // replayWhatIf is the fallback cursor for families without the WhatIfer
-// capability: it only accumulates the id set and evaluates with one pure
+// capability: it only accumulates the id log and evaluates with one pure
 // Update call, so a shared prefix saves no model work (only duplicate sets
 // are memoized) but the semantics are identical.
 type replayWhatIf struct {
@@ -215,19 +245,22 @@ type replayWhatIf struct {
 	ids []int
 }
 
+// Apply checks ids are non-negative and distinct from each other and from
+// the log (range against the training set is Update's check, at Eval). The
+// check is O(|log|), noise beside the full Update every Eval runs.
 func (s *replayWhatIf) Apply(ids []int) error {
-	last := -1
-	if len(s.ids) > 0 {
-		last = s.ids[len(s.ids)-1]
+	seen := make(map[int]struct{}, len(s.ids)+len(ids))
+	for _, id := range s.ids {
+		seen[id] = struct{}{}
 	}
 	for _, id := range ids {
 		if id < 0 {
 			return fmt.Errorf("priu: whatif id %d out of range", id)
 		}
-		if id <= last {
-			return fmt.Errorf("priu: whatif ids must be strictly ascending (%d after %d)", id, last)
+		if _, dup := seen[id]; dup {
+			return fmt.Errorf("priu: whatif id %d is duplicated or already applied", id)
 		}
-		last = id
+		seen[id] = struct{}{}
 	}
 	s.ids = append(s.ids, ids...)
 	return nil
