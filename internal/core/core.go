@@ -309,3 +309,26 @@ func survivors(n, dn int) (int, error) {
 	}
 	return n - dn, nil
 }
+
+// gatherRemoved returns the Δn×m matrix whose row r is X[ids[r]] — the
+// removed rows in fold (log) order — filling it in ascending row-index
+// order, with at(r, i) run alongside for each log position r and row i so
+// the caller can gather per-row coefficients in the same pass. A long
+// deletion log then streams through X and the coefficient arrays in memory
+// order instead of jumping across them: on a cold cache the jumps cost more
+// than the fold's arithmetic. mask is the set of ids.
+func gatherRemoved(x *mat.Dense, mask []bool, ids []int, at func(r, i int)) *mat.Dense {
+	pos := make([]int32, len(mask))
+	for r, i := range ids {
+		pos[i] = int32(r)
+	}
+	dst := mat.NewDense(len(ids), x.Cols())
+	for i, removed := range mask {
+		if removed {
+			r := int(pos[i])
+			copy(dst.Row(r), x.Row(i))
+			at(r, i)
+		}
+	}
+	return dst
+}

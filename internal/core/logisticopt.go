@@ -114,15 +114,16 @@ func (lo *LogisticOpt) Update(removed []int) (*gbm.Model, error) {
 	if len(ids) == 0 {
 		cPrime = mat.CloneVec(lo.eig.Values)
 	} else {
-		z := mat.NewDense(len(ids), d.M())
-		for r, i := range ids {
-			xi := d.X.Row(i)
-			s := sqrtAbs(lo.aStar[i])
-			dst := z.Row(r)
-			for j, v := range xi {
-				dst[j] = s * v
-			}
-			mat.Axpy(dStar, -lo.bStar[i]*d.Y[i], xi)
+		// Per log position r: the D* coefficient −bᵢ,*·yᵢ and the Gram
+		// row scale √(−aᵢ,*), gathered with the rows in index order.
+		coef, scale := make([]float64, len(ids)), make([]float64, len(ids))
+		z := gatherRemoved(d.X, mask, ids, func(r, i int) {
+			coef[r], scale[r] = -lo.bStar[i]*d.Y[i], sqrtAbs(lo.aStar[i])
+		})
+		for r := range ids {
+			zr := z.Row(r)
+			mat.Axpy(dStar, coef[r], zr)
+			mat.ScaleVec(zr, scale[r])
 		}
 		cPrime = lo.eig.UpdateValuesGram(z, +1)
 	}

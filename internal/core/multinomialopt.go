@@ -113,26 +113,36 @@ func (mo *MultinomialOpt) Update(removed []int) (*gbm.Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	m, q, n := d.M(), mo.prov.q, d.N()
+	m, q, n, dn := d.M(), mo.prov.q, d.N(), len(ids)
+	// Per class k and log position r, at [k*dn+r]: the D*ₖ coefficient
+	// −cₖᵢ,* and the Gram row scale √aₖᵢ,*, gathered with the rows.
+	var x *mat.Dense
+	coef, scale := make([]float64, q*dn), make([]float64, q*dn)
+	if dn > 0 {
+		x = gatherRemoved(d.X, mask, ids, func(r, i int) {
+			for k := 0; k < q; k++ {
+				coef[k*dn+r], scale[k*dn+r] = -mo.cStar[k*n+i], sqrtAbs(mo.aStar[k*n+i])
+			}
+		})
+	}
 	cPrimes := make([][]float64, q)
 	dStars := make([][]float64, q)
 	for k := 0; k < q; k++ {
 		dStars[k] = mat.CloneVec(mo.dStar[k])
-		if len(ids) == 0 {
+		if dn == 0 {
 			cPrimes[k] = mat.CloneVec(mo.eigs[k].Values)
 			continue
 		}
 		// ΔC*ₖ = Σ_{i∈R} aₖᵢ,*·xᵢxᵢᵀ = ZᵀZ with rows √aₖᵢ,*·xᵢ (a ≥ 0);
 		// removal subtracts it, so the eigenvalue update uses sign −1.
-		z := mat.NewDense(len(ids), m)
-		for r, i := range ids {
-			xi := d.X.Row(i)
-			s := sqrtAbs(mo.aStar[k*n+i])
+		z := mat.NewDense(dn, m)
+		for r := 0; r < dn; r++ {
+			xr, s := x.Row(r), scale[k*dn+r]
 			dst := z.Row(r)
-			for j, v := range xi {
+			for j, v := range xr {
 				dst[j] = s * v
 			}
-			mat.Axpy(dStars[k], -mo.cStar[k*n+i], xi)
+			mat.Axpy(dStars[k], coef[k*dn+r], xr)
 		}
 		cPrimes[k] = mo.eigs[k].UpdateValuesGram(z, -1)
 	}

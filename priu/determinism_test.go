@@ -87,10 +87,8 @@ func TestCaptureDeterministicAcrossWorkers(t *testing.T) {
 					if err != nil {
 						t.Fatalf("Update(%s/%s, log): %v", fam, mode.name, err)
 					}
-					for i, v := range direct.W.Data() {
-						if math.Float64bits(v) != math.Float64bits(committed.W.Data()[i]) {
-							t.Fatalf("%s/%s: cursor commit differs from Update(log) (param %d)", fam, mode.name, i)
-						}
+					if !bitwiseEqual(committed, direct) {
+						t.Fatalf("%s/%s: cursor commit differs from Update(log)", fam, mode.name)
 					}
 					c := capture{snap: snap.Bytes()}
 					c.model = append(c.model, u.Model().W.Data()...)
