@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/priu/store"
@@ -219,5 +220,41 @@ func TestCommitAfterFailedFoldIsCorrect(t *testing.T) {
 	want := directUpdate(t, srv.st, id)
 	if dr.Digest != ParamDigest(want) {
 		t.Fatalf("commit after a failed fold differs from Update of the %d-row log", dr.TotalDeleted)
+	}
+}
+
+// TestConcurrentCommitsMatchUpdate sends v1 deletions for one logistic-opt
+// session from several goroutines at once — overlapping ids included — so
+// commits contend on the session lock and its live cursor. Whatever order
+// they land in, the final model must equal a direct Update of the log.
+func TestConcurrentCommitsMatchUpdate(t *testing.T) {
+	srv := NewServer()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	id := v2Create(t, ts.URL, v2CreateBody(t, "logistic-opt", 120, 6, 8)).SessionID
+	perm := rand.New(rand.NewSource(8)).Perm(120)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for b := 0; b < 5; b++ {
+				// Neighbouring goroutines share one id per batch.
+				start := (g*5 + b) * 3
+				var dr DeleteResponse
+				resp := postJSON(t, ts.URL+"/v1/delete", DeleteRequest{SessionID: id, Removed: perm[start : start+4]}, &dr)
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("goroutine %d batch %d: status %d", g, b, resp.StatusCode)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	mr := liveParams(t, ts.URL, id)
+	if mr.TotalDeleted != 80 {
+		t.Fatalf("total_deleted = %d, want 80", mr.TotalDeleted)
+	}
+	if want := directUpdate(t, srv.st, id); !sameParams(mr.Parameters, want) {
+		t.Fatal("concurrent commits differ from a direct Update of the log")
 	}
 }
