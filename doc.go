@@ -29,8 +29,8 @@
 //     tiles over L2-sized row blocks, lower triangle mirrored) and
 //     row-block-parallel; MulVecInto, MulVecTInto, AddScaled and the
 //     incremental eigenvalue updates run block-parallel; NewEigenSym is a
-//     tournament-ordered parallel cyclic Jacobi with an incrementally
-//     maintained off-diagonal norm.
+//     tournament-ordered parallel cyclic Jacobi that applies each round in
+//     one pass over whole rows, so no two workers write one cache line.
 //   - internal/sparse: CSR SpMV is row-parallel with a grain that adapts to
 //     the average row density; SpMVᵀ reduces per-chunk dense accumulators.
 //   - internal/core: provenance capture is parallel — linear capture fans
@@ -47,12 +47,12 @@
 //
 // Every kernel is bitwise-deterministic at any worker count: outputs are
 // written by exactly one chunk, or reduced via par.MapReduceDet, whose chunk
-// plan and fold order depend only on shape and grain — never on the pool
-// size or chunk completion order — so parallel capture cannot perturb the
-// store/fleet snapshot contract. Chunk grains derive from measured cutoffs:
-// the cmds call par.Calibrate at startup, and -par-minwork /
-// PRIU_PAR_MINWORK pin the cutoffs for reproducible runs (calibration only
-// steers chunking, never results).
+// plan and fold order depend only on the shape (par.DetGrain) — never on the
+// pool size, the calibrated cutoffs or chunk completion order — so parallel
+// capture cannot perturb the store/fleet snapshot contract. The other chunk
+// grains derive from measured cutoffs: the cmds call par.Calibrate at
+// startup, and -par-minwork / PRIU_PAR_MINWORK pin the cutoffs for
+// reproducible runs (calibration only steers chunking, never results).
 //
 // priu.SetWorkers is the single parallelism knob (priuserve -workers);
 // Benchmark*Parallel in bench_parallel_test.go reports the measured
@@ -77,9 +77,9 @@
 // every honored deletion still deleted. All seven engine families persist,
 // including the PrIU-opt variants, whose eigendecompositions are rebuilt
 // from the persisted stabilized coefficients on load (internal/core
-// persist_opt.go) in capture's exact accumulation order. The crash-recovery
-// suite (make spill-smoke) and BenchmarkSpillRestore (gated by benchguard)
-// keep the round trip honest.
+// persist_opt.go) through the kernels capture used, bit for bit. The
+// crash-recovery suite (make spill-smoke) and BenchmarkSpillRestore (gated
+// by benchguard) keep the round trip honest.
 //
 // # Spill-tier lifecycle
 //

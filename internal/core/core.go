@@ -155,7 +155,10 @@ func (c *iterCache) footprint() int64 {
 // v = Zᵀu/σ, so s·ZᵀZ = Σ s·σ²·vvᵀ, truncated by the ε coverage rule. This
 // keeps capture cost O(B²m + B³) instead of O(m³) when B < m.
 func weightedGramCache(rows [][]float64, weights []float64, m int, useSVD bool, eps float64) (*iterCache, error) {
-	sign, nz := weightSign(rows, weights)
+	sign, nz, err := weightSign(rows, weights)
+	if err != nil {
+		return nil, err
+	}
 	if !useSVD {
 		full := mat.NewDense(m, m)
 		if nz == 0 {
@@ -233,27 +236,52 @@ func weightedGramCache(rows [][]float64, weights []float64, m int, useSVD bool, 
 }
 
 // weightSign returns the shared sign of the weights (1.0 when weights is nil
-// or all-zero) and the count of non-zero-weight rows.
-func weightSign(rows [][]float64, weights []float64) (sign float64, nz int) {
-	sign = 1.0
+// or all-zero) and the count of non-zero-weight rows. Weights of both signs
+// are an error: no sign·ZᵀZ represents their sum.
+func weightSign(rows [][]float64, weights []float64) (sign float64, nz int, err error) {
 	if weights == nil {
-		return sign, len(rows)
+		return 1, len(rows), nil
 	}
-	for _, w := range weights {
-		if w < 0 {
-			sign = -1
-			break
-		}
-		if w > 0 {
-			break
-		}
-	}
+	neg := 0
 	for _, w := range weights {
 		if w != 0 {
 			nz++
 		}
+		if w < 0 {
+			neg++
+		}
 	}
-	return sign, nz
+	if neg == 0 {
+		return 1, nz, nil
+	}
+	if neg < nz {
+		return 0, 0, errors.New("core: weighted Gram needs weights of one sign")
+	}
+	return -1, nz, nil
+}
+
+// stabilizedEigens eigendecomposes PrIU-opt's stabilized matrices
+// C*ₖ = Σᵢ aₖᵢ·xᵢxᵢᵀ for k < q over all rows of x, a indexed [k*n+i].
+// Capture and snapshot restore both build them here, through the blocked
+// Gram kernel whose reduction plan depends on the shape alone, so a restored
+// updater reproduces the captured bits at any worker count and calibration.
+func stabilizedEigens(x *mat.Dense, a []float64, q int) ([]*mat.Eigen, error) {
+	n := x.Rows()
+	rows := make([][]float64, n)
+	for i := range rows {
+		rows[i] = x.Row(i)
+	}
+	eigs := make([]*mat.Eigen, q)
+	for k := range eigs {
+		c, err := weightedGramCache(rows, a[k*n:(k+1)*n], x.Cols(), false, 0)
+		if err != nil {
+			return nil, err
+		}
+		if eigs[k], err = mat.NewEigenSym(c.full); err != nil {
+			return nil, err
+		}
+	}
+	return eigs, nil
 }
 
 // buildScaledRows packs the non-zero-weight rows √|wᵢ|·xᵢ into a dense nz×m

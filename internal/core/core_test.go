@@ -513,6 +513,34 @@ func TestWeightedGramCacheZeroWeights(t *testing.T) {
 	}
 }
 
+// TestWeightedGramCacheRejectsMixedSigns: the cache is sign·ZᵀZ with rows
+// √|wᵢ|·xᵢ, which cannot hold weights of both signs; taking the first
+// non-zero weight's sign would silently build the wrong matrix.
+func TestWeightedGramCacheRejectsMixedSigns(t *testing.T) {
+	rows := [][]float64{{1, 2}, {3, 4}, {5, 6}}
+	for _, weights := range [][]float64{{0, -1, 2}, {3, 0, -0.5}} {
+		for _, useSVD := range []bool{false, true} {
+			if _, err := weightedGramCache(rows, weights, 2, useSVD, 0.01); err == nil {
+				t.Errorf("weights %v (svd=%v): mixed signs accepted", weights, useSVD)
+			}
+		}
+	}
+	// One sign plus zeros is fine either way round, and builds Σ wᵢ·xᵢxᵢᵀ.
+	for _, weights := range [][]float64{{0, -1, -2}, {0.5, 0, 2}} {
+		c, err := weightedGramCache(rows, weights, 2, false, 0)
+		if err != nil {
+			t.Fatalf("weights %v: %v", weights, err)
+		}
+		want := mat.NewDense(2, 2)
+		for i, w := range weights {
+			mat.AddOuter(want, rows[i], rows[i], w)
+		}
+		if !c.full.Equal(want, 1e-12) {
+			t.Errorf("weights %v: got %v, want %v", weights, c.full, want)
+		}
+	}
+}
+
 func TestOptionsValidation(t *testing.T) {
 	bad := []Options{
 		{Epsilon: -0.1},

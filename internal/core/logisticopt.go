@@ -59,7 +59,6 @@ func CaptureLogisticOpt(d *dataset.Dataset, cfg gbm.Config, sched *gbm.Schedule,
 	w := prov.modelL.W.Row(0)
 	lo.aStar = make([]float64, d.N())
 	lo.bStar = make([]float64, d.N())
-	cStar := mat.NewDense(m, m)
 	lo.dStar = make([]float64, m)
 	linz := prov.lin
 	for i := 0; i < d.N(); i++ {
@@ -67,16 +66,13 @@ func CaptureLogisticOpt(d *dataset.Dataset, cfg gbm.Config, sched *gbm.Schedule,
 		yi := d.Y[i]
 		a, b := linz.Coefficients(yi * mat.Dot(xi, w))
 		lo.aStar[i], lo.bStar[i] = a, b
-		if a != 0 {
-			mat.AddOuter(cStar, xi, xi, a)
-		}
 		mat.Axpy(lo.dStar, b*yi, xi)
 	}
-	eig, err := mat.NewEigenSym(cStar)
+	eigs, err := stabilizedEigens(d.X, lo.aStar, 1)
 	if err != nil {
 		return nil, err
 	}
-	lo.eig = eig
+	lo.eig = eigs[0]
 	lo.fullIterations = cfg.Iterations
 	return lo, nil
 }

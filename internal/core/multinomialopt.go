@@ -50,11 +50,8 @@ func CaptureMultinomialOpt(d *dataset.Dataset, cfg gbm.Config, sched *gbm.Schedu
 	w := prov.modelL.W
 	mo.aStar = make([]float64, q*n)
 	mo.cStar = make([]float64, q*n)
-	mo.eigs = make([]*mat.Eigen, q)
 	mo.dStar = make([][]float64, q)
-	cMats := make([]*mat.Dense, q)
 	for k := 0; k < q; k++ {
-		cMats[k] = mat.NewDense(m, m)
 		mo.dStar[k] = make([]float64, m)
 	}
 	logits := make([]float64, q)
@@ -74,18 +71,11 @@ func CaptureMultinomialOpt(d *dataset.Dataset, cfg gbm.Config, sched *gbm.Schedu
 			}
 			mo.aStar[k*n+i] = a
 			mo.cStar[k*n+i] = c
-			if a != 0 {
-				mat.AddOuter(cMats[k], xi, xi, a)
-			}
 			mat.Axpy(mo.dStar[k], c, xi)
 		}
 	}
-	for k := 0; k < q; k++ {
-		eig, err := mat.NewEigenSym(cMats[k])
-		if err != nil {
-			return nil, err
-		}
-		mo.eigs[k] = eig
+	if mo.eigs, err = stabilizedEigens(d.X, mo.aStar, q); err != nil {
+		return nil, err
 	}
 	return mo, nil
 }

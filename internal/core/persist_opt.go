@@ -7,7 +7,6 @@ import (
 	"repro/internal/binio"
 	"repro/internal/dataset"
 	"repro/internal/gbm"
-	"repro/internal/mat"
 )
 
 // PrIU-opt persistence. The opt families keep eigendecompositions that would
@@ -15,10 +14,11 @@ import (
 // per class over an m×m matrix), so the streams persist only the model and
 // the non-rebuildable provenance — the stabilized linearization coefficients
 // and, for logistic/multinomial, the embedded ts-truncated PrIU capture — and
-// the loaders reconstruct the eigenbases with the exact serial loops capture
-// used. For operand sizes below the parallel-kernel cutoffs the rebuild is
-// bitwise-deterministic, so a restored updater reproduces the original's
-// Update output exactly.
+// the loaders rebuild the eigenbases through the same kernels capture used
+// (stabilizedEigens for C*, GramInto/MulVecTInto for linear's XᵀX and XᵀY).
+// Their reductions plan chunks from the shape alone, so the rebuild is
+// bitwise-identical at every size, worker count and calibration, and a
+// restored updater reproduces the original's Update output exactly.
 //
 // Each family gets its own magic so a stream can never be decoded by the
 // wrong loader: "PRLO" (linear-opt), "PRBO" (logistic-opt), "PRMO"
@@ -120,7 +120,7 @@ func (lo *LogisticOpt) WriteTo(w io.Writer) (int64, error) {
 
 // LoadLogisticOpt reads a stream written by LogisticOpt.WriteTo, restores the
 // embedded PrIU capture and rebuilds the eigendecomposition of the stabilized
-// matrix C* = Σᵢ aᵢ,*·xᵢxᵢᵀ with the same serial accumulation capture used.
+// matrix C* = Σᵢ aᵢ,*·xᵢxᵢᵀ as capture built it.
 func LoadLogisticOpt(r io.Reader, d *dataset.Dataset) (*LogisticOpt, error) {
 	br, cfg, err := readOptHeader(r, logisticOptMagic, fingerprint(d))
 	if err != nil {
@@ -148,14 +148,7 @@ func LoadLogisticOpt(r io.Reader, d *dataset.Dataset) (*LogisticOpt, error) {
 	if prov.cfg.Iterations != ts {
 		return nil, fmt.Errorf("core: embedded capture covers %d iterations, want ts=%d", prov.cfg.Iterations, ts)
 	}
-	cStar := mat.NewDense(m, m)
-	for i := 0; i < n; i++ {
-		if a := aStar[i]; a != 0 {
-			xi := d.X.Row(i)
-			mat.AddOuter(cStar, xi, xi, a)
-		}
-	}
-	eig, err := mat.NewEigenSym(cStar)
+	eigs, err := stabilizedEigens(d.X, aStar, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -165,7 +158,7 @@ func LoadLogisticOpt(r io.Reader, d *dataset.Dataset) (*LogisticOpt, error) {
 		fullIterations: cfg.Iterations,
 		aStar:          aStar,
 		bStar:          bStar,
-		eig:            eig,
+		eig:            eigs[0],
 		dStar:          dStar,
 	}, nil
 }
@@ -195,7 +188,7 @@ func (mo *MultinomialOpt) WriteTo(w io.Writer) (int64, error) {
 
 // LoadMultinomialOpt reads a stream written by MultinomialOpt.WriteTo,
 // restores the embedded PrIU capture and rebuilds each class's
-// eigendecomposition of C*ₖ = Σᵢ aₖᵢ,*·xᵢxᵢᵀ in capture's accumulation order.
+// eigendecomposition of C*ₖ = Σᵢ aₖᵢ,*·xᵢxᵢᵀ as capture built it.
 func LoadMultinomialOpt(r io.Reader, d *dataset.Dataset) (*MultinomialOpt, error) {
 	br, cfg, err := readOptHeader(r, multinomialOptMagic, fingerprint(d))
 	if err != nil {
@@ -235,27 +228,9 @@ func LoadMultinomialOpt(r io.Reader, d *dataset.Dataset) (*MultinomialOpt, error
 	if prov.cfg.Iterations != ts {
 		return nil, fmt.Errorf("core: embedded capture covers %d iterations, want ts=%d", prov.cfg.Iterations, ts)
 	}
-	cMats := make([]*mat.Dense, q)
-	for k := 0; k < q; k++ {
-		cMats[k] = mat.NewDense(m, m)
-	}
-	// Same loop nest as capture (samples outer, classes inner) so the float
-	// accumulation order — and therefore the eigenbasis — matches bitwise.
-	for i := 0; i < n; i++ {
-		xi := d.X.Row(i)
-		for k := 0; k < q; k++ {
-			if a := aStar[k*n+i]; a != 0 {
-				mat.AddOuter(cMats[k], xi, xi, a)
-			}
-		}
-	}
-	eigs := make([]*mat.Eigen, q)
-	for k := 0; k < q; k++ {
-		eig, err := mat.NewEigenSym(cMats[k])
-		if err != nil {
-			return nil, err
-		}
-		eigs[k] = eig
+	eigs, err := stabilizedEigens(d.X, aStar, q)
+	if err != nil {
+		return nil, err
 	}
 	return &MultinomialOpt{
 		prov:           prov,

@@ -10,9 +10,9 @@ import (
 )
 
 // The opt round trips assert bitwise equality: the loaders rebuild the
-// eigenbases with capture's exact serial accumulation order, so at test sizes
-// (below the parallel-kernel cutoffs) a restored updater must reproduce the
-// original's output to the last bit.
+// eigenbases through the kernels capture used, whose reductions plan chunks
+// from the shape alone, so a restored updater must reproduce the original's
+// output to the last bit.
 
 func TestLinearOptRoundTrip(t *testing.T) {
 	cfg := gbm.Config{Eta: 0.01, Lambda: 0.02, BatchSize: 20, Iterations: 60, Seed: 301}

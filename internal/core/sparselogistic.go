@@ -105,21 +105,21 @@ func (sp *SparseLogisticProvenance) Update(removed []int) (*gbm.Model, error) {
 	m := d.M()
 	w := make([]float64, m)
 	eta, lambda := sp.cfg.Eta, sp.cfg.Lambda
-	// Chunk grain so each chunk touches ~the memory cutoff worth of stored
-	// non-zeros; small batches collapse to a single chunk and replay serially.
+	// Chunk grain so each chunk touches ~par.MinWork stored non-zeros; small
+	// batches collapse to a single chunk and replay serially.
 	rows, _ := d.X.Dims()
 	avgNNZ := 0
 	if rows > 0 {
 		avgNNZ = d.X.NNZ() / rows
 	}
-	grain := par.Grain(avgNNZ)
+	grain := par.DetGrain(avgNNZ)
 	for t := 0; t < sp.cfg.Iterations; t++ {
 		batch := sp.sched.Batch(t)
 		// Row-parallel linearized replay: each chunk scatters its batch slice
 		// into a private accumulator (sparse SpMV-transpose shape). The chunk
 		// plan and fold order depend only on (len(batch), grain) — never on
-		// the worker count — so the replayed model is bitwise identical at any
-		// pool size.
+		// the worker count or calibration — so the replayed model is bitwise
+		// identical at any pool size.
 		acc := par.MapReduceDet(len(batch), grain,
 			func() *sparseStepAcc { return &sparseStepAcc{step: make([]float64, m)} },
 			func(acc *sparseStepAcc, lo, hi int) *sparseStepAcc {

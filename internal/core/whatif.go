@@ -121,6 +121,8 @@ type linearWhatIf struct {
 	log    removalLog
 	nPrime []float64
 	sSum   []float64
+	// dots holds Qᵀ·xᵢ for the row being applied.
+	dots []float64
 }
 
 // WhatIf returns a forkable what-if cursor over the capture.
@@ -134,6 +136,7 @@ func (lo *LinearOpt) WhatIf() (WhatIfState, error) {
 		log:    newRemovalLog(lo.data.N()),
 		nPrime: mat.CloneVec(lo.n),
 		sSum:   make([]float64, lo.data.M()),
+		dots:   make([]float64, lo.data.M()),
 	}, nil
 }
 
@@ -144,8 +147,8 @@ func (s *linearWhatIf) Apply(ids []int) error {
 	for _, id := range ids {
 		xi := s.lo.data.X.Row(id)
 		mat.Axpy(s.nPrime, -s.lo.data.Y[id], xi)
-		for j := range s.sSum {
-			d := mat.Dot(xi, s.qt.Row(j))
+		s.qt.MulVecInto(s.dots, xi)
+		for j, d := range s.dots {
 			s.sSum[j] += d * d
 		}
 	}
@@ -159,6 +162,7 @@ func (s *linearWhatIf) Fork() WhatIfState {
 		log:    s.log.fork(),
 		nPrime: mat.CloneVec(s.nPrime),
 		sSum:   mat.CloneVec(s.sSum),
+		dots:   make([]float64, len(s.dots)),
 	}
 }
 
@@ -206,7 +210,7 @@ func (lo *LogisticOpt) WhatIf() (WhatIfState, error) {
 		log:     newRemovalLog(d.N()),
 		dStar:   mat.CloneVec(lo.dStar),
 		sSum:    make([]float64, d.M()),
-		scratch: make([]float64, d.M()),
+		scratch: make([]float64, 2*d.M()),
 	}, nil
 }
 
@@ -218,12 +222,13 @@ func (s *logisticWhatIf) Apply(ids []int) error {
 	for _, id := range ids {
 		xi := d.X.Row(id)
 		sc := sqrtAbs(s.lo.aStar[id])
-		row := s.scratch
+		// scratch holds the scaled row, then Qᵀ times it.
+		row, dots := s.scratch[:len(xi)], s.scratch[len(xi):]
 		for j, v := range xi {
 			row[j] = sc * v
 		}
-		for j := range s.sSum {
-			dv := mat.Dot(row, s.qt.Row(j))
+		s.qt.MulVecInto(dots, row)
+		for j, dv := range dots {
 			s.sSum[j] += dv * dv
 		}
 		mat.Axpy(s.dStar, -s.lo.bStar[id]*d.Y[id], xi)
@@ -282,7 +287,7 @@ func (mo *MultinomialOpt) WhatIf() (WhatIfState, error) {
 		log:     newRemovalLog(d.N()),
 		dStar:   make([][]float64, q),
 		sSum:    make([][]float64, q),
-		scratch: make([]float64, d.M()),
+		scratch: make([]float64, 2*d.M()),
 	}
 	for k := 0; k < q; k++ {
 		s.qts[k] = mo.eigs[k].Q.T()
@@ -302,12 +307,12 @@ func (s *multinomialWhatIf) Apply(ids []int) error {
 		xi := d.X.Row(id)
 		for k := range s.qts {
 			sc := sqrtAbs(s.mo.aStar[k*n+id])
-			row := s.scratch
+			row, dots := s.scratch[:len(xi)], s.scratch[len(xi):]
 			for j, v := range xi {
 				row[j] = sc * v
 			}
-			for j := range s.sSum[k] {
-				dv := mat.Dot(row, s.qts[k].Row(j))
+			s.qts[k].MulVecInto(dots, row)
+			for j, dv := range dots {
 				s.sSum[k][j] += dv * dv
 			}
 			mat.Axpy(s.dStar[k], -s.mo.cStar[k*n+id], xi)

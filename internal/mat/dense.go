@@ -12,6 +12,7 @@ package mat
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/par"
 )
@@ -179,8 +180,27 @@ func (m *Dense) MulVecInto(dst, x []float64) {
 		panic(fmt.Sprintf("mat: MulVec dimension mismatch %dx%d * %d -> %d", m.rows, m.cols, len(x), len(dst)))
 	}
 	par.For(m.rows, parGrain(m.cols), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			ri := m.data[i*m.cols : (i+1)*m.cols]
+		n := m.cols
+		i := lo
+		// Four rows at a time: four independent dot-product chains share
+		// each load of x. Each row still folds j = 0..n−1 in order, so its
+		// bits match the one-row tail loop.
+		for ; i+4 <= hi; i += 4 {
+			r0 := m.data[i*n : (i+1)*n : (i+1)*n]
+			r1 := m.data[(i+1)*n : (i+2)*n : (i+2)*n]
+			r2 := m.data[(i+2)*n : (i+3)*n : (i+3)*n]
+			r3 := m.data[(i+3)*n : (i+4)*n : (i+4)*n]
+			var s0, s1, s2, s3 float64
+			for j, xv := range x[:n] {
+				s0 += r0[j] * xv
+				s1 += r1[j] * xv
+				s2 += r2[j] * xv
+				s3 += r3[j] * xv
+			}
+			dst[i], dst[i+1], dst[i+2], dst[i+3] = s0, s1, s2, s3
+		}
+		for ; i < hi; i++ {
+			ri := m.data[i*n : (i+1)*n]
 			var s float64
 			for j, v := range ri {
 				s += v * x[j]
@@ -200,14 +220,15 @@ func (m *Dense) MulVecT(x []float64) []float64 {
 // MulVecTInto computes dst = mᵀ*x. dst must have length m.cols and must not
 // alias x. Rows contribute to the whole output, so large matrices reduce
 // per-chunk partial sums with par.MapReduceDet: chunk boundaries and merge
-// order are fixed by the shape alone, keeping the result bitwise-deterministic
-// at any worker count. The small-matrix path stays allocation-free and, being
-// a single chunk, computes the identical fold.
+// order are fixed by the shape alone (detGrain), keeping the result
+// bitwise-deterministic at any worker count and calibration. The small-matrix
+// path stays allocation-free and, being a single chunk, computes the
+// identical fold.
 func (m *Dense) MulVecTInto(dst, x []float64) {
 	if len(x) != m.rows || len(dst) != m.cols {
 		panic(fmt.Sprintf("mat: MulVecT dimension mismatch %dx%d^T * %d -> %d", m.rows, m.cols, len(x), len(dst)))
 	}
-	grain := parGrain(m.cols)
+	grain := detGrain(m.cols)
 	if m.rows <= grain {
 		for j := range dst {
 			dst[j] = 0
@@ -256,27 +277,35 @@ func (m *Dense) Gram() *Dense {
 // triangle is computed — via the 4×4 column-tile kernels in gemm.go — and then
 // mirrored. Narrow matrices (cols ≤ gramTallMaxCols, the capture shape)
 // parallelize over row chunks with a fixed-order partial-Gram merge
-// (par.MapReduceDet); wide matrices parallelize over disjoint output tiles.
-// Both regimes are selected by shape alone and are bitwise-deterministic at
-// any worker count.
+// (par.MapReduceDet, planned by detGrain, partials recycled across calls);
+// wide matrices parallelize over disjoint output tiles. Both regimes are
+// selected by shape alone and are bitwise-deterministic at any worker count
+// and calibration.
 func (m *Dense) GramInto(dst *Dense) {
 	if dst.rows != m.cols || dst.cols != m.cols {
 		panic("mat: GramInto dimension mismatch")
 	}
 	if m.cols <= gramTallMaxCols {
-		grain := parGrain(m.cols * m.cols)
+		grain := detGrain(m.cols * m.cols)
 		if m.rows <= grain {
 			dst.Zero()
 			gramChunkUpper(dst, m, 0, m.rows)
 		} else {
 			acc := par.MapReduceDet(m.rows, grain,
-				func() *Dense { return NewDense(m.cols, m.cols) },
+				func() *Dense { return gramPartial(m.cols) },
 				func(acc *Dense, lo, hi int) *Dense {
 					gramChunkUpper(acc, m, lo, hi)
 					return acc
 				},
-				func(a, b *Dense) *Dense { return a.AddScaled(b, 1) })
+				func(a, b *Dense) *Dense {
+					for i, v := range b.data {
+						a.data[i] += v
+					}
+					gramPartials.Put(b)
+					return a
+				})
 			dst.CopyFrom(acc)
+			gramPartials.Put(acc)
 		}
 		mirrorLower(dst)
 		return
@@ -296,6 +325,23 @@ func (m *Dense) GramInto(dst *Dense) {
 		})
 	}
 	mirrorLower(dst)
+}
+
+// gramPartials recycles the per-chunk partial Grams of GramInto's narrow
+// regime. Capture calls GramInto thousands of times with ~20 chunks each;
+// without reuse every call allocated, zeroed and dropped that many m×m
+// matrices.
+var gramPartials sync.Pool
+
+// gramPartial returns a zeroed n×n partial Gram, recycled when the pool holds
+// one large enough.
+func gramPartial(n int) *Dense {
+	if p, ok := gramPartials.Get().(*Dense); ok && cap(p.data) >= n*n {
+		p.rows, p.cols, p.data = n, n, p.data[:n*n]
+		p.Zero()
+		return p
+	}
+	return NewDense(n, n)
 }
 
 // RowGram returns m*mᵀ (the Gram matrix of the rows) as a new rows×rows

@@ -18,6 +18,8 @@ type Eigen struct {
 	Values []float64
 	// Q has the corresponding eigenvectors as columns.
 	Q *Dense
+	// sweeps is the number of Jacobi sweeps the decomposition ran.
+	sweeps int
 }
 
 // jacobiMaxSweeps bounds the cyclic-Jacobi iteration; symmetric matrices of
@@ -34,19 +36,19 @@ const jacobiMaxSweeps = 64
 // pairs' rotations act on disjoint coordinates and commute. All rotation
 // angles for a round are computed from the round-start matrix (a rotation's
 // defining entries (p,p), (p,q), (q,q) are untouched by the other pairs of
-// the round, so the annihilation stays exact), then applied in two batched
-// phases — column rotations, then row rotations plus Q-column rotations —
-// each phase writing pair-disjoint columns or rows. Phases parallelize over
-// pairs on the par pool; since every matrix element is written by exactly one
-// pair per phase and the schedule is fixed, the result is bitwise identical
-// at any worker count. The same tournament schedule runs serially on a single
-// worker, so there is no separate serial algorithm to diverge from.
+// the round, so the annihilation stays exact), then applied in one parallel
+// pass per round. The column rotations W ← W·G and Q ← Q·G mix elements
+// within a row, so each row takes them on its own, and a pair's row
+// rotation W ← Gᵀ·W needs only its own two rows: a unit of work is one
+// active pair's two W rows (column rotations, then the row rotation) or one
+// other row of W or Q. Workers own whole rows, so no two write the same
+// cache line, and every element gets the same arithmetic wherever the loop
+// splits, so the result is bitwise identical at any worker count. The same
+// schedule runs serially on a single worker, so there is no separate serial
+// algorithm to diverge from.
 //
-// The off-diagonal norm that drives convergence is maintained incrementally:
-// annihilating (p,q) reduces the upper-triangle sum of squares by exactly
-// apq² in exact arithmetic, so each round subtracts Σ apq² instead of
-// rescanning O(n²) entries. Because the running value accumulates round-off,
-// a full rescan confirms convergence before the loop exits.
+// Convergence is tested once per sweep on the off-diagonal norm rescanned
+// from the matrix, an O(n²) pass against the sweep's O(n³) rotations.
 func NewEigenSym(a *Dense) (*Eigen, error) {
 	if a.rows != a.cols {
 		return nil, errors.New("mat: NewEigenSym requires a square matrix")
@@ -63,7 +65,6 @@ func NewEigenSym(a *Dense) (*Eigen, error) {
 		fro += v * v
 	}
 	tol := 1e-28 * (fro + 1)
-	off := offUpper(w)
 
 	// Round-robin tournament state: player 0 stays fixed, the rest rotate one
 	// slot per round; odd n adds a bye slot.
@@ -81,16 +82,13 @@ func NewEigenSym(a *Dense) (*Eigen, error) {
 	pq := make([]int, half)
 	cs := make([]float64, half)
 	sn := make([]float64, half)
-	grain := parGrain(12 * n)
+	paired := make([]bool, n)
+	lone := make([]int, 0, n)
+	// A unit is one or three row passes of ~3n flops each.
+	grain := parGrain(6 * n)
 
-	for sweep := 0; sweep < jacobiMaxSweeps; sweep++ {
-		if off <= tol {
-			// The running value carries round-off; rescan before trusting it.
-			off = offUpper(w)
-			if off <= tol {
-				break
-			}
-		}
+	sweep := 0
+	for ; sweep < jacobiMaxSweeps && offUpper(w) > tol; sweep++ {
 		for r := 0; r < rounds; r++ {
 			np := 0
 			for i := 0; i < half; i++ {
@@ -117,25 +115,37 @@ func NewEigenSym(a *Dense) (*Eigen, error) {
 				c := 1 / math.Sqrt(t*t+1)
 				s := t * c
 				pp[np], pq[np], cs[np], sn[np] = p, qi, c, s
-				off -= apq * apq
 				np++
 			}
-			if off < 0 {
-				off = 0
-			}
 			if np > 0 {
-				// Phase 1: W ← W·G, pair-disjoint column pairs.
-				par.For(np, grain, func(lo, hi int) {
-					for t := lo; t < hi; t++ {
-						rotateColumns(w, pp[t], pq[t], cs[t], sn[t])
+				// Units: each active pair's two W rows (column rotations,
+				// then their row rotation), each other W row, each Q row.
+				for t := 0; t < np; t++ {
+					paired[pp[t]], paired[pq[t]] = true, true
+				}
+				lone = lone[:0]
+				for k, in := range paired {
+					if !in {
+						lone = append(lone, k)
 					}
-				})
-				// Phase 2: W ← Gᵀ·W (pair-disjoint row pairs) and Q ← Q·G
-				// (pair-disjoint column pairs of the separate matrix Q).
-				par.For(np, grain, func(lo, hi int) {
-					for t := lo; t < hi; t++ {
-						rotateRows(w, pp[t], pq[t], cs[t], sn[t])
-						rotateColumns(q, pp[t], pq[t], cs[t], sn[t])
+					paired[k] = false
+				}
+				nw := np + len(lone)
+				par.For(nw+n, grain, func(lo, hi int) {
+					for u := lo; u < hi; u++ {
+						switch {
+						case u < np:
+							p, r := pp[u], pq[u]
+							rotatePairs(w.data[p*n:(p+1)*n], pp[:np], pq[:np], cs, sn)
+							rotatePairs(w.data[r*n:(r+1)*n], pp[:np], pq[:np], cs, sn)
+							rotateRows(w, p, r, cs[u], sn[u])
+						case u < nw:
+							k := lone[u-np]
+							rotatePairs(w.data[k*n:(k+1)*n], pp[:np], pq[:np], cs, sn)
+						default:
+							k := u - nw
+							rotatePairs(q.data[k*n:(k+1)*n], pp[:np], pq[:np], cs, sn)
+						}
 					}
 				})
 			}
@@ -160,7 +170,7 @@ func NewEigenSym(a *Dense) (*Eigen, error) {
 			sortedQ.Set(r, newCol, q.At(r, oldCol))
 		}
 	}
-	return &Eigen{Values: sortedVals, Q: sortedQ}, nil
+	return &Eigen{Values: sortedVals, Q: sortedQ, sweeps: sweep}, nil
 }
 
 // offUpper returns the sum of squares of the strictly upper triangle.
@@ -176,15 +186,15 @@ func offUpper(w *Dense) float64 {
 	return s
 }
 
-// rotateColumns applies the plane rotation G(p,r,θ) on the right: columns p
-// and r of m are mixed, all other elements untouched.
-func rotateColumns(m *Dense, p, r int, c, s float64) {
-	stride := m.cols
-	for k := 0; k < m.rows; k++ {
-		kp := k * stride
-		akp, akr := m.data[kp+p], m.data[kp+r]
-		m.data[kp+p] = c*akp - s*akr
-		m.data[kp+r] = s*akp + c*akr
+// rotatePairs applies the round's column rotations G(p,r,θ) to one matrix
+// row: for each pair t, elements p[t] and r[t] of row are mixed. The pairs
+// are disjoint, so their order does not matter.
+func rotatePairs(row []float64, p, r []int, c, s []float64) {
+	for t, pt := range p {
+		rt := r[t]
+		akp, akr := row[pt], row[rt]
+		row[pt] = c[t]*akp - s[t]*akr
+		row[rt] = s[t]*akp + c[t]*akr
 	}
 }
 

@@ -107,6 +107,35 @@ func TestGramIntoMatchesReference(t *testing.T) {
 	}
 }
 
+// TestGramIntoReusesPartials: the narrow regime's per-chunk partial Grams
+// are recycled across calls, so a call's allocations do not grow with its
+// chunk count. The capture shape (B=200 rows, m=54) plans 19 chunks.
+func TestGramIntoReusesPartials(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	rng := rand.New(rand.NewSource(15))
+	m := randDense(rng, 200, 54)
+	dst := NewDense(54, 54)
+	grain := detGrain(54 * 54)
+	chunks := (200 + grain - 1) / grain
+	if chunks < 16 {
+		t.Fatalf("shape plans %d chunks, want a many-chunk reduction", chunks)
+	}
+	for _, w := range []int{1, 2} {
+		prev := par.SetWorkers(w)
+		m.GramInto(dst) // fill the pool
+		allocs := testing.AllocsPerRun(20, func() { m.GramInto(dst) })
+		par.SetWorkers(prev)
+		// What remains is the reduction's fixed bookkeeping (accumulator
+		// slice, closures, pool dispatch); a fresh partial per chunk would
+		// cost two allocations each.
+		if allocs >= float64(chunks) {
+			t.Errorf("workers=%d: %.0f allocs per GramInto over %d chunks", w, allocs, chunks)
+		}
+	}
+}
+
 func TestRowGramMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for _, s := range [][2]int{

@@ -326,6 +326,55 @@ func TestEigenSymDiagonal(t *testing.T) {
 	}
 }
 
+// stabilizedGram builds a PrIU-opt-shaped stabilized matrix Σᵢ aᵢ·xᵢxᵢᵀ:
+// n rows of m correlated features (a rank-m/4 latent factor model plus
+// small noise) weighted by aᵢ ∈ [0, 0.25), the shape of a multinomial
+// class's C* on Cov.
+func stabilizedGram(seed int64, n, m int) *Dense {
+	rng := rand.New(rand.NewSource(seed))
+	l := randDense(rng, m, m/4)
+	c := NewDense(m, m)
+	x := make([]float64, m)
+	z := make([]float64, m/4)
+	for i := 0; i < n; i++ {
+		for j := range z {
+			z[j] = rng.NormFloat64()
+		}
+		l.MulVecInto(x, z)
+		for j := range x {
+			x[j] += 0.1 * rng.NormFloat64()
+		}
+		AddOuter(c, x, x, 0.25*rng.Float64())
+	}
+	return c
+}
+
+// TestEigenSymConvergesAtScale: on matrices with a large Frobenius norm the
+// sweep loop must stop once the off-diagonal mass is gone. A running
+// off-norm tally carries round-off of order ε·‖A‖_F², far above the
+// 1e-28·‖A‖_F² stopping threshold, so a solver that trusts it runs every
+// one of the jacobiMaxSweeps sweeps on most such matrices.
+func TestEigenSymConvergesAtScale(t *testing.T) {
+	const n, m, maxSweeps = 2000, 54, 16
+	for _, seed := range []int64{1, 5, 6} {
+		a := stabilizedGram(seed, n, m)
+		eig, err := NewEigenSym(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if eig.sweeps > maxSweeps {
+			t.Errorf("seed %d: %d sweeps, want <= %d", seed, eig.sweeps, maxSweeps)
+		}
+		fro := math.Sqrt(Dot(a.data, a.data))
+		if !eig.Reconstruct().Equal(a, 1e-12*fro) {
+			t.Errorf("seed %d: QΛQᵀ != A (‖A‖_F = %.3g)", seed, fro)
+		}
+		if !eig.Q.T().Mul(eig.Q).Equal(Identity(m), 1e-12) {
+			t.Errorf("seed %d: QᵀQ != I", seed)
+		}
+	}
+}
+
 func TestEigenUpdateValuesExactForCommutingPerturbation(t *testing.T) {
 	// When delta shares the eigenbasis of A the incremental update is exact.
 	rng := rand.New(rand.NewSource(8))

@@ -15,10 +15,10 @@ import (
 // cutoffs from the measurements; the env variable PRIU_PAR_MINWORK pins both
 // cutoffs to a fixed value for reproducible CI runs.
 //
-// The cutoffs only steer chunking — every kernel in this repository is
-// bitwise-deterministic regardless of how its loops are split (disjoint
-// outputs, or MapReduceDet's fixed reduction tree) — so calibration can never
-// change results, only speed.
+// The cutoffs only steer chunking of loops whose outputs are disjoint, where
+// the split cannot change the bits. Reductions, whose bits do depend on the
+// split, plan their MapReduceDet chunks from DetGrain, which ignores the
+// cutoffs. So calibration can never change results, only speed.
 var (
 	// cutoffCompute is the per-chunk flop cutoff consumed by Grain.
 	cutoffCompute atomic.Int64

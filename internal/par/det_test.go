@@ -80,6 +80,25 @@ func TestDetPlanIndependentOfWorkers(t *testing.T) {
 	}
 }
 
+// TestDetGrainIgnoresCutoffs: reduction plans come from the static MinWork,
+// so no calibration or pin can move a reduction's chunk boundaries.
+func TestDetGrainIgnoresCutoffs(t *testing.T) {
+	c0, m0 := Cutoffs()
+	defer SetCutoffs(c0, m0)
+	for _, perItem := range []int{0, 1, 54 * 54, MinWork, 4 * MinWork} {
+		want := DetGrain(perItem)
+		for _, cut := range []int{64, calMinCutoff, calMaxCutoff} {
+			SetCutoffs(cut, cut)
+			if got := DetGrain(perItem); got != want {
+				t.Fatalf("DetGrain(%d) = %d under cutoff %d, want %d", perItem, got, cut, want)
+			}
+		}
+	}
+	if got := DetGrain(54 * 54); got != 11 {
+		t.Fatalf("DetGrain(54²) = %d, want MinWork/2916 = 11", got)
+	}
+}
+
 // TestCalibrateMeasuresAndRespectsPins checks the probe results are sane and
 // that explicit pins survive a Calibrate call.
 func TestCalibrateMeasuresAndRespectsPins(t *testing.T) {

@@ -52,6 +52,22 @@ func Grain(perItem int) int {
 	return g
 }
 
+// DetGrain is Grain for deterministic reductions: MapReduceDet calls and the
+// single-chunk short-circuits that must fold exactly like them. It reads the
+// static MinWork, never the calibrated cutoff, so a reduction's chunk plan —
+// and with it the bits of its result — depends on the operand shape alone:
+// Calibrate, SetCutoffs and PRIU_PAR_MINWORK cannot change it.
+func DetGrain(perItem int) int {
+	if perItem < 1 {
+		perItem = 1
+	}
+	g := MinWork / perItem
+	if g < 1 {
+		g = 1
+	}
+	return g
+}
+
 // GrainMem is Grain for memory-bound loops (per-item cost counted in elements
 // streamed rather than flops): every chunk touches at least the memory-bound
 // cutoff worth of elements.
@@ -321,7 +337,8 @@ func detPlan(n, grain int) (chunk, chunks int) {
 }
 
 // MapReduceDet is MapReduce with a bitwise-deterministic reduction order:
-// chunk boundaries are fixed by (n, grain) alone and the per-chunk
+// chunk boundaries are fixed by (n, grain) alone — callers take grain from
+// DetGrain, so it is a function of the shape — and the per-chunk
 // accumulators are folded left-to-right in chunk-index order, so the result
 // is identical at any worker count — including Workers() == 1, where the same
 // chunked fold runs serially. Kernels whose output feeds persisted snapshots

@@ -154,14 +154,19 @@ func (m *CSR) MulVecInto(dst, x []float64) {
 
 // MulVecT returns mᵀ*x as a dense vector. Rows scatter into the whole output,
 // so each chunk fills a private dense accumulator over a row block; chunk
-// boundaries and the fold order depend only on the shape and grain — never on
-// the worker count — so the result is bitwise identical at any pool size
+// boundaries and the fold order depend only on the shape (par.DetGrain) —
+// never on the worker count or the calibrated cutoffs — so the result is
+// bitwise identical at any pool size and on any host
 // (small matrices collapse to one chunk and scatter serially).
 func (m *CSR) MulVecT(x []float64) []float64 {
 	if len(x) != m.rows {
 		panic("sparse: MulVecT length mismatch")
 	}
-	return par.MapReduceDet(m.rows, m.rowGrain(),
+	grain := 1
+	if m.rows > 0 {
+		grain = par.DetGrain(m.NNZ() / m.rows)
+	}
+	return par.MapReduceDet(m.rows, grain,
 		func() []float64 { return make([]float64, m.cols) },
 		func(acc []float64, lo, hi int) []float64 {
 			for i := lo; i < hi; i++ {

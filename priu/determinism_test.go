@@ -2,6 +2,7 @@ package priu
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"testing"
 
@@ -126,5 +127,99 @@ func TestCaptureDeterministicAcrossWorkers(t *testing.T) {
 				SetWorkers(prev)
 			}
 		})
+	}
+}
+
+// TestRestoreBitwiseAcrossCutoffs: a session captured and committed under one
+// set of par cutoffs, then restored from its snapshot and replayed under
+// another, reaches the same bits. The cutoffs are what par.Calibrate measures
+// at every process start, so this is the contract that lets a spilled session
+// come back exact on a rebooted or different host. The sizes put the
+// reductions on several chunks under the small cutoffs and on one under the
+// large.
+func TestRestoreBitwiseAcrossCutoffs(t *testing.T) {
+	pc, pm := par.Cutoffs()
+	t.Cleanup(func() { par.SetCutoffs(pc, pm) })
+
+	const n = 600
+	sets := map[string]func() (TrainingSet, error){
+		FamilyLinear:         func() (TrainingSet, error) { return GenerateRegression("t-cut-lin", n, 12, 0.1, 3) },
+		FamilyLogistic:       func() (TrainingSet, error) { return GenerateBinary("t-cut-log", n, 12, 0.8, 4) },
+		FamilyMultinomial:    func() (TrainingSet, error) { return GenerateMulticlass("t-cut-mult", n, 12, 3, 1.5, 5) },
+		FamilySparseLogistic: func() (TrainingSet, error) { return GenerateSparseBinary("t-cut-sparse", n, 40, 6, 7) },
+	}
+	sets[FamilyLinearOpt] = sets[FamilyLinear]
+	sets[FamilyLogisticOpt] = sets[FamilyLogistic]
+	sets[FamilyMultinomialOpt] = sets[FamilyMultinomial]
+	commitLog := []int{99, 3, 540, 17, 42, 311}
+
+	for _, fam := range Families() {
+		fam := fam
+		t.Run(fam, func(t *testing.T) {
+			ds, err := sets[fam]()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, cut := range [][2]int{{64, 1 << 21}, {1 << 21, 64}} {
+				par.SetCutoffs(cut[0], cut[0])
+				u, err := Train(fam, ds, testOpts()...)
+				if err != nil {
+					t.Fatalf("Train: %v", err)
+				}
+				cur, err := ReplayLog(u, ds.N(), commitLog[:2])
+				if err != nil {
+					t.Fatalf("ReplayLog: %v", err)
+				}
+				if err := cur.Apply(commitLog[2:]); err != nil {
+					t.Fatalf("cursor Apply: %v", err)
+				}
+				committed, err := cur.Eval()
+				if err != nil {
+					t.Fatalf("cursor Eval: %v", err)
+				}
+				direct, err := u.Update(commitLog)
+				if err != nil {
+					t.Fatalf("Update: %v", err)
+				}
+				var snap bytes.Buffer
+				if err := WriteSessionSnapshot(&snap, fam, ds, u, commitLog); err != nil {
+					t.Fatalf("WriteSessionSnapshot: %v", err)
+				}
+
+				par.SetCutoffs(cut[1], cut[1])
+				_, rds, ru, deleted, err := ReadSessionSnapshot(&snap)
+				if err != nil {
+					t.Fatalf("ReadSessionSnapshot: %v", err)
+				}
+				replayed, err := ReplayLog(ru, rds.N(), deleted)
+				if err != nil {
+					t.Fatalf("ReplayLog after restore: %v", err)
+				}
+				got, err := replayed.Eval()
+				if err != nil {
+					t.Fatalf("Eval after restore: %v", err)
+				}
+				restoredUpd, err := ru.Update(deleted)
+				if err != nil {
+					t.Fatalf("Update after restore: %v", err)
+				}
+				assertSameBits(t, fmt.Sprintf("cutoffs %d→%d: replayed commit", cut[0], cut[1]), committed, got)
+				assertSameBits(t, fmt.Sprintf("cutoffs %d→%d: Update", cut[0], cut[1]), direct, restoredUpd)
+			}
+		})
+	}
+}
+
+// assertSameBits fails unless a and b hold bitwise-identical parameters.
+func assertSameBits(t *testing.T, what string, a, b *Model) {
+	t.Helper()
+	av, bv := a.Vec(), b.Vec()
+	if len(av) != len(bv) {
+		t.Fatalf("%s: %d vs %d parameters", what, len(av), len(bv))
+	}
+	for i, v := range av {
+		if math.Float64bits(v) != math.Float64bits(bv[i]) {
+			t.Fatalf("%s: param %d differs: %v vs %v (|Δ| = %.3g)", what, i, v, bv[i], math.Abs(v-bv[i]))
+		}
 	}
 }
