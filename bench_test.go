@@ -96,6 +96,35 @@ func BenchmarkFig3cRCV1(b *testing.B) {
 		b.Run(string(m), func(b *testing.B) { benchUpdate(b, "rcv1", m, 0.001) })
 	}
 }
+
+// BenchmarkSparseLogisticUpdate is the layer benchmark of the sparse
+// scaled-weight SGD step (gbm.SparseSGD) on the rcv1 shape the repository
+// benchmark runs (scale 0.5: n=1250, m=47236, 60 non-zeros a row, B=250,
+// τ=150): PrIU's coefficient replay and BaseL retraining, 1% of rows
+// removed, with ns/op, B/op and allocs/op. It reports no speedup: at a
+// PrIU/BaseL ratio near 1 a floor would gate noise.
+func BenchmarkSparseLogisticUpdate(b *testing.B) {
+	w, err := bench.WorkloadByID("rcv1")
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, err := bench.Prepare(w.Scale(0.5))
+	if err != nil {
+		b.Fatal(err)
+	}
+	removed := p.PickRemoval(0.01, 12345)
+	for _, m := range []bench.Method{bench.MethodPrIU, bench.MethodBaseL} {
+		b.Run(string(m), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := p.RunUpdate(m, removed); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkFig3cCifar10(b *testing.B) {
 	for _, m := range []bench.Method{bench.MethodBaseL, bench.MethodPrIU} {
 		b.Run(string(m), func(b *testing.B) { benchUpdate(b, "cifar10", m, 0.001) })

@@ -38,8 +38,10 @@
 //     per-member linearization dots and per-class cache builds, and
 //     weightedGramCache routes through the blocked Gram kernels — and the
 //     PrIU-opt eigenbasis recurrences (Eq 17 / Sec 5.4) split across
-//     coordinates, multinomial classes update in parallel, the sparse
-//     logistic replay fans the batch out with private step vectors.
+//     coordinates, and multinomial classes update in parallel. The sparse
+//     logistic replay is serial and O(nnz(batch)) per iteration: it holds
+//     the weights as w = s·v (gbm.SparseSGD, shared with sparse capture and
+//     BaseL retraining), so the decay is one multiply.
 //   - priu/service: the session store is hash-sharded (per-shard locks and
 //     counters), batched deletions execute independent sessions' updates
 //     concurrently on the same pool, and an optional LRU budget

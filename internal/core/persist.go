@@ -146,8 +146,48 @@ func writeCache(bw *binio.Writer, c *iterCache) {
 	writeDense(bw, c.v)
 }
 
-func readCache(br *binio.Reader) *iterCache {
-	return &iterCache{full: readDense(br), p: readDense(br), v: readDense(br)}
+// The loaders hold every decoded array to the shape Update indexes (m and the
+// rebuilt schedule's batch sizes), so a corrupt or hostile stream is rejected
+// at load instead of panicking in a later Update.
+
+// readCache decodes iteration t's cache, which Update applies to m-vectors:
+// an m×m matrix, or two m×r factors with r ≤ m. It raises *maxRank to the
+// cache's rank: the loaders recompute the maximum, which sizes Update's
+// scratch, rather than trust the stored one.
+func readCache(br *binio.Reader, t, m int, maxRank *int) *iterCache {
+	c := &iterCache{full: readDense(br), p: readDense(br), v: readDense(br)}
+	if br.Err != nil {
+		return c
+	}
+	ok := c.full != nil && c.full.Rows() == m && c.full.Cols() == m && c.p == nil && c.v == nil
+	if c.full == nil && c.p != nil && c.v != nil {
+		r := c.p.Cols()
+		ok = c.p.Rows() == m && c.v.Rows() == m && c.v.Cols() == r && r <= m
+	}
+	if !ok {
+		br.Fail("core: iteration %d cache does not apply to %d-vectors", t, m)
+	} else if r := c.rank(); r > *maxRank {
+		*maxRank = r
+	}
+	return c
+}
+
+// readVec decodes iteration t's array what, which must hold want entries.
+func readVec(br *binio.Reader, what string, t, want int) []float64 {
+	v := br.Floats()
+	if br.Err == nil && len(v) != want {
+		br.Fail("core: iteration %d %s has %d entries, want %d", t, what, len(v), want)
+	}
+	return v
+}
+
+// readModel decodes a parameter matrix, which must be rows×m.
+func readModel(br *binio.Reader, rows, m int) *mat.Dense {
+	w := readDense(br)
+	if br.Err == nil && (w == nil || w.Rows() != rows || w.Cols() != m) {
+		br.Fail("core: persisted model missing or not %dx%d", rows, m)
+	}
+	return w
 }
 
 // WriteTo serializes the linear-regression provenance cache.
@@ -176,8 +216,8 @@ func LoadLinearProvenance(r io.Reader, d *dataset.Dataset) (*LinearProvenance, e
 		return nil, err
 	}
 	useSVD := br.Bool()
-	maxRank := int(br.I64())
-	wMat := readDense(br)
+	br.I64() // max rank, recomputed from the caches
+	wMat := readModel(br, 1, d.M())
 	nCaches := br.I64()
 	if br.Err != nil {
 		return nil, br.Err
@@ -190,18 +230,18 @@ func LoadLinearProvenance(r io.Reader, d *dataset.Dataset) (*LinearProvenance, e
 		return nil, err
 	}
 	lp := &LinearProvenance{
-		cfg:     cfg,
-		sched:   sched,
-		data:    d,
-		model:   &gbm.Model{Task: dataset.Regression, W: wMat},
-		useSVD:  useSVD,
-		maxRank: maxRank,
-		caches:  make([]*iterCache, nCaches),
-		dvecs:   make([][]float64, nCaches),
+		cfg:    cfg,
+		sched:  sched,
+		data:   d,
+		model:  &gbm.Model{Task: dataset.Regression, W: wMat},
+		useSVD: useSVD,
+		caches: make([]*iterCache, nCaches),
+		dvecs:  make([][]float64, nCaches),
 	}
-	for t := int64(0); t < nCaches; t++ {
-		lp.caches[t] = readCache(br)
-		lp.dvecs[t] = br.Floats()
+	m := d.M()
+	for t := range lp.caches {
+		lp.caches[t] = readCache(br, t, m, &lp.maxRank)
+		lp.dvecs[t] = readVec(br, "D", t, m)
 	}
 	if br.Err != nil {
 		return nil, br.Err
@@ -238,9 +278,9 @@ func LoadLogisticProvenance(r io.Reader, d *dataset.Dataset) (*LogisticProvenanc
 		return nil, err
 	}
 	useSVD := br.Bool()
-	maxRank := int(br.I64())
-	wL := readDense(br)
-	wExact := readDense(br)
+	br.I64() // max rank, recomputed from the caches
+	wL := readModel(br, 1, d.M())
+	wExact := readModel(br, 1, d.M())
 	nCaches := br.I64()
 	if br.Err != nil {
 		return nil, br.Err
@@ -259,17 +299,18 @@ func LoadLogisticProvenance(r io.Reader, d *dataset.Dataset) (*LogisticProvenanc
 		modelL:     &gbm.Model{Task: dataset.BinaryClassification, W: wL},
 		modelExact: &gbm.Model{Task: dataset.BinaryClassification, W: wExact},
 		useSVD:     useSVD,
-		maxRank:    maxRank,
 		caches:     make([]*iterCache, nCaches),
 		dvecs:      make([][]float64, nCaches),
 		aCoef:      make([][]float64, nCaches),
 		bCoef:      make([][]float64, nCaches),
 	}
-	for t := int64(0); t < nCaches; t++ {
-		lp.caches[t] = readCache(br)
-		lp.dvecs[t] = br.Floats()
-		lp.aCoef[t] = br.Floats()
-		lp.bCoef[t] = br.Floats()
+	m := d.M()
+	for t := range lp.caches {
+		b := len(sched.Batch(t))
+		lp.caches[t] = readCache(br, t, m, &lp.maxRank)
+		lp.dvecs[t] = readVec(br, "D", t, m)
+		lp.aCoef[t] = readVec(br, "a", t, b)
+		lp.bCoef[t] = readVec(br, "b", t, b)
 	}
 	if br.Err != nil {
 		return nil, br.Err
@@ -310,10 +351,10 @@ func LoadMultinomialProvenance(r io.Reader, d *dataset.Dataset) (*MultinomialPro
 		return nil, err
 	}
 	useSVD := br.Bool()
-	maxRank := int(br.I64())
+	br.I64() // max rank, recomputed from the caches
 	q := int(br.I64())
-	wL := readDense(br)
-	wExact := readDense(br)
+	wL := readModel(br, d.Classes, d.M())
+	wExact := readModel(br, d.Classes, d.M())
 	nCaches := br.I64()
 	if br.Err != nil {
 		return nil, br.Err
@@ -335,22 +376,23 @@ func LoadMultinomialProvenance(r io.Reader, d *dataset.Dataset) (*MultinomialPro
 		modelL:     &gbm.Model{Task: dataset.MultiClassification, W: wL},
 		modelExact: &gbm.Model{Task: dataset.MultiClassification, W: wExact},
 		useSVD:     useSVD,
-		maxRank:    maxRank,
 		q:          q,
 		caches:     make([][]*iterCache, nCaches),
 		dvecs:      make([][][]float64, nCaches),
 		aCoef:      make([][]float64, nCaches),
 		cCoef:      make([][]float64, nCaches),
 	}
-	for t := int64(0); t < nCaches; t++ {
+	m := d.M()
+	for t := range mp.caches {
 		mp.caches[t] = make([]*iterCache, q)
 		mp.dvecs[t] = make([][]float64, q)
 		for k := 0; k < q; k++ {
-			mp.caches[t][k] = readCache(br)
-			mp.dvecs[t][k] = br.Floats()
+			mp.caches[t][k] = readCache(br, t, m, &mp.maxRank)
+			mp.dvecs[t][k] = readVec(br, "D", t, m)
 		}
-		mp.aCoef[t] = br.Floats()
-		mp.cCoef[t] = br.Floats()
+		qb := q * len(sched.Batch(t))
+		mp.aCoef[t] = readVec(br, "a", t, qb)
+		mp.cCoef[t] = readVec(br, "c", t, qb)
 	}
 	if br.Err != nil {
 		return nil, br.Err
@@ -383,8 +425,8 @@ func LoadSparseLogisticProvenance(r io.Reader, d *dataset.SparseDataset) (*Spars
 	if err != nil {
 		return nil, err
 	}
-	wL := readDense(br)
-	wExact := readDense(br)
+	wL := readModel(br, 1, d.M())
+	wExact := readModel(br, 1, d.M())
 	nCoef := br.I64()
 	if br.Err != nil {
 		return nil, br.Err
@@ -405,9 +447,10 @@ func LoadSparseLogisticProvenance(r io.Reader, d *dataset.SparseDataset) (*Spars
 		aCoef:      make([][]float64, nCoef),
 		bCoef:      make([][]float64, nCoef),
 	}
-	for t := int64(0); t < nCoef; t++ {
-		sp.aCoef[t] = br.Floats()
-		sp.bCoef[t] = br.Floats()
+	for t := range sp.aCoef {
+		b := len(sched.Batch(t))
+		sp.aCoef[t] = readVec(br, "a", t, b)
+		sp.bCoef[t] = readVec(br, "b", t, b)
 	}
 	if br.Err != nil {
 		return nil, br.Err

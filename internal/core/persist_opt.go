@@ -79,15 +79,9 @@ func LoadLinearOpt(r io.Reader, d *dataset.Dataset) (*LinearOpt, error) {
 	if err != nil {
 		return nil, err
 	}
-	wMat := readDense(br)
+	wMat := readModel(br, 1, d.M())
 	if br.Err != nil {
 		return nil, br.Err
-	}
-	if wMat == nil {
-		return nil, fmt.Errorf("core: persisted linear-opt model missing")
-	}
-	if wr, wc := wMat.Dims(); wr != 1 || wc != d.M() {
-		return nil, fmt.Errorf("core: persisted linear-opt model is %dx%d, want 1x%d", wr, wc, d.M())
 	}
 	lo, err := newLinearOptState(d, cfg)
 	if err != nil {

@@ -5,22 +5,34 @@ import (
 	"testing"
 )
 
-// fuzzSeedSnapshot builds one small valid session snapshot (the happy-path
-// seed the mutator perturbs).
+// fuzzSeedSnapshot builds one small valid session snapshot of family over a
+// training set of the shape the family needs (the happy-path seeds the
+// mutator perturbs).
 func fuzzSeedSnapshot(f *testing.F, family string, deleted []int) []byte {
 	f.Helper()
-	d, err := GenerateRegression("fuzz", 20, 3, 0.05, 1)
+	var (
+		ds  TrainingSet
+		err error
+	)
+	switch family {
+	case FamilyLogistic:
+		ds, err = GenerateBinary("fuzz-lg", 20, 3, 1.2, 1)
+	case FamilySparseLogistic:
+		ds, err = GenerateSparseBinary("fuzz-sp", 20, 12, 3, 1)
+	default:
+		ds, err = GenerateRegression("fuzz", 20, 3, 0.05, 1)
+	}
 	if err != nil {
 		f.Fatal(err)
 	}
-	u, err := Train(family, d,
+	u, err := Train(family, ds,
 		WithEta(0.01), WithLambda(0.05), WithBatchSize(10),
 		WithIterations(5), WithSeed(1), WithFullCaches())
 	if err != nil {
 		f.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteSessionSnapshot(&buf, family, d, u, deleted); err != nil {
+	if err := WriteSessionSnapshot(&buf, family, ds, u, deleted); err != nil {
 		f.Fatal(err)
 	}
 	return buf.Bytes()
@@ -29,11 +41,14 @@ func fuzzSeedSnapshot(f *testing.F, family string, deleted []int) []byte {
 // FuzzReadSessionSnapshot hammers the session-snapshot decoder with mutated
 // streams: it must never panic or over-allocate, and whatever it accepts
 // must be a coherent session (registered family, non-nil training set and
-// updater, every deletion-log index in range). Seed corpus in
-// testdata/fuzz/FuzzReadSessionSnapshot.
+// updater, every deletion-log index in range) whose updater runs: Update with
+// no removals and with the snapshot's own deletion log must not panic. Seed
+// corpus in testdata/fuzz/FuzzReadSessionSnapshot.
 func FuzzReadSessionSnapshot(f *testing.F) {
-	valid := fuzzSeedSnapshot(f, "linear", []int{2, 7})
+	valid := fuzzSeedSnapshot(f, FamilyLinear, []int{2, 7})
 	f.Add(valid)
+	f.Add(fuzzSeedSnapshot(f, FamilyLogistic, []int{4}))
+	f.Add(fuzzSeedSnapshot(f, FamilySparseLogistic, []int{1, 13}))
 	f.Add(valid[:len(valid)/2])  // truncated mid-provenance
 	f.Add(valid[:16])            // truncated mid-header
 	f.Add([]byte("PRSNgarbage")) // magic then junk
@@ -59,5 +74,8 @@ func FuzzReadSessionSnapshot(f *testing.F) {
 				t.Fatalf("accepted out-of-range deletion index %d (n=%d)", idx, n)
 			}
 		}
+		// An error is an answer; only a panic fails the target.
+		_, _ = u.Update(nil)
+		_, _ = u.Update(deleted)
 	})
 }
