@@ -13,10 +13,11 @@ import (
 // updater without committing anything, sharing the work of common prefixes.
 //
 // A WhatIfPlanner lays the candidate sets out as a prefix tree over removal
-// ids: every trie node holds a forkable WhatIfState with that id-prefix
-// already applied, so two sets sharing a prefix pay for it once — the second
-// set walks the existing nodes (counted as cache hits) and only forks where
-// it diverges. The idiom follows streaming query planners (plan once, reuse
+// ids: a trie node stands for that id-prefix applied to a forkable
+// WhatIfState, so two sets sharing a prefix pay for it once — the second set
+// walks the existing nodes (counted as cache hits) and only forks where it
+// diverges or ends. A node holds its state only once a set needs it, so a
+// new suffix costs one fork, not one per id. The idiom follows streaming query planners (plan once, reuse
 // across a batch); here the "plan" is the partially-applied updater state.
 
 // WhatIfState is the forkable what-if cursor capability (see
@@ -53,7 +54,7 @@ type WhatIfResult struct {
 }
 
 type whatifNode struct {
-	state    WhatIfState
+	state    WhatIfState // nil until a set ends or diverges here
 	children map[int]*whatifNode
 	model    *Model
 	err      error
@@ -102,41 +103,70 @@ func (p *WhatIfPlanner) Nodes() int { return p.nodes }
 
 // leaf walks/extends the trie to the node holding exactly ids (which must be
 // strictly ascending: a set has one canonical path, so overlapping sets
-// share their prefixes). Past MaxNodes the remaining suffix is applied onto
-// a transient fork that is not retained.
+// share their prefixes). A new suffix is applied onto one fork in a single
+// Apply; its interior nodes, kept for later sets to share, hold no state
+// until a set ends or diverges there, when the nearest ancestor with a state
+// is forked and the ids between are applied (a log folds to the same bits
+// however it is split into Apply batches). Past MaxNodes the remaining
+// suffix is applied onto a transient fork that is not retained.
 func (p *WhatIfPlanner) leaf(ids []int) (*whatifNode, error) {
 	for i := 1; i < len(ids); i++ {
 		if ids[i] <= ids[i-1] {
 			return nil, fmt.Errorf("priu: whatif set must be strictly ascending (%d after %d)", ids[i], ids[i-1])
 		}
 	}
-	cur := p.root
-	for i, id := range ids {
-		if child, ok := cur.children[id]; ok {
-			p.hits++
-			cur = child
-			continue
+	cur, base, baseAt := p.root, p.root, 0
+	i := 0
+	for ; i < len(ids); i++ {
+		child, ok := cur.children[ids[i]]
+		if !ok {
+			break
 		}
-		if p.nodes >= p.MaxNodes {
-			st := cur.state.Fork()
-			if err := st.Apply(ids[i:]); err != nil {
-				return nil, err
-			}
-			return &whatifNode{state: st}, nil
+		p.hits++
+		cur = child
+		if cur.state != nil {
+			base, baseAt = cur, i+1
 		}
-		st := cur.state.Fork()
-		if err := st.Apply([]int{id}); err != nil {
-			return nil, err
-		}
-		child := &whatifNode{state: st}
+	}
+	if err := materialize(cur, base, ids[baseAt:i]); err != nil {
+		return nil, err
+	}
+	if i == len(ids) {
+		return cur, nil
+	}
+	st := cur.state.Fork()
+	if err := st.Apply(ids[i:]); err != nil {
+		return nil, err
+	}
+	for ; i < len(ids) && p.nodes < p.MaxNodes; i++ {
+		child := &whatifNode{}
 		if cur.children == nil {
 			cur.children = make(map[int]*whatifNode)
 		}
-		cur.children[id] = child
+		cur.children[ids[i]] = child
 		p.nodes++
 		cur = child
 	}
+	if i < len(ids) {
+		return &whatifNode{state: st}, nil
+	}
+	cur.state = st
 	return cur, nil
+}
+
+// materialize gives n a state, when it has none, by forking base (an
+// ancestor with a state) and applying between, the ids on the path from base
+// to n.
+func materialize(n, base *whatifNode, between []int) error {
+	if n.state != nil {
+		return nil
+	}
+	st := base.state.Fork()
+	if err := st.Apply(between); err != nil {
+		return err
+	}
+	n.state = st
+	return nil
 }
 
 // evalNode evaluates a node once, memoizing the model on the node so a later

@@ -37,6 +37,9 @@ func TestWhatIfPlannerIncrementalBitwise(t *testing.T) {
 		{3, 17, 42},     // duplicate: memoized leaf
 		{90, 95},        // disjoint
 		{},              // empty set = current model
+		{3},             // ends inside the first set's path
+		{90, 95, 97, 99, 101},
+		{90, 95, 97, 100}, // diverges inside the previous set's new suffix
 	}
 	results := p.EvalBatch(sets, 2)
 	for i, r := range results {
@@ -147,5 +150,84 @@ func TestWhatIfPlannerRejectsBadSets(t *testing.T) {
 	}
 	if !bitwiseEqual(got, want) {
 		t.Fatal("post-rejection eval differs from Update")
+	}
+}
+
+// countingUpdater wraps an updater's what-if cursors to count, across the
+// whole trie, how many states the planner forks and how many ids it applies.
+type countingUpdater struct {
+	Updater
+	forks, applied int
+}
+
+func (u *countingUpdater) WhatIf() (WhatIfState, error) {
+	st, err := u.Updater.(WhatIfer).WhatIf()
+	if err != nil {
+		return nil, err
+	}
+	return countingState{st, u}, nil
+}
+
+type countingState struct {
+	WhatIfState
+	u *countingUpdater
+}
+
+func (s countingState) Fork() WhatIfState {
+	s.u.forks++
+	return countingState{s.WhatIfState.Fork(), s.u}
+}
+
+func (s countingState) Apply(ids []int) error {
+	s.u.applied += len(ids)
+	return s.WhatIfState.Apply(ids)
+}
+
+// TestWhatIfPlannerForksWhereSetsMeet: a new suffix costs one fork however
+// long it is; a node on it gets its own state only when a later set ends or
+// diverges there.
+func TestWhatIfPlannerForksWhereSetsMeet(t *testing.T) {
+	testWorkers(t)
+	base, err := Train(FamilyLogisticOpt, denseSet(t, FamilyLogisticOpt), testOpts()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := &countingUpdater{Updater: base}
+	p, err := NewWhatIfPlanner(u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	long := make([]int, 40)
+	for i := range long {
+		long[i] = 2 * i
+	}
+	extended := append(append([]int(nil), long...), 95)
+	diverged := append(append([]int(nil), long[:20]...), 41)
+	steps := []struct {
+		set            []int
+		forks, applied int
+	}{
+		{long, 1, 40},     // one fork applies the whole new suffix
+		{extended, 2, 41}, // the first leaf has a state: fork it once
+		// Node 20 has no state yet: fork the root and apply 20 ids, then
+		// fork node 20 for the new id.
+		{diverged, 4, 62},
+		{long[:20], 4, 62}, // node 20 now has a state
+	}
+	for i, st := range steps {
+		got, err := p.Eval(st.set)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := base.Update(st.set)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bitwiseEqual(got, want) {
+			t.Fatalf("step %d: planner result differs from Update", i)
+		}
+		if u.forks != st.forks || u.applied != st.applied {
+			t.Fatalf("step %d: %d forks and %d applied ids, want %d and %d", i, u.forks, u.applied, st.forks, st.applied)
+		}
 	}
 }
