@@ -16,6 +16,10 @@
 //     to subtracting their contributions ΔC⁽ᵗ⁾/ΔD⁽ᵗ⁾ from the caches and
 //     re-running the cheap linear iteration — O(rm + ΔBm) per iteration
 //     instead of O((B−ΔB)m) plus non-linear evaluations for retraining.
+//     Every family evaluates the ΔB·m term with one kernel, foldRemoved:
+//     it takes the batch's removed rows four at a time, computing their four
+//     dots with w in one pass over w and adding them to ΔC·w and ΔD in
+//     one fused pass, with the bits of one dot and two axpys per row.
 //
 // PrIU-opt adds the small-feature-space optimizations of Sec 5.2/5.4:
 // a GD approximation with eigendecomposition of M = XᵀX and incremental
@@ -28,6 +32,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/mat"
 	"repro/internal/par"
@@ -359,4 +364,84 @@ func gatherRemoved(x *mat.Dense, mask []bool, ids []int, at func(r, i int)) *mat
 		}
 	}
 	return dst
+}
+
+// appendRemoved appends the batch positions of batch's members under mask
+// (nil removes nothing) to pos, in batch order. Every position is written
+// and the length advances only past removed members, so the scan does not
+// branch on the mask.
+func appendRemoved(pos, batch []int, mask []bool) []int {
+	if mask == nil {
+		return pos
+	}
+	c := len(pos)
+	pos = slices.Grow(pos, len(batch))[:c+len(batch)]
+	for k, i := range batch {
+		pos[c] = k
+		if mask[i] {
+			c++
+		}
+	}
+	return pos[:c]
+}
+
+// foldRemoved sets one iteration's removed-row corrections of Eq 13/19,
+// dGW = ΔC·w = Σ aₖ·xᵢ and dDV = ΔD = Σ dₖ·xᵢ over the removed members
+// i = batch[k], k in pos, where coef(k, i, xᵢ·w) returns (aₖ, dₖ). Four rows
+// share each pass: four independent dot chains share each load of w, as in
+// Dense.MulVecInto, and one fused pass adds the four rows to both sums. Every
+// dot folds j in ascending order and every coordinate adds the rows in order
+// from zero, so the bits are those of one mat.Dot and two mat.Axpy calls per
+// row.
+func foldRemoved(dGW, dDV []float64, x *mat.Dense, w []float64, batch, pos []int, coef func(k, i int, dot float64) (a, d float64)) {
+	n := len(w)
+	dGW, dDV = dGW[:n:n], dDV[:n:n]
+	mat.ZeroVec(dGW)
+	mat.ZeroVec(dDV)
+	r := 0
+	for ; r+4 <= len(pos); r += 4 {
+		i0, i1, i2, i3 := batch[pos[r]], batch[pos[r+1]], batch[pos[r+2]], batch[pos[r+3]]
+		x0 := x.Row(i0)[:n:n]
+		x1 := x.Row(i1)[:n:n]
+		x2 := x.Row(i2)[:n:n]
+		x3 := x.Row(i3)[:n:n]
+		var s0, s1, s2, s3 float64
+		for j, wv := range w[:n] {
+			s0 += x0[j] * wv
+			s1 += x1[j] * wv
+			s2 += x2[j] * wv
+			s3 += x3[j] * wv
+		}
+		a0, d0 := coef(pos[r], i0, s0)
+		a1, d1 := coef(pos[r+1], i1, s1)
+		a2, d2 := coef(pos[r+2], i2, s2)
+		a3, d3 := coef(pos[r+3], i3, s3)
+		for j, g := range dGW {
+			v0, v1, v2, v3 := x0[j], x1[j], x2[j], x3[j]
+			g += a0 * v0
+			g += a1 * v1
+			g += a2 * v2
+			g += a3 * v3
+			dGW[j] = g
+			e := dDV[j]
+			e += d0 * v0
+			e += d1 * v1
+			e += d2 * v2
+			e += d3 * v3
+			dDV[j] = e
+		}
+	}
+	for ; r < len(pos); r++ {
+		k := pos[r]
+		xi := x.Row(batch[k])[:n:n]
+		var s float64
+		for j, wv := range w[:n] {
+			s += xi[j] * wv
+		}
+		a, d := coef(k, batch[k], s)
+		for j, v := range xi {
+			dGW[j] += a * v
+			dDV[j] += d * v
+		}
+	}
 }

@@ -118,58 +118,40 @@ func (lp *LinearProvenance) Update(removed []int) (*gbm.Model, error) {
 	m := lp.data.M()
 	w := make([]float64, m)
 	gw := make([]float64, m)
-	scratch := make([]float64, lp.scratchLen())
+	scratch := make([]float64, lp.maxRank)
+	dGW := make([]float64, m)
+	dDV := make([]float64, m)
+	pos := make([]int, 0, lp.cfg.BatchSize)
 	eta, lambda := lp.cfg.Eta, lp.cfg.Lambda
+	decay := 1 - eta*lambda
 	for t := 0; t < lp.cfg.Iterations; t++ {
 		batch := lp.sched.Batch(t)
-		// gw = (Σ_B xxᵀ)·w from the cache.
-		lp.caches[t].apply(gw, w, scratch)
-		// Subtract removed contributions: Δ(xxᵀw) and Δ(xy) directly from the
-		// data rows (the matrix-vector associativity trick of Sec 5.1).
-		bU := len(batch)
-		var dGW, dDV []float64 // lazily allocated only if something is removed
-		for _, i := range batch {
-			if mask == nil || !mask[i] {
-				continue
-			}
-			bU--
-			if dGW == nil {
-				dGW = scratch[:m]
-				dDV = make([]float64, m)
-				mat.ZeroVec(dGW)
-			}
-			xi := lp.data.X.Row(i)
-			mat.Axpy(dGW, mat.Dot(xi, w), xi)
-			mat.Axpy(dDV, lp.data.Y[i], xi)
-		}
-		decay := 1 - eta*lambda
+		pos = appendRemoved(pos[:0], batch, mask)
+		bU := len(batch) - len(pos)
 		if bU == 0 {
 			mat.ScaleVec(w, decay)
 			continue
 		}
+		// gw = (Σ_B xxᵀ)·w from the cache.
+		lp.caches[t].apply(gw, w, scratch)
 		f := 2 * eta / float64(bU)
 		dv := lp.dvecs[t]
-		if dGW == nil {
+		if len(pos) == 0 {
 			for j := range w {
 				w[j] = decay*w[j] - f*gw[j] + f*dv[j]
 			}
-		} else {
-			for j := range w {
-				w[j] = decay*w[j] - f*(gw[j]-dGW[j]) + f*(dv[j]-dDV[j])
-			}
+			continue
+		}
+		// Subtract removed contributions: Δ(xxᵀw) and Δ(xy) directly from the
+		// data rows (the matrix-vector associativity trick of Sec 5.1).
+		foldRemoved(dGW, dDV, lp.data.X, w, batch, pos, func(_, i int, dot float64) (float64, float64) {
+			return dot, lp.data.Y[i]
+		})
+		for j := range w {
+			w[j] = decay*w[j] - f*(gw[j]-dGW[j]) + f*(dv[j]-dDV[j])
 		}
 	}
 	return &gbm.Model{Task: dataset.Regression, W: mat.NewDenseData(1, m, w)}, nil
-}
-
-// scratchLen returns a buffer length covering both the SVD intermediate
-// (length max rank) and the removed-contribution accumulator (length m).
-func (lp *LinearProvenance) scratchLen() int {
-	m := lp.data.M()
-	if lp.maxRank > m {
-		return lp.maxRank
-	}
-	return m
 }
 
 // FootprintBytes returns the memory occupied by the cached provenance

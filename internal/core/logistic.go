@@ -162,49 +162,36 @@ func (lp *LogisticProvenance) Update(removed []int) (*gbm.Model, error) {
 func (lp *LogisticProvenance) updateInto(w []float64, mask []bool, t0, tEnd int) {
 	m := lp.data.M()
 	cw := make([]float64, m)
-	scratchLen := lp.maxRank
-	if m > scratchLen {
-		scratchLen = m
-	}
-	scratch := make([]float64, scratchLen)
+	scratch := make([]float64, lp.maxRank)
+	dGW := make([]float64, m)
 	dDV := make([]float64, m)
+	pos := make([]int, 0, lp.cfg.BatchSize)
 	eta, lambda := lp.cfg.Eta, lp.cfg.Lambda
+	decay := 1 - eta*lambda
 	for t := t0; t < tEnd; t++ {
 		batch := lp.sched.Batch(t)
-		lp.caches[t].apply(cw, w, scratch)
-		bU := len(batch)
-		removedAny := false
-		dGW := scratch[:m]
-		for k, i := range batch {
-			if mask == nil || !mask[i] {
-				continue
-			}
-			bU--
-			if !removedAny {
-				removedAny = true
-				mat.ZeroVec(dGW)
-				mat.ZeroVec(dDV)
-			}
-			xi := lp.data.X.Row(i)
-			// ΔC⁽ᵗ⁾w = Σ aᵢ·xᵢ(xᵢᵀw); ΔD⁽ᵗ⁾ = Σ bᵢ·yᵢxᵢ.
-			mat.Axpy(dGW, lp.aCoef[t][k]*mat.Dot(xi, w), xi)
-			mat.Axpy(dDV, lp.bCoef[t][k]*lp.data.Y[i], xi)
-		}
-		decay := 1 - eta*lambda
+		pos = appendRemoved(pos[:0], batch, mask)
+		bU := len(batch) - len(pos)
 		if bU == 0 {
 			mat.ScaleVec(w, decay)
 			continue
 		}
+		lp.caches[t].apply(cw, w, scratch)
 		f := eta / float64(bU)
 		dv := lp.dvecs[t]
-		if !removedAny {
+		if len(pos) == 0 {
 			for j := range w {
 				w[j] = decay*w[j] + f*(cw[j]+dv[j])
 			}
-		} else {
-			for j := range w {
-				w[j] = decay*w[j] + f*(cw[j]-dGW[j]+dv[j]-dDV[j])
-			}
+			continue
+		}
+		// ΔC⁽ᵗ⁾w = Σ aᵢ·xᵢ(xᵢᵀw); ΔD⁽ᵗ⁾ = Σ bᵢ·yᵢxᵢ.
+		a, b := lp.aCoef[t], lp.bCoef[t]
+		foldRemoved(dGW, dDV, lp.data.X, w, batch, pos, func(k, i int, dot float64) (float64, float64) {
+			return a[k] * dot, b[k] * lp.data.Y[i]
+		})
+		for j := range w {
+			w[j] = decay*w[j] + f*(cw[j]-dGW[j]+dv[j]-dDV[j])
 		}
 	}
 }

@@ -50,10 +50,7 @@ func CaptureLogisticOpt(d *dataset.Dataset, cfg gbm.Config, sched *gbm.Schedule,
 	if err != nil {
 		return nil, err
 	}
-	// Remember the full horizon for the second phase.
-	prov.cfg.Iterations = ts // capture stored ts; keep explicit
 	lo := &LogisticOpt{prov: prov, ts: ts}
-	lo.prov.cfg = capCfg
 
 	m := d.M()
 	w := prov.modelL.W.Row(0)

@@ -200,69 +200,56 @@ func (mp *MultinomialProvenance) Update(removed []int) (*gbm.Model, error) {
 
 // updateInto rolls the per-class incremental update from iteration t0 to
 // tEnd on w in place. Classes evolve independently — the only cross-class
-// inputs are the per-iteration surviving batch sizes, which are precomputed —
-// so classes run in parallel, each rolling all its iterations with private
-// scratch. The restructure preserves the serial per-class arithmetic order,
-// and the nested kernels (including the SVD caches' transpose mat-vec, which
-// reduces via par.MapReduceDet) are bitwise-deterministic at any worker
-// count, so the update is too.
+// inputs are the per-iteration surviving batch sizes and removed members,
+// which one pre-scan lists and every class then reads — so classes run in
+// parallel, each rolling all its iterations with private scratch. The
+// restructure preserves the serial per-class arithmetic order, and the nested
+// kernels (including the SVD caches' transpose mat-vec, which reduces via
+// par.MapReduceDet) are bitwise-deterministic at any worker count, so the
+// update is too.
 func (mp *MultinomialProvenance) updateInto(w *mat.Dense, mask []bool, t0, tEnd int) {
 	m, q := mp.data.M(), mp.q
 	eta, lambda := mp.cfg.Eta, mp.cfg.Lambda
 	decay := 1 - eta*lambda
-	bUs := make([]int, tEnd-t0)
+	// Iteration t's removed members are at batch positions
+	// pos[off[t−t0]:off[t−t0+1]].
+	off := make([]int, tEnd-t0+1)
+	var pos []int
 	for t := t0; t < tEnd; t++ {
-		batch := mp.sched.Batch(t)
-		bU := len(batch)
-		if mask != nil {
-			for _, i := range batch {
-				if mask[i] {
-					bU--
-				}
-			}
-		}
-		bUs[t-t0] = bU
+		pos = appendRemoved(pos, mp.sched.Batch(t), mask)
+		off[t-t0+1] = len(pos)
 	}
 	par.For(q, 1, func(klo, khi int) {
 		cw := make([]float64, m)
-		scratch := make([]float64, m)
+		scratch := make([]float64, mp.maxRank)
 		dGW := make([]float64, m)
 		dDV := make([]float64, m)
 		for k := klo; k < khi; k++ {
 			wk := w.Row(k)
 			for t := t0; t < tEnd; t++ {
-				bU := bUs[t-t0]
+				lo, hi := off[t-t0], off[t-t0+1]
+				batch := mp.sched.Batch(t)
+				b := len(batch)
+				bU := b - (hi - lo)
 				if bU == 0 {
 					mat.ScaleVec(wk, decay)
 					continue
 				}
-				batch := mp.sched.Batch(t)
-				b := len(batch)
 				mp.caches[t][k].apply(cw, wk, scratch)
-				removedAny := false
-				for j, i := range batch {
-					if mask == nil || !mask[i] {
-						continue
-					}
-					if !removedAny {
-						removedAny = true
-						mat.ZeroVec(dGW)
-						mat.ZeroVec(dDV)
-					}
-					xi := mp.data.X.Row(i)
-					mat.Axpy(dGW, mp.aCoef[t][k*b+j]*mat.Dot(xi, wk), xi)
-					mat.Axpy(dDV, mp.cCoef[t][k*b+j], xi)
-				}
 				f := eta / float64(bU)
 				dv := mp.dvecs[t][k]
-				if !removedAny {
+				if lo == hi {
 					for j := range wk {
 						wk[j] = decay*wk[j] - f*(cw[j]+dv[j])
 					}
-				} else {
-					for j := range wk {
-						wk[j] = decay*wk[j] - f*(cw[j]-dGW[j]+dv[j]-dDV[j])
-					}
+					continue
+				}
+				a, c := mp.aCoef[t][k*b:(k+1)*b], mp.cCoef[t][k*b:(k+1)*b]
+				foldRemoved(dGW, dDV, mp.data.X, wk, batch, pos[lo:hi], func(j, _ int, dot float64) (float64, float64) {
+					return a[j] * dot, c[j]
+				})
+				for j := range wk {
+					wk[j] = decay*wk[j] - f*(cw[j]-dGW[j]+dv[j]-dDV[j])
 				}
 			}
 		}

@@ -174,40 +174,49 @@ func (m *Dense) MulVec(x []float64) []float64 {
 
 // MulVecInto computes dst = m*x. dst must have length m.rows and must not
 // alias x. Output rows are independent, so large matrices are processed
-// row-block-parallel.
+// row-block-parallel; a matrix within one grain runs the same rows serially
+// without allocating.
 func (m *Dense) MulVecInto(dst, x []float64) {
 	if len(x) != m.cols || len(dst) != m.rows {
 		panic(fmt.Sprintf("mat: MulVec dimension mismatch %dx%d * %d -> %d", m.rows, m.cols, len(x), len(dst)))
 	}
-	par.For(m.rows, parGrain(m.cols), func(lo, hi int) {
-		n := m.cols
-		i := lo
-		// Four rows at a time: four independent dot-product chains share
-		// each load of x. Each row still folds j = 0..n−1 in order, so its
-		// bits match the one-row tail loop.
-		for ; i+4 <= hi; i += 4 {
-			r0 := m.data[i*n : (i+1)*n : (i+1)*n]
-			r1 := m.data[(i+1)*n : (i+2)*n : (i+2)*n]
-			r2 := m.data[(i+2)*n : (i+3)*n : (i+3)*n]
-			r3 := m.data[(i+3)*n : (i+4)*n : (i+4)*n]
-			var s0, s1, s2, s3 float64
-			for j, xv := range x[:n] {
-				s0 += r0[j] * xv
-				s1 += r1[j] * xv
-				s2 += r2[j] * xv
-				s3 += r3[j] * xv
-			}
-			dst[i], dst[i+1], dst[i+2], dst[i+3] = s0, s1, s2, s3
+	grain := parGrain(m.cols)
+	if m.rows <= grain {
+		m.mulVecRows(dst, x, 0, m.rows)
+		return
+	}
+	par.For(m.rows, grain, func(lo, hi int) { m.mulVecRows(dst, x, lo, hi) })
+}
+
+// mulVecRows sets dst[i] = row_i·x for i in [lo, hi).
+func (m *Dense) mulVecRows(dst, x []float64, lo, hi int) {
+	n := m.cols
+	i := lo
+	// Four rows at a time: four independent dot-product chains share each
+	// load of x. Each row still folds j = 0..n−1 in order, so its bits match
+	// the one-row tail loop.
+	for ; i+4 <= hi; i += 4 {
+		r0 := m.data[i*n : (i+1)*n : (i+1)*n]
+		r1 := m.data[(i+1)*n : (i+2)*n : (i+2)*n]
+		r2 := m.data[(i+2)*n : (i+3)*n : (i+3)*n]
+		r3 := m.data[(i+3)*n : (i+4)*n : (i+4)*n]
+		var s0, s1, s2, s3 float64
+		for j, xv := range x[:n] {
+			s0 += r0[j] * xv
+			s1 += r1[j] * xv
+			s2 += r2[j] * xv
+			s3 += r3[j] * xv
 		}
-		for ; i < hi; i++ {
-			ri := m.data[i*n : (i+1)*n]
-			var s float64
-			for j, v := range ri {
-				s += v * x[j]
-			}
-			dst[i] = s
+		dst[i], dst[i+1], dst[i+2], dst[i+3] = s0, s1, s2, s3
+	}
+	for ; i < hi; i++ {
+		ri := m.data[i*n : (i+1)*n]
+		var s float64
+		for j, v := range ri {
+			s += v * x[j]
 		}
-	})
+		dst[i] = s
+	}
 }
 
 // MulVecT returns mᵀ*x as a new vector of length m.cols.

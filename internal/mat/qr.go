@@ -6,10 +6,9 @@ import (
 )
 
 // QR holds a Householder QR factorization A = Q·R of an n×m matrix with
-// n ≥ m. It backs the least-squares solves used when the ridge normal
-// equations are too ill-conditioned for Cholesky (tiny λ with nearly
-// collinear features) — a robustness path for the closed-form baseline and
-// the diagnostics package.
+// n ≥ m. It solves least-squares problems directly, without forming normal
+// equations that are too ill-conditioned for Cholesky (tiny λ with nearly
+// collinear features).
 type QR struct {
 	n, m int
 	// qr stores R in the upper triangle and the Householder vectors below.

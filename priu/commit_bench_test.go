@@ -1,6 +1,7 @@
 package priu
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -75,5 +76,46 @@ func BenchmarkCommitLongLog(b *testing.B) {
 	perOp := b.Elapsed().Nanoseconds() / int64(b.N)
 	if perOp > 0 {
 		b.ReportMetric(float64(baselineNs)/float64(perOp), "speedup")
+	}
+}
+
+// BenchmarkLogisticOptEvalLongLog is the layer benchmark of one cursor Eval
+// — the PrIU phase-1 roll to ts plus the eigenbasis tail that every commit
+// and what-if pays — on the BenchmarkCommitLongLog session (n=20000, m=32,
+// B=500, τ=100, one worker) at 400-, 2000- and 4000-row deletion logs, with
+// ns/op, B/op and allocs/op. The slope across the log lengths is the
+// removed-row term of Eq 19. It reports no speedup, so benchguard sets no
+// floor.
+func BenchmarkLogisticOptEvalLongLog(b *testing.B) {
+	prev := Workers()
+	SetWorkers(1)
+	b.Cleanup(func() { SetWorkers(prev) })
+
+	const n, m = 20000, 32
+	d, err := GenerateBinary("b-commit", n, m, 1.0, 5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	u, err := Train(FamilyLogisticOpt, d,
+		WithEta(0.05), WithLambda(0.01), WithBatchSize(500),
+		WithIterations(100), WithSeed(5))
+	if err != nil {
+		b.Fatal(err)
+	}
+	perm := rand.New(rand.NewSource(9)).Perm(n)
+	for _, logLen := range []int{400, 2000, 4000} {
+		b.Run(fmt.Sprintf("log=%d", logLen), func(b *testing.B) {
+			cur, err := ReplayLog(u, n, perm[:logLen])
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := cur.Eval(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
