@@ -121,7 +121,7 @@ func (lp *LinearProvenance) Update(removed []int) (*gbm.Model, error) {
 	scratch := make([]float64, lp.maxRank)
 	dGW := make([]float64, m)
 	dDV := make([]float64, m)
-	pos := make([]int, 0, lp.cfg.BatchSize)
+	var pos []int
 	eta, lambda := lp.cfg.Eta, lp.cfg.Lambda
 	decay := 1 - eta*lambda
 	for t := 0; t < lp.cfg.Iterations; t++ {
@@ -136,14 +136,9 @@ func (lp *LinearProvenance) Update(removed []int) (*gbm.Model, error) {
 		lp.caches[t].apply(gw, w, scratch)
 		f := 2 * eta / float64(bU)
 		dv := lp.dvecs[t]
-		if len(pos) == 0 {
-			for j := range w {
-				w[j] = decay*w[j] - f*gw[j] + f*dv[j]
-			}
-			continue
-		}
 		// Subtract removed contributions: Δ(xxᵀw) and Δ(xy) directly from the
-		// data rows (the matrix-vector associativity trick of Sec 5.1).
+		// data rows (the matrix-vector associativity trick of Sec 5.1). With
+		// none removed both are +0 and leave the terms exact.
 		foldRemoved(dGW, dDV, lp.data.X, w, batch, pos, func(_, i int, dot float64) (float64, float64) {
 			return dot, lp.data.Y[i]
 		})

@@ -165,7 +165,7 @@ func (lp *LogisticProvenance) updateInto(w []float64, mask []bool, t0, tEnd int)
 	scratch := make([]float64, lp.maxRank)
 	dGW := make([]float64, m)
 	dDV := make([]float64, m)
-	pos := make([]int, 0, lp.cfg.BatchSize)
+	var pos []int
 	eta, lambda := lp.cfg.Eta, lp.cfg.Lambda
 	decay := 1 - eta*lambda
 	for t := t0; t < tEnd; t++ {
@@ -179,13 +179,8 @@ func (lp *LogisticProvenance) updateInto(w []float64, mask []bool, t0, tEnd int)
 		lp.caches[t].apply(cw, w, scratch)
 		f := eta / float64(bU)
 		dv := lp.dvecs[t]
-		if len(pos) == 0 {
-			for j := range w {
-				w[j] = decay*w[j] + f*(cw[j]+dv[j])
-			}
-			continue
-		}
-		// ΔC⁽ᵗ⁾w = Σ aᵢ·xᵢ(xᵢᵀw); ΔD⁽ᵗ⁾ = Σ bᵢ·yᵢxᵢ.
+		// ΔC⁽ᵗ⁾w = Σ aᵢ·xᵢ(xᵢᵀw); ΔD⁽ᵗ⁾ = Σ bᵢ·yᵢxᵢ, both +0 when none is
+		// removed, which leaves the terms exact.
 		a, b := lp.aCoef[t], lp.bCoef[t]
 		foldRemoved(dGW, dDV, lp.data.X, w, batch, pos, func(k, i int, dot float64) (float64, float64) {
 			return a[k] * dot, b[k] * lp.data.Y[i]

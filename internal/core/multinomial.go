@@ -221,7 +221,7 @@ func (mp *MultinomialProvenance) updateInto(w *mat.Dense, mask []bool, t0, tEnd 
 	}
 	par.For(q, 1, func(klo, khi int) {
 		cw := make([]float64, m)
-		scratch := make([]float64, mp.maxRank)
+		scratch := make([]float64, m)
 		dGW := make([]float64, m)
 		dDV := make([]float64, m)
 		for k := klo; k < khi; k++ {
@@ -238,12 +238,6 @@ func (mp *MultinomialProvenance) updateInto(w *mat.Dense, mask []bool, t0, tEnd 
 				mp.caches[t][k].apply(cw, wk, scratch)
 				f := eta / float64(bU)
 				dv := mp.dvecs[t][k]
-				if lo == hi {
-					for j := range wk {
-						wk[j] = decay*wk[j] - f*(cw[j]+dv[j])
-					}
-					continue
-				}
 				a, c := mp.aCoef[t][k*b:(k+1)*b], mp.cCoef[t][k*b:(k+1)*b]
 				foldRemoved(dGW, dDV, mp.data.X, wk, batch, pos[lo:hi], func(j, _ int, dot float64) (float64, float64) {
 					return a[j] * dot, c[j]
