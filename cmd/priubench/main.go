@@ -18,23 +18,16 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/par"
 	"repro/priu/bench"
 )
 
 func main() {
 	var (
-		exp        = flag.String("exp", "", "experiment id to run (or \"all\")")
-		scale      = flag.Float64("scale", 1.0, "workload scale factor in (0,1]")
-		list       = flag.Bool("list", false, "list available experiments")
-		parMinWork = flag.Int("par-minwork", 0, "pin the per-chunk parallel work cutoff (0 = measure at startup; "+par.EnvMinWork+" also pins)")
+		exp   = flag.String("exp", "", "experiment id to run (or \"all\")")
+		scale = flag.Float64("scale", 1.0, "workload scale factor in (0,1]")
+		list  = flag.Bool("list", false, "list available experiments")
 	)
 	flag.Parse()
-	if *parMinWork > 0 {
-		par.SetCutoffs(*parMinWork, *parMinWork)
-	} else {
-		par.Calibrate()
-	}
 
 	if *list || *exp == "" {
 		fmt.Println("available experiments:")

@@ -4,8 +4,6 @@
 //
 //	priuserve -addr :8080 -workers 0 -max-sessions 0 -max-bytes 0 \
 //	          -store-dir /var/lib/priu -spill -spill-max-bytes 0 \
-//	          -spill-queue 256 -spill-workers 1 \
-//	          -spill-gc-age 1h -spill-gc-interval 1m \
 //	          -drain-timeout 15s \
 //	          -whatif-workers 0 -whatif-limit 8 \
 //	          -auth required -auth-keys /etc/priu/keys.json \
@@ -57,20 +55,23 @@
 // flushes its backlog, and only then drains stragglers, so everything the
 // queue accepted reaches disk exactly once.
 //
-// The spill tier is managed by a lifecycle manager:
+// The spill tier is managed by a lifecycle manager with fixed settings
+// (priu/store's defaults; the end-to-end benchmark runs the same ones):
 //
-//   - write-behind: a background queue (-spill-queue deep, -spill-workers
-//     wide) snapshots sessions eagerly as they are registered and mutated,
-//     so LRU evictions usually just drop the resident copy instead of
-//     paying snapshot IO on the evicting request's goroutine. A full queue
-//     falls back to the synchronous spill — never a lost session.
+//   - write-behind: a background queue (256 deep, one worker) snapshots
+//     sessions eagerly as they are registered and after every mutation, so
+//     LRU evictions usually just drop the resident copy instead of paying
+//     snapshot IO on the evicting request's goroutine. A full queue falls
+//     back to the synchronous spill — never a lost session.
+//   - compaction: a session's delta chain folds into a new base snapshot
+//     once it holds 8 segments.
 //   - disk budget: -spill-max-bytes bounds the spill directory; when a new
 //     spill would exceed it, least-recently-used spill files are evicted
 //     (warm backups of dirty resident sessions first, then cold sessions —
 //     whose drop is counted as a disk_eviction in /v1/stats).
-//   - GC: every -spill-gc-interval, orphaned session files and stale temp
-//     files older than -spill-gc-age are removed and the spill_dir_bytes
-//     gauge is refreshed from the directory.
+//   - GC: every minute, orphaned session files and stale temp files older
+//     than an hour are removed and the spill_dir_bytes gauge is refreshed
+//     from the directory.
 //
 // Per-tenant "max_spill_bytes" caps in the -auth-keys file bound each
 // tenant's share of the spill volume: spills over the cap are rejected (the
@@ -127,7 +128,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/par"
 	"repro/priu"
 	"repro/priu/cluster"
 	"repro/priu/obs"
@@ -144,13 +144,6 @@ func main() {
 	storeDir := flag.String("store-dir", "", "spill directory for the tiered session store (empty = memory only)")
 	spill := flag.Bool("spill", true, "with -store-dir: spill evicted sessions to disk instead of dropping them")
 	spillMaxBytes := flag.Int64("spill-max-bytes", 0, "disk budget for the spill directory; LRU spill files are evicted to stay under it (0 = unbounded)")
-	spillQueue := flag.Int("spill-queue", 256, "write-behind queue depth for eager background snapshots (0 = synchronous spills only)")
-	spillWorkers := flag.Int("spill-workers", 1, "background snapshot workers draining the write-behind queue")
-	spillGCAge := flag.Duration("spill-gc-age", time.Hour, "age before an orphaned spill-directory file is garbage-collected")
-	spillGCInterval := flag.Duration("spill-gc-interval", time.Minute, "period of the spill-directory GC sweep (0 = disabled)")
-	spillCoalesce := flag.Int("spill-coalesce", 1, "debounce background spills until a session accumulates this many updates (1 = spill eagerly)")
-	spillQuiet := flag.Duration("spill-quiet", 50*time.Millisecond, "with -spill-coalesce > 1: spill a debounced session after this much quiet time even below the update threshold")
-	spillCompact := flag.Int("spill-compact", 8, "fold a session's delta chain into a new base once it holds this many segments (<= 0 disables compaction)")
 	drainTimeout := flag.Duration("drain-timeout", 15*time.Second, "max wait for in-flight requests before the shutdown snapshot")
 	whatifWorkers := flag.Int("whatif-workers", 0, "parallel evaluators per what-if batch (0 = GOMAXPROCS)")
 	whatifLimit := flag.Int("whatif-limit", 8, "max concurrent what-if requests per tenant (0 = unlimited)")
@@ -162,16 +155,8 @@ func main() {
 	probeInterval := flag.Duration("probe-interval", 3*time.Second, "fleet liveness-probe period (0 = probe only on request failures)")
 	adminAddr := flag.String("admin-addr", "", "operator listener for /metrics, /v2/debug/traces and /debug/pprof (empty = disabled; never expose to tenants)")
 	slowOpMs := flag.Int("slow-op-ms", 250, "log traces slower than this many milliseconds with their hottest span (<=0 = disabled)")
-	parMinWork := flag.Int("par-minwork", 0, "pin the per-chunk parallel work cutoff (0 = measure at startup; "+par.EnvMinWork+" also pins)")
 	flag.Parse()
 	priu.SetWorkers(*workers)
-	if *parMinWork > 0 {
-		par.SetCutoffs(*parMinWork, *parMinWork)
-	} else {
-		cal := par.Calibrate()
-		log.Printf("priuserve: par cutoffs compute=%d mem=%d (dispatch %.0fns, pinned=%v)",
-			cal.Compute, cal.Mem, cal.DispatchNs, cal.Pinned)
-	}
 
 	reg := obs.NewRegistry()
 	tracer := obs.NewTracer(0)
@@ -206,10 +191,7 @@ func main() {
 		tieredOpts := []store.TieredOption{
 			store.WithSpillOnEvict(*spill),
 			store.WithSpillMaxBytes(*spillMaxBytes),
-			store.WithWriteBehind(*spillQueue, *spillWorkers),
-			store.WithSpillCoalesce(*spillCoalesce, *spillQuiet),
-			store.WithCompaction(*spillCompact),
-			store.WithSpillGC(*spillGCAge, *spillGCInterval),
+			store.WithSpillGC(time.Hour, time.Minute),
 			store.WithMetrics(store.NewTierMetrics(reg)),
 		}
 		if *blob != "" {

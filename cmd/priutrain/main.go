@@ -39,7 +39,6 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/par"
 	"repro/priu"
 	"repro/priu/bench"
 	"repro/priu/client"
@@ -55,15 +54,8 @@ func main() {
 		server   = flag.String("server", "", "priuserve base URL; when set, run the workflow remotely through priu/client")
 		apiKey   = flag.String("api-key", "", "tenant API key for -server (Authorization: Bearer)")
 		whatif   = flag.Bool("whatif", false, "with -server: preview the removal through /v2 what-if before committing it")
-
-		parMinWork = flag.Int("par-minwork", 0, "pin the per-chunk parallel work cutoff (0 = measure at startup; "+par.EnvMinWork+" also pins)")
 	)
 	flag.Parse()
-	if *parMinWork > 0 {
-		par.SetCutoffs(*parMinWork, *parMinWork)
-	} else {
-		par.Calibrate()
-	}
 
 	wl, err := bench.WorkloadByID(*workload)
 	if err != nil {

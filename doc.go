@@ -50,11 +50,11 @@
 // Every kernel is bitwise-deterministic at any worker count: outputs are
 // written by exactly one chunk, or reduced via par.MapReduceDet, whose chunk
 // plan and fold order depend only on the shape (par.DetGrain) — never on the
-// pool size, the calibrated cutoffs or chunk completion order — so parallel
-// capture cannot perturb the store/fleet snapshot contract. The other chunk
-// grains derive from measured cutoffs: the cmds call par.Calibrate at
-// startup, and -par-minwork / PRIU_PAR_MINWORK pin the cutoffs for
-// reproducible runs (calibration only steers chunking, never results).
+// pool size, the work cutoff or chunk completion order — so parallel capture
+// cannot perturb the store/fleet snapshot contract. The other chunk grains
+// derive from one static work cutoff, par.MinWork (32768 flops or elements
+// per chunk); nothing measures or overrides it at startup, so the binaries
+// chunk exactly as the benchmarks do.
 //
 // priu.SetWorkers is the single parallelism knob (priuserve -workers);
 // Benchmark*Parallel in bench_parallel_test.go reports the measured
@@ -86,16 +86,19 @@
 // # Spill-tier lifecycle
 //
 // The disk tier is run by a lifecycle manager (priu/store/lifecycle.go):
-// a bounded write-behind queue snapshots sessions eagerly at registration
-// and after every applied deletion, so an LRU eviction usually finds its
-// victim clean-with-current-disk-copy and just drops the resident copy —
-// no spill IO under the victim's lock on the evicting request (backpressure
-// falls back to the synchronous spill; BenchmarkEvictLatency gates the win).
-// priuserve -spill-max-bytes bounds the spill directory with LRU file
-// eviction (dirty residents' warm backups first, then cold sessions — whose
-// drop is a counted disk_eviction), an age-based GC sweeps orphaned files,
-// and the spill_dir_bytes gauge is maintained incrementally from a boot-time
-// seed scan. Resident-tier evictions are fair-share across tenants (the
+// a bounded write-behind queue (256 deep, one worker) snapshots sessions
+// eagerly at registration and after every applied deletion, so an LRU
+// eviction usually finds its victim clean-with-current-disk-copy and just
+// drops the resident copy — no spill IO under the victim's lock on the
+// evicting request (backpressure falls back to the synchronous spill;
+// BenchmarkEvictLatency gates the win). A delta chain folds into a new base
+// once it holds 8 segments. priuserve -spill-max-bytes bounds the spill
+// directory with LRU file eviction (dirty residents' warm backups first,
+// then cold sessions — whose drop is a counted disk_eviction), a GC sweep
+// every minute removes orphaned files older than an hour, and the
+// spill_dir_bytes gauge is maintained incrementally from a boot-time seed
+// scan. These settings are fixed in priuserve (the store package's
+// defaults), so the server runs what the end-to-end benchmark measures. Resident-tier evictions are fair-share across tenants (the
 // tenant furthest over its equal share of resident bytes loses its LRU
 // session), and per-tenant max_spill_bytes caps bound each tenant's disk
 // share (HTTP 507 "spill_quota" at the cap). The lifecycle is hardened by a

@@ -269,7 +269,7 @@ func weightSign(rows [][]float64, weights []float64) (sign float64, nz int, err 
 // C*ₖ = Σᵢ aₖᵢ·xᵢxᵢᵀ for k < q over all rows of x, a indexed [k*n+i].
 // Capture and snapshot restore both build them here, through the blocked
 // Gram kernel whose reduction plan depends on the shape alone, so a restored
-// updater reproduces the captured bits at any worker count and calibration.
+// updater reproduces the captured bits at any worker count and work cutoff.
 func stabilizedEigens(x *mat.Dense, a []float64, q int) ([]*mat.Eigen, error) {
 	n := x.Rows()
 	rows := make([][]float64, n)

@@ -17,7 +17,7 @@ import (
 // the loaders rebuild the eigenbases through the same kernels capture used
 // (stabilizedEigens for C*, GramInto/MulVecTInto for linear's XᵀX and XᵀY).
 // Their reductions plan chunks from the shape alone, so the rebuild is
-// bitwise-identical at every size, worker count and calibration, and a
+// bitwise-identical at every size, worker count and work cutoff, and a
 // restored updater reproduces the original's Update output exactly.
 //
 // Each family gets its own magic so a stream can never be decoded by the

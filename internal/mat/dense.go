@@ -1,6 +1,6 @@
 // Package mat implements the dense linear-algebra substrate used throughout
 // the PrIU reproduction: matrices and vectors backed by flat float64 slices,
-// BLAS-like products, and the decompositions (Cholesky, LU, QR, symmetric
+// BLAS-like products, and the decompositions (Cholesky, LU, symmetric
 // eigendecomposition, SVD) that PrIU, PrIU-opt and the baselines rely on.
 //
 // The paper's implementation runs on PyTorch/scipy; Go has no standard
@@ -124,7 +124,7 @@ func (m *Dense) AddScaled(b *Dense, s float64) *Dense {
 	if m.rows != b.rows || m.cols != b.cols {
 		panic(fmt.Sprintf("mat: AddScaled dimension mismatch %dx%d vs %dx%d", m.rows, m.cols, b.rows, b.cols))
 	}
-	par.For(len(m.data), parGrainMem(), func(lo, hi int) {
+	par.For(len(m.data), parGrain(1), func(lo, hi int) {
 		dst, src := m.data[lo:hi], b.data[lo:hi]
 		for i, v := range src {
 			dst[i] += s * v
@@ -230,7 +230,7 @@ func (m *Dense) MulVecT(x []float64) []float64 {
 // alias x. Rows contribute to the whole output, so large matrices reduce
 // per-chunk partial sums with par.MapReduceDet: chunk boundaries and merge
 // order are fixed by the shape alone (detGrain), keeping the result
-// bitwise-deterministic at any worker count and calibration. The small-matrix
+// bitwise-deterministic at any worker count and work cutoff. The small-matrix
 // path stays allocation-free and, being a single chunk, computes the
 // identical fold.
 func (m *Dense) MulVecTInto(dst, x []float64) {
@@ -289,7 +289,7 @@ func (m *Dense) Gram() *Dense {
 // (par.MapReduceDet, planned by detGrain, partials recycled across calls);
 // wide matrices parallelize over disjoint output tiles. Both regimes are
 // selected by shape alone and are bitwise-deterministic at any worker count
-// and calibration.
+// and work cutoff.
 func (m *Dense) GramInto(dst *Dense) {
 	if dst.rows != m.cols || dst.cols != m.cols {
 		panic("mat: GramInto dimension mismatch")

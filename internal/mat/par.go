@@ -2,11 +2,6 @@ package mat
 
 import "repro/internal/par"
 
-// parGrainMem returns the chunk grain for memory-bound element loops
-// (AddScaled and friends): at least the pool's calibrated streamed-element
-// cutoff per chunk.
-func parGrainMem() int { return par.GrainMem(1) }
-
 // parGrain converts a per-item flop estimate into a chunk grain for par.For.
 func parGrain(perItem int) int { return par.Grain(perItem) }
 

@@ -80,14 +80,14 @@ func TestDetPlanIndependentOfWorkers(t *testing.T) {
 	}
 }
 
-// TestDetGrainIgnoresCutoffs: reduction plans come from the static MinWork,
-// so no calibration or pin can move a reduction's chunk boundaries.
+// TestDetGrainIgnoresCutoffs: reduction plans come from the constant
+// MinWork, so no SetCutoffs call can move a reduction's chunk boundaries.
 func TestDetGrainIgnoresCutoffs(t *testing.T) {
 	c0, m0 := Cutoffs()
 	defer SetCutoffs(c0, m0)
 	for _, perItem := range []int{0, 1, 54 * 54, MinWork, 4 * MinWork} {
 		want := DetGrain(perItem)
-		for _, cut := range []int{64, calMinCutoff, calMaxCutoff} {
+		for _, cut := range []int{64, 1 << 13, 1 << 21} {
 			SetCutoffs(cut, cut)
 			if got := DetGrain(perItem); got != want {
 				t.Fatalf("DetGrain(%d) = %d under cutoff %d, want %d", perItem, got, cut, want)
@@ -99,54 +99,21 @@ func TestDetGrainIgnoresCutoffs(t *testing.T) {
 	}
 }
 
-// TestCalibrateMeasuresAndRespectsPins checks the probe results are sane and
-// that explicit pins survive a Calibrate call.
-func TestCalibrateMeasuresAndRespectsPins(t *testing.T) {
-	c0, m0 := Cutoffs()
-	defer SetCutoffs(c0, m0)
-	cal := Calibrate()
-	if !(cal.NsPerFlop > 0) || !(cal.NsPerElem > 0) {
-		t.Fatalf("probe timings not positive: %+v", cal)
-	}
-	if cal.Compute < calMinCutoff || cal.Compute > calMaxCutoff ||
-		cal.Mem < calMinCutoff || cal.Mem > calMaxCutoff {
-		t.Fatalf("derived cutoffs out of clamp range: %+v", cal)
-	}
-	if !cal.Pinned {
-		if c, m := Cutoffs(); c != cal.Compute || m != cal.Mem {
-			t.Fatalf("unpinned Calibrate did not apply: Cutoffs()=(%d,%d), cal=%+v", c, m, cal)
-		}
-	}
-
-	SetCutoffs(12345, 54321)
-	cal = Calibrate()
-	if !cal.Pinned {
-		t.Fatal("Calibrate after SetCutoffs should report Pinned")
-	}
-	if c, m := Cutoffs(); c != 12345 || m != 54321 {
-		t.Fatalf("Calibrate overrode pinned cutoffs: got (%d,%d)", c, m)
-	}
-}
-
-// TestEnvMinWorkPin runs a child process with PRIU_PAR_MINWORK set and checks
-// both cutoffs come up pinned to it.
-func TestEnvMinWorkPin(t *testing.T) {
+// TestCutoffsIgnoreEnvironment runs a child process with the retired
+// PRIU_PAR_MINWORK variable set and checks the cutoffs still come up at the
+// static MinWork: no environment variable moves them.
+func TestCutoffsIgnoreEnvironment(t *testing.T) {
 	if os.Getenv("PAR_TEST_CHILD") == "1" {
-		c, m := Cutoffs()
-		if c != 777 || m != 777 {
-			t.Fatalf("env pin not applied: (%d,%d)", c, m)
-		}
-		cal := Calibrate()
-		if !cal.Pinned {
-			t.Fatal("env pin not reported by Calibrate")
+		if c, m := Cutoffs(); c != MinWork || m != MinWork {
+			t.Fatalf("Cutoffs() = (%d,%d) under PRIU_PAR_MINWORK=777, want (%d,%d)", c, m, MinWork, MinWork)
 		}
 		return
 	}
 	if testing.Short() {
 		t.Skip("short mode: skipping subprocess test")
 	}
-	cmd := exec.Command(os.Args[0], "-test.run", "^TestEnvMinWorkPin$", "-test.v")
-	cmd.Env = append(os.Environ(), "PAR_TEST_CHILD=1", EnvMinWork+"=777")
+	cmd := exec.Command(os.Args[0], "-test.run", "^TestCutoffsIgnoreEnvironment$", "-test.v")
+	cmd.Env = append(os.Environ(), "PAR_TEST_CHILD=1", "PRIU_PAR_MINWORK=777")
 	out, err := cmd.CombinedOutput()
 	if err != nil || !strings.Contains(string(out), "PASS") {
 		t.Fatalf("child failed: %v\n%s", err, out)

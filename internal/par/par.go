@@ -28,24 +28,43 @@ import (
 	"sync/atomic"
 )
 
-// DefaultGrain is a reasonable minimum number of scalar work items per chunk
-// for memory-bound vector loops. Compute-bound kernels derive their own grain
-// from a flop estimate via Grain.
-const DefaultGrain = 4096
-
-// MinWork is the static default for the per-chunk work cutoff (flops or
-// memory touches) below which splitting is not worth the scheduling and
-// wakeup overhead (~a few microseconds per chunk). The effective cutoffs are
-// variables — see Calibrate, SetCutoffs and the PRIU_PAR_MINWORK override.
+// MinWork is the per-chunk work cutoff (flops or memory touches) below which
+// splitting is not worth the scheduling and wakeup overhead (~a few
+// microseconds per chunk). It is static: the cutoff is not measured at
+// startup, so the binaries run the chunk plans the benchmarks measure.
 const MinWork = 1 << 15
 
-// Grain converts a per-item flop estimate into a chunk grain: every chunk
-// carries at least the compute-bound work cutoff worth of arithmetic.
+// cutoff is the per-chunk work cutoff consumed by Grain. It stays MinWork
+// outside tests, which move it with SetCutoffs to exercise other splits.
+var cutoff atomic.Int64
+
+func init() { cutoff.Store(MinWork) }
+
+// Cutoffs returns the per-chunk work cutoff as a (compute, mem) pair. There
+// is one cutoff, for compute- and memory-bound loops alike, so both values
+// are equal.
+func Cutoffs() (compute, mem int) {
+	c := int(cutoff.Load())
+	return c, c
+}
+
+// SetCutoffs sets the per-chunk work cutoff (tests only). It takes the pair
+// Cutoffs returns, so a test can restore what it saved; the one cutoff is
+// set from compute, and compute <= 0 leaves it unchanged.
+func SetCutoffs(compute, mem int) {
+	if compute > 0 {
+		cutoff.Store(int64(compute))
+	}
+}
+
+// Grain converts a per-item work estimate (flops, or elements streamed for
+// memory-bound loops) into a chunk grain: every chunk carries at least the
+// work cutoff.
 func Grain(perItem int) int {
 	if perItem < 1 {
 		perItem = 1
 	}
-	g := int(cutoffCompute.Load()) / perItem
+	g := int(cutoff.Load()) / perItem
 	if g < 1 {
 		g = 1
 	}
@@ -54,28 +73,15 @@ func Grain(perItem int) int {
 
 // DetGrain is Grain for deterministic reductions: MapReduceDet calls and the
 // single-chunk short-circuits that must fold exactly like them. It reads the
-// static MinWork, never the calibrated cutoff, so a reduction's chunk plan —
-// and with it the bits of its result — depends on the operand shape alone:
-// Calibrate, SetCutoffs and PRIU_PAR_MINWORK cannot change it.
+// constant MinWork, never the cutoff, so a reduction's chunk plan — and with
+// it the bits of its result — depends on the operand shape alone: SetCutoffs
+// cannot change it. The cutoff only steers loops whose outputs are disjoint,
+// where the split cannot change the bits.
 func DetGrain(perItem int) int {
 	if perItem < 1 {
 		perItem = 1
 	}
 	g := MinWork / perItem
-	if g < 1 {
-		g = 1
-	}
-	return g
-}
-
-// GrainMem is Grain for memory-bound loops (per-item cost counted in elements
-// streamed rather than flops): every chunk touches at least the memory-bound
-// cutoff worth of elements.
-func GrainMem(perItem int) int {
-	if perItem < 1 {
-		perItem = 1
-	}
-	g := int(cutoffMem.Load()) / perItem
 	if g < 1 {
 		g = 1
 	}

@@ -155,7 +155,7 @@ func (m *CSR) MulVecInto(dst, x []float64) {
 // MulVecT returns mᵀ*x as a dense vector. Rows scatter into the whole output,
 // so each chunk fills a private dense accumulator over a row block; chunk
 // boundaries and the fold order depend only on the shape (par.DetGrain) —
-// never on the worker count or the calibrated cutoffs — so the result is
+// never on the worker count or the work cutoff — so the result is
 // bitwise identical at any pool size and on any host
 // (small matrices collapse to one chunk and scatter serially).
 func (m *CSR) MulVecT(x []float64) []float64 {

@@ -132,11 +132,11 @@ func TestCaptureDeterministicAcrossWorkers(t *testing.T) {
 
 // TestRestoreBitwiseAcrossCutoffs: a session captured and committed under one
 // set of par cutoffs, then restored from its snapshot and replayed under
-// another, reaches the same bits. The cutoffs are what par.Calibrate measures
-// at every process start, so this is the contract that lets a spilled session
-// come back exact on a rebooted or different host. The sizes put the
-// reductions on several chunks under the small cutoffs and on one under the
-// large.
+// another, reaches the same bits. The contract is that the bits do not depend
+// on the worker count or the chunk grain, so a spilled session comes back
+// exact on a rebooted or different host whatever its parallelism. The sizes
+// put the parallel loops on several chunks under the small cutoff and on one
+// under the large.
 func TestRestoreBitwiseAcrossCutoffs(t *testing.T) {
 	pc, pm := par.Cutoffs()
 	t.Cleanup(func() { par.SetCutoffs(pc, pm) })

@@ -43,10 +43,11 @@ func (t *Tiered) armWriteBehind(sess *Session) {
 // is dropped and counted — backpressure — and the eviction path's
 // synchronous fallback keeps the session safe (it always cuts from the
 // CURRENT generation, so a dropped enqueue can never surface stale state).
-// With coalescing configured, a mutation parks in the debounce until n
-// updates accumulate (the quiet sweep handles the time axis); duplicate
-// requests for a session already queued coalesce for free, because the
-// worker cuts whatever the session holds at dequeue time.
+// With coalescing configured (n > 1), a mutation parks in the debounce until
+// n updates accumulate (the quiet sweep handles the time axis); otherwise it
+// goes straight to the queue. Duplicate requests for a session already
+// queued coalesce for free, because the worker cuts whatever the session
+// holds at dequeue time.
 func (t *Tiered) enqueueSpill(sess *Session) {
 	if t.queue == nil {
 		return
@@ -56,7 +57,7 @@ func (t *Tiered) enqueueSpill(sess *Session) {
 		t.qmu.Unlock()
 		return
 	}
-	if t.coalesceN > 1 || t.coalesceQuiet > 0 {
+	if t.coalesceN > 1 {
 		d := t.debounce[sess.ID]
 		if d == nil {
 			d = &debEntry{}
@@ -109,10 +110,11 @@ func (t *Tiered) queueDepth() int {
 	return n + int(t.inflight.Load())
 }
 
-// startLifecycle launches the write-behind workers, the coalescing quiet
-// sweep, and, when configured, the GC sweep.
+// startLifecycle launches the write-behind workers and, when configured, the
+// coalescing quiet sweep (only with n > 1: at n = 1 nothing is ever
+// debounced) and the GC sweep.
 func (t *Tiered) startLifecycle() {
-	needQuiet := t.spillOnEvict && t.queueLen > 0 && t.coalesceQuiet > 0
+	needQuiet := t.spillOnEvict && t.queueLen > 0 && t.coalesceN > 1 && t.coalesceQuiet > 0
 	if t.gcInterval > 0 || needQuiet {
 		t.stopBG = make(chan struct{})
 	}

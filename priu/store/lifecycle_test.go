@@ -263,6 +263,28 @@ func TestTieredWriteBehindBackpressure(t *testing.T) {
 	}
 }
 
+// TestTieredEagerSpillStartsNoQuietSweep: at coalesce n = 1 nothing is ever
+// debounced, so a quiet period starts no background loop and a mutation goes
+// straight to the write-behind queue without touching the debounce map.
+func TestTieredEagerSpillStartsNoQuietSweep(t *testing.T) {
+	ti := newTestTiered(t, t.TempDir(), NewMemory(), WithSpillCoalesce(1, 5*time.Millisecond))
+	if ti.stopBG != nil {
+		t.Fatal("coalesce n=1 with no GC interval started a background loop")
+	}
+	ti.debounce = nil // any write to the debounce map now panics
+	a := trainSession(t, "sess-1", 1)
+	if err := ti.Put(a); err != nil {
+		t.Fatal(err)
+	}
+	ti.Flush()
+	applyDeletion(t, a, []int{2, 4})
+	ti.Flush()
+	if st := ti.Stats(); st.WriteBehindSpills < 2 || st.DeltaSpills < 1 {
+		t.Fatalf("mutation was not spilled eagerly: %d write-behind spills, %d delta spills",
+			st.WriteBehindSpills, st.DeltaSpills)
+	}
+}
+
 // TestTieredGCRemovesOrphans: unindexed session files and stale temps are
 // swept once old enough, and the gauge self-heals to match the directory.
 func TestTieredGCRemovesOrphans(t *testing.T) {

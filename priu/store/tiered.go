@@ -165,7 +165,7 @@ type Tiered struct {
 	gcAge         time.Duration
 	gcInterval    time.Duration
 	coalesceN     int           // spill after this many updates (1 = every)
-	coalesceQuiet time.Duration // ... or after this long with no new mutation
+	coalesceQuiet time.Duration // ... or after this long with no new mutation (n > 1 only)
 	compactAfter  int           // fold a chain once it holds this many deltas (0 = never)
 
 	mu      sync.Mutex
@@ -298,14 +298,15 @@ func WithWriteBehind(queueLen, workers int) TieredOption {
 	}
 }
 
-// WithSpillCoalesce debounces the write-behind queue: a mutated session is
-// scheduled for a spill only after n updates since its last spill, or after
-// quiet with no new mutation — so a dense deletion stream pays one delta
-// segment per batch of n, not one per update. The defaults (1, 0) keep the
-// eager pre-coalescing behavior: every mutation schedules a spill
-// immediately. Eviction, drain and Flush are unaffected — they always
-// persist the current state synchronously, so coalescing trades only how
-// soon the background copy lands, never whether state survives.
+// WithSpillCoalesce debounces the write-behind queue: with n > 1, a mutated
+// session is scheduled for a spill only after n updates since its last
+// spill, or after quiet with no new mutation — so a dense deletion stream
+// pays one delta segment per batch of n, not one per update. With n <= 1
+// (the default) every mutation schedules a spill immediately, quiet has no
+// effect and no debounce state or quiet sweep exists. Eviction, drain and
+// Flush are unaffected — they always persist the current state
+// synchronously, so coalescing trades only how soon the background copy
+// lands, never whether state survives.
 func WithSpillCoalesce(n int, quiet time.Duration) TieredOption {
 	return func(t *Tiered) {
 		if n > 1 {
