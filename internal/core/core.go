@@ -16,10 +16,16 @@
 //     to subtracting their contributions ΔC⁽ᵗ⁾/ΔD⁽ᵗ⁾ from the caches and
 //     re-running the cheap linear iteration — O(rm + ΔBm) per iteration
 //     instead of O((B−ΔB)m) plus non-linear evaluations for retraining.
-//     Every family evaluates the ΔB·m term with one kernel, foldRemoved:
-//     it takes the batch's removed rows four at a time, computing their four
-//     dots with w in one pass over w and adding them to ΔC·w and ΔD in
-//     one fused pass, with the bits of one dot and two axpys per row.
+//     Every family's roll reads the removed members of each iteration from
+//     one schedule-coordinate bitset (schedRemovals) and evaluates the ΔB·m
+//     term with one kernel, foldRemoved: it takes the removed rows four at a
+//     time, computing their four dots with w in one pass over w and adding
+//     them to ΔC·w and ΔD in one fused pass, with the bits of one dot and
+//     two axpys per row. A PrIU-opt what-if cursor keeps its removals in
+//     that bitset, set at Apply through a row → (iteration, position) index,
+//     and caches each iteration's ΔD, which does not depend on w: the kernel
+//     re-sums it only for the iterations a new removal touched, so a commit
+//     re-runs only the ΔC·w half of phase 1 everywhere else.
 //
 // PrIU-opt adds the small-feature-space optimizations of Sec 5.2/5.4:
 // a GD approximation with eigendecomposition of M = XᵀX and incremental
@@ -32,7 +38,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 
 	"repro/internal/mat"
 	"repro/internal/par"
@@ -366,38 +371,23 @@ func gatherRemoved(x *mat.Dense, mask []bool, ids []int, at func(r, i int)) *mat
 	return dst
 }
 
-// appendRemoved appends the batch positions of batch's members under mask
-// (nil removes nothing) to pos, in batch order. Every position is written
-// and the length advances only past removed members, so the scan does not
-// branch on the mask.
-func appendRemoved(pos, batch []int, mask []bool) []int {
-	if mask == nil {
-		return pos
-	}
-	c := len(pos)
-	pos = slices.Grow(pos, len(batch))[:c+len(batch)]
-	for k, i := range batch {
-		pos[c] = k
-		if mask[i] {
-			c++
-		}
-	}
-	return pos[:c]
-}
-
 // foldRemoved sets one iteration's removed-row corrections of Eq 13/19,
-// dGW = ΔC·w = Σ aₖ·xᵢ and dDV = ΔD = Σ dₖ·xᵢ over the removed members
-// i = batch[k], k in pos, where coef(k, i, xᵢ·w) returns (aₖ, dₖ). Four rows
-// share each pass: four independent dot chains share each load of w, as in
-// Dense.MulVecInto, and one fused pass adds the four rows to both sums. Every
-// dot folds j in ascending order and every coordinate adds the rows in order
-// from zero, so the bits are those of one mat.Dot and two mat.Axpy calls per
-// row.
+// dGW = ΔC·w = Σ aₖ·xᵢ and, unless dDV is nil, dDV = ΔD = Σ dₖ·xᵢ over the
+// removed members i = batch[k], k in pos, where coef(k, i, xᵢ·w) returns
+// (aₖ, dₖ). ΔD does not depend on w, so a roll that has it cached passes a
+// nil dDV and pays only for ΔC·w. Four rows share each pass: four
+// independent dot chains share each load of w, as in Dense.MulVecInto, and
+// one pass adds the four rows to both sums. Every dot folds j in ascending
+// order and every coordinate adds the rows in order from zero, so the bits
+// are those of one mat.Dot and two mat.Axpy calls per row.
 func foldRemoved(dGW, dDV []float64, x *mat.Dense, w []float64, batch, pos []int, coef func(k, i int, dot float64) (a, d float64)) {
 	n := len(w)
-	dGW, dDV = dGW[:n:n], dDV[:n:n]
+	dGW = dGW[:n:n]
 	mat.ZeroVec(dGW)
-	mat.ZeroVec(dDV)
+	if dDV != nil {
+		dDV = dDV[:n:n]
+		mat.ZeroVec(dDV)
+	}
 	r := 0
 	for ; r+4 <= len(pos); r += 4 {
 		i0, i1, i2, i3 := batch[pos[r]], batch[pos[r+1]], batch[pos[r+2]], batch[pos[r+3]]
@@ -416,6 +406,16 @@ func foldRemoved(dGW, dDV []float64, x *mat.Dense, w []float64, batch, pos []int
 		a1, d1 := coef(pos[r+1], i1, s1)
 		a2, d2 := coef(pos[r+2], i2, s2)
 		a3, d3 := coef(pos[r+3], i3, s3)
+		if dDV == nil {
+			for j, g := range dGW {
+				g += a0 * x0[j]
+				g += a1 * x1[j]
+				g += a2 * x2[j]
+				g += a3 * x3[j]
+				dGW[j] = g
+			}
+			continue
+		}
 		for j, g := range dGW {
 			v0, v1, v2, v3 := x0[j], x1[j], x2[j], x3[j]
 			g += a0 * v0
@@ -441,7 +441,11 @@ func foldRemoved(dGW, dDV []float64, x *mat.Dense, w []float64, batch, pos []int
 		a, d := coef(k, batch[k], s)
 		for j, v := range xi {
 			dGW[j] += a * v
-			dDV[j] += d * v
+		}
+		if dDV != nil {
+			for j, v := range xi {
+				dDV[j] += d * v
+			}
 		}
 	}
 }

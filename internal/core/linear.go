@@ -115,18 +115,20 @@ func (lp *LinearProvenance) Update(removed []int) (*gbm.Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := lp.data.M()
+	m, iters := lp.data.M(), lp.cfg.Iterations
+	rm := removalsFromMask(lp.sched, iters, mask)
 	w := make([]float64, m)
 	gw := make([]float64, m)
 	scratch := make([]float64, lp.maxRank)
 	dGW := make([]float64, m)
 	dDV := make([]float64, m)
-	var pos []int
+	_, most := rm.removedCount(0, iters)
+	pos := make([]int, 0, most)
 	eta, lambda := lp.cfg.Eta, lp.cfg.Lambda
 	decay := 1 - eta*lambda
-	for t := 0; t < lp.cfg.Iterations; t++ {
+	for t := 0; t < iters; t++ {
 		batch := lp.sched.Batch(t)
-		pos = appendRemoved(pos[:0], batch, mask)
+		pos = rm.positions(pos[:0], t)
 		bU := len(batch) - len(pos)
 		if bU == 0 {
 			mat.ScaleVec(w, decay)
@@ -159,6 +161,6 @@ func (lp *LinearProvenance) FootprintBytes() int64 {
 	for _, dv := range lp.dvecs {
 		total += int64(len(dv)) * 8
 	}
-	total += lp.sched.FootprintBytes()
+	total += batchListBytes(lp.sched, len(lp.caches))
 	return total
 }

@@ -152,25 +152,27 @@ func (lp *LogisticProvenance) Update(removed []int) (*gbm.Model, error) {
 	}
 	m := lp.data.M()
 	w := make([]float64, m)
-	lp.updateInto(w, mask, 0, lp.cfg.Iterations)
+	lp.updateInto(w, removalsFromMask(lp.sched, lp.cfg.Iterations, mask), 0, lp.cfg.Iterations)
 	return &gbm.Model{Task: dataset.BinaryClassification, W: mat.NewDenseData(1, m, w)}, nil
 }
 
 // updateInto rolls the incremental update from iteration t0 (exclusive of
-// tEnd) on the parameter vector w in place. Shared with PrIU-opt, which uses
-// t0 > 0 for its post-termination phase.
-func (lp *LogisticProvenance) updateInto(w []float64, mask []bool, t0, tEnd int) {
+// tEnd) on the parameter vector w in place, with the removals rm holds.
+// Shared with PrIU-opt, whose cursor passes its cached-ΔD set: a stale
+// iteration's ΔD is re-summed here and every iteration leaves current.
+func (lp *LogisticProvenance) updateInto(w []float64, rm *schedRemovals, t0, tEnd int) {
 	m := lp.data.M()
 	cw := make([]float64, m)
 	scratch := make([]float64, lp.maxRank)
 	dGW := make([]float64, m)
 	dDV := make([]float64, m)
-	var pos []int
+	_, most := rm.removedCount(t0, tEnd)
+	pos := make([]int, 0, most)
 	eta, lambda := lp.cfg.Eta, lp.cfg.Lambda
 	decay := 1 - eta*lambda
 	for t := t0; t < tEnd; t++ {
 		batch := lp.sched.Batch(t)
-		pos = appendRemoved(pos[:0], batch, mask)
+		pos = rm.positions(pos[:0], t)
 		bU := len(batch) - len(pos)
 		if bU == 0 {
 			mat.ScaleVec(w, decay)
@@ -182,13 +184,15 @@ func (lp *LogisticProvenance) updateInto(w []float64, mask []bool, t0, tEnd int)
 		// ΔC⁽ᵗ⁾w = Σ aᵢ·xᵢ(xᵢᵀw); ΔD⁽ᵗ⁾ = Σ bᵢ·yᵢxᵢ, both +0 when none is
 		// removed, which leaves the terms exact.
 		a, b := lp.aCoef[t], lp.bCoef[t]
-		foldRemoved(dGW, dDV, lp.data.X, w, batch, pos, func(k, i int, dot float64) (float64, float64) {
+		dD, sumTo := rm.deltaD(dDV, t, 0)
+		foldRemoved(dGW, sumTo, lp.data.X, w, batch, pos, func(k, i int, dot float64) (float64, float64) {
 			return a[k] * dot, b[k] * lp.data.Y[i]
 		})
 		for j := range w {
-			w[j] = decay*w[j] + f*(cw[j]-dGW[j]+dv[j]-dDV[j])
+			w[j] = decay*w[j] + f*(cw[j]-dGW[j]+dv[j]-dD[j])
 		}
 	}
+	rm.clearStale()
 }
 
 // FootprintBytes returns the memory occupied by the cached provenance:
@@ -205,6 +209,6 @@ func (lp *LogisticProvenance) FootprintBytes() int64 {
 	for t := range lp.aCoef {
 		total += int64(len(lp.aCoef[t]))*8 + int64(len(lp.bCoef[t]))*8
 	}
-	total += lp.sched.FootprintBytes()
+	total += batchListBytes(lp.sched, len(lp.caches))
 	return total
 }

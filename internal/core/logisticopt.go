@@ -26,6 +26,8 @@ type LogisticOpt struct {
 	// Eigendecomposition of C* and the vector D*.
 	eig   *mat.Eigen
 	dStar []float64
+	// occ maps each row to its phase-1 schedule coordinates (t < ts).
+	occ occurrenceIndex
 }
 
 // CaptureLogisticOpt performs the PrIU-opt offline phase: PrIU capture for
@@ -71,6 +73,7 @@ func CaptureLogisticOpt(d *dataset.Dataset, cfg gbm.Config, sched *gbm.Schedule,
 	}
 	lo.eig = eigs[0]
 	lo.fullIterations = cfg.Iterations
+	lo.occ = newOccurrenceIndex(sched, ts, d.N())
 	return lo, nil
 }
 
@@ -120,18 +123,26 @@ func (lo *LogisticOpt) Update(removed []int) (*gbm.Model, error) {
 		}
 		cPrime = lo.eig.UpdateValuesGram(z, +1)
 	}
-	return lo.finish(mask, cPrime, dStar, nEff), nil
+	rm := lo.phase1Removals(false)
+	rm.add(&lo.occ, ids)
+	return lo.finish(rm, cPrime, dStar, nEff), nil
 }
 
-// finish runs both update phases given the removal mask, the updated
+// phase1Removals returns an empty removal set over the PrIU phase (t < ts);
+// cached keeps ΔD per iteration, as a what-if cursor does.
+func (lo *LogisticOpt) phase1Removals(cached bool) *schedRemovals {
+	return newSchedRemovals(lo.ts, lo.occ.stride, 1, lo.prov.data.M(), cached)
+}
+
+// finish runs both update phases given the phase-1 removals, the updated
 // eigenvalues c' of C*' and D*': PrIU incremental iterations 0..ts, then the
 // coordinate recurrences in the eigenbasis —
 // z ← (1−ηλ + η·c'ᵢ/n')·z + η·(QᵀD*')ᵢ/n', for τ−ts iterations. Update and
 // the what-if cursor share it.
-func (lo *LogisticOpt) finish(mask []bool, cPrime, dStar []float64, nEff int) *gbm.Model {
+func (lo *LogisticOpt) finish(rm *schedRemovals, cPrime, dStar []float64, nEff int) *gbm.Model {
 	m := lo.prov.data.M()
 	w := make([]float64, m)
-	lo.prov.updateInto(w, mask, 0, lo.ts)
+	lo.prov.updateInto(w, rm, 0, lo.ts)
 	eta, lambda := lo.prov.cfg.Eta, lo.prov.cfg.Lambda
 	zc := lo.eig.Q.MulVecT(w)
 	dt := lo.eig.Q.MulVecT(dStar)
@@ -145,9 +156,10 @@ func (lo *LogisticOpt) finish(mask []bool, cPrime, dStar []float64, nEff int) *g
 }
 
 // FootprintBytes returns the provenance memory: the ts-truncated PrIU caches
-// plus the O(m²) eigen state and the stabilized coefficients.
+// plus the O(m²) eigen state, the stabilized coefficients and the occurrence
+// index.
 func (lo *LogisticOpt) FootprintBytes() int64 {
-	total := lo.prov.FootprintBytes()
+	total := lo.prov.FootprintBytes() + lo.occ.footprint()
 	r, c := lo.eig.Q.Dims()
 	total += int64(r)*int64(c)*8 + int64(len(lo.eig.Values))*8
 	total += int64(len(lo.aStar))*8 + int64(len(lo.bStar))*8 + int64(len(lo.dStar))*8

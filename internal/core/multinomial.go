@@ -192,31 +192,32 @@ func (mp *MultinomialProvenance) Update(removed []int) (*gbm.Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	m, q := mp.data.M(), mp.q
-	w := mat.NewDense(q, m)
-	mp.updateInto(w, mask, 0, mp.cfg.Iterations)
+	w := mat.NewDense(mp.q, mp.data.M())
+	mp.updateInto(w, removalsFromMask(mp.sched, mp.cfg.Iterations, mask), 0, mp.cfg.Iterations)
 	return &gbm.Model{Task: dataset.MultiClassification, W: w}, nil
 }
 
 // updateInto rolls the per-class incremental update from iteration t0 to
-// tEnd on w in place. Classes evolve independently — the only cross-class
-// inputs are the per-iteration surviving batch sizes and removed members,
-// which one pre-scan lists and every class then reads — so classes run in
-// parallel, each rolling all its iterations with private scratch. The
-// restructure preserves the serial per-class arithmetic order, and the nested
-// kernels (including the SVD caches' transpose mat-vec, which reduces via
-// par.MapReduceDet) are bitwise-deterministic at any worker count, so the
-// update is too.
-func (mp *MultinomialProvenance) updateInto(w *mat.Dense, mask []bool, t0, tEnd int) {
+// tEnd on w in place, with the removals rm holds. Classes evolve
+// independently — the only cross-class inputs are the per-iteration
+// surviving batch sizes and removed members, which one pre-scan lists and
+// every class then reads — so classes run in parallel, each rolling all its
+// iterations with private scratch and, for a cursor's cached-ΔD set,
+// re-summing its own slot of each stale iteration. The restructure preserves
+// the serial per-class arithmetic order, and the nested kernels (including
+// the SVD caches' transpose mat-vec, which reduces via par.MapReduceDet) are
+// bitwise-deterministic at any worker count, so the update is too.
+func (mp *MultinomialProvenance) updateInto(w *mat.Dense, rm *schedRemovals, t0, tEnd int) {
 	m, q := mp.data.M(), mp.q
 	eta, lambda := mp.cfg.Eta, mp.cfg.Lambda
 	decay := 1 - eta*lambda
 	// Iteration t's removed members are at batch positions
 	// pos[off[t−t0]:off[t−t0+1]].
 	off := make([]int, tEnd-t0+1)
-	var pos []int
+	total, _ := rm.removedCount(t0, tEnd)
+	pos := make([]int, 0, total)
 	for t := t0; t < tEnd; t++ {
-		pos = appendRemoved(pos, mp.sched.Batch(t), mask)
+		pos = rm.positions(pos, t)
 		off[t-t0+1] = len(pos)
 	}
 	par.For(q, 1, func(klo, khi int) {
@@ -239,15 +240,17 @@ func (mp *MultinomialProvenance) updateInto(w *mat.Dense, mask []bool, t0, tEnd 
 				f := eta / float64(bU)
 				dv := mp.dvecs[t][k]
 				a, c := mp.aCoef[t][k*b:(k+1)*b], mp.cCoef[t][k*b:(k+1)*b]
-				foldRemoved(dGW, dDV, mp.data.X, wk, batch, pos[lo:hi], func(j, _ int, dot float64) (float64, float64) {
+				dD, sumTo := rm.deltaD(dDV, t, k)
+				foldRemoved(dGW, sumTo, mp.data.X, wk, batch, pos[lo:hi], func(j, _ int, dot float64) (float64, float64) {
 					return a[j] * dot, c[j]
 				})
 				for j := range wk {
-					wk[j] = decay*wk[j] - f*(cw[j]-dGW[j]+dv[j]-dDV[j])
+					wk[j] = decay*wk[j] - f*(cw[j]-dGW[j]+dv[j]-dD[j])
 				}
 			}
 		}
 	})
+	rm.clearStale()
 }
 
 // FootprintBytes returns the memory occupied by the cached provenance.
@@ -262,6 +265,6 @@ func (mp *MultinomialProvenance) FootprintBytes() int64 {
 		}
 		total += int64(len(mp.aCoef[t]))*8 + int64(len(mp.cCoef[t]))*8
 	}
-	total += mp.sched.FootprintBytes()
+	total += batchListBytes(mp.sched, len(mp.caches))
 	return total
 }

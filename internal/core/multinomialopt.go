@@ -23,6 +23,8 @@ type MultinomialOpt struct {
 	// Per-class eigendecompositions of C*ₖ and the vectors D*ₖ.
 	eigs  []*mat.Eigen
 	dStar [][]float64
+	// occ maps each row to its phase-1 schedule coordinates (t < ts).
+	occ occurrenceIndex
 }
 
 // CaptureMultinomialOpt performs the PrIU-opt offline phase for multinomial
@@ -77,6 +79,7 @@ func CaptureMultinomialOpt(d *dataset.Dataset, cfg gbm.Config, sched *gbm.Schedu
 	if mo.eigs, err = stabilizedEigens(d.X, mo.aStar, q); err != nil {
 		return nil, err
 	}
+	mo.occ = newOccurrenceIndex(sched, ts, n)
 	return mo, nil
 }
 
@@ -136,17 +139,25 @@ func (mo *MultinomialOpt) Update(removed []int) (*gbm.Model, error) {
 		}
 		cPrimes[k] = mo.eigs[k].UpdateValuesGram(z, -1)
 	}
-	return mo.finish(mask, cPrimes, dStars, nEff), nil
+	rm := mo.phase1Removals(false)
+	rm.add(&mo.occ, ids)
+	return mo.finish(rm, cPrimes, dStars, nEff), nil
 }
 
-// finish runs both update phases given the removal mask and, per class, the
+// phase1Removals returns an empty removal set over the PrIU phase (t < ts);
+// cached keeps ΔD per iteration and class, as a what-if cursor does.
+func (mo *MultinomialOpt) phase1Removals(cached bool) *schedRemovals {
+	return newSchedRemovals(mo.ts, mo.occ.stride, mo.prov.q, mo.prov.data.M(), cached)
+}
+
+// finish runs both update phases given the phase-1 removals and, per class, the
 // updated eigenvalues of C*ₖ' and D*ₖ': PrIU to ts, then each class's
 // eigenbasis recurrence for the remaining τ−ts iterations. Update and the
 // what-if cursor share it.
-func (mo *MultinomialOpt) finish(mask []bool, cPrimes, dStars [][]float64, nEff int) *gbm.Model {
+func (mo *MultinomialOpt) finish(rm *schedRemovals, cPrimes, dStars [][]float64, nEff int) *gbm.Model {
 	m, q := mo.prov.data.M(), mo.prov.q
 	w := mat.NewDense(q, m)
-	mo.prov.updateInto(w, mask, 0, mo.ts)
+	mo.prov.updateInto(w, rm, 0, mo.ts)
 	eta, lambda := mo.prov.cfg.Eta, mo.prov.cfg.Lambda
 	rem := mo.fullIterations - mo.ts
 	for k := 0; k < q; k++ {
@@ -163,9 +174,10 @@ func (mo *MultinomialOpt) finish(mask []bool, cPrimes, dStars [][]float64, nEff 
 }
 
 // FootprintBytes returns the provenance memory: the ts-truncated PrIU caches
-// plus the per-class O(m²) eigen state and stabilized coefficients.
+// plus the per-class O(m²) eigen state, the stabilized coefficients and the
+// occurrence index.
 func (mo *MultinomialOpt) FootprintBytes() int64 {
-	total := mo.prov.FootprintBytes()
+	total := mo.prov.FootprintBytes() + mo.occ.footprint()
 	for k := range mo.eigs {
 		r, c := mo.eigs[k].Q.Dims()
 		total += int64(r)*int64(c)*8 + int64(len(mo.eigs[k].Values))*8

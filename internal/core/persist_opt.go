@@ -18,7 +18,10 @@ import (
 // (stabilizedEigens for C*, GramInto/MulVecTInto for linear's XᵀX and XᵀY).
 // Their reductions plan chunks from the shape alone, so the rebuild is
 // bitwise-identical at every size, worker count and work cutoff, and a
-// restored updater reproduces the original's Update output exactly.
+// restored updater reproduces the original's Update output exactly. The
+// logistic and multinomial loaders also rebuild the row → (iteration,
+// position) occurrence index the what-if cursors set their phase-1 removals
+// through; like the eigenbases, it is derived and never persisted.
 //
 // Each family gets its own magic so a stream can never be decoded by the
 // wrong loader: "PRLO" (linear-opt), "PRBO" (logistic-opt), "PRMO"
@@ -154,6 +157,7 @@ func LoadLogisticOpt(r io.Reader, d *dataset.Dataset) (*LogisticOpt, error) {
 		bStar:          bStar,
 		eig:            eigs[0],
 		dStar:          dStar,
+		occ:            newOccurrenceIndex(prov.sched, ts, n),
 	}, nil
 }
 
@@ -234,5 +238,6 @@ func LoadMultinomialOpt(r io.Reader, d *dataset.Dataset) (*MultinomialOpt, error
 		cStar:          cStar,
 		eigs:           eigs,
 		dStar:          dStar,
+		occ:            newOccurrenceIndex(prov.sched, ts, n),
 	}, nil
 }

@@ -168,3 +168,59 @@ func TestLoadOptRejectsWrongStream(t *testing.T) {
 		t.Fatal("LoadLinearOpt should reject a truncated stream")
 	}
 }
+
+// TestOptFootprintSurvivesRoundTrip: a loaded opt updater reports the
+// captured one's FootprintBytes, occurrence index included, so a restored
+// session is charged what the live one was.
+func TestOptFootprintSurvivesRoundTrip(t *testing.T) {
+	cfg := gbm.Config{Eta: 0.05, Lambda: 0.02, BatchSize: 25, Iterations: 80, Seed: 306}
+	sched, err := gbm.NewSchedule(120, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bin, err := dataset.GenerateBinary("fp-lo", 120, 5, 0.8, 307)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo, err := CaptureLogisticOpt(bin, cfg, sched, testLin, Options{Mode: ModeFull})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := lo.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loadedLo, err := LoadLogisticOpt(&buf, bin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := loadedLo.FootprintBytes(), lo.FootprintBytes(); got != want {
+		t.Fatalf("logistic-opt: loaded footprint %d, captured %d", got, want)
+	}
+	if idx := lo.occ.footprint(); idx != int64(121+lo.Ts()*25)*4 {
+		t.Fatalf("logistic-opt: index footprint %d, want (n+1+ts·B)·4", idx)
+	}
+
+	mc, err := dataset.GenerateMulticlass("fp-mo", 120, 5, 3, 2.5, 308)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mo, err := CaptureMultinomialOpt(mc, cfg, sched, Options{Mode: ModeFull})
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf.Reset()
+	if _, err := mo.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loadedMo, err := LoadMultinomialOpt(&buf, mc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := loadedMo.FootprintBytes(), mo.FootprintBytes(); got != want {
+		t.Fatalf("multinomial-opt: loaded footprint %d, captured %d", got, want)
+	}
+	if mo.occ.footprint() == 0 {
+		t.Fatal("multinomial-opt: occurrence index not counted")
+	}
+}

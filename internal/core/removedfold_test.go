@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/dataset"
@@ -171,7 +173,8 @@ func refLogisticOptEval(s *logisticWhatIf) []float64 {
 	}
 	nEff := s.log.n - len(s.log.ids)
 	w := make([]float64, lo.prov.data.M())
-	refLogisticUpdateInto(lo.prov, w, s.log.removalMask(), 0, lo.ts)
+	mask, _, _ := gbm.Removals(s.log.n, s.log.ids)
+	refLogisticUpdateInto(lo.prov, w, mask, 0, lo.ts)
 	eta, lambda := lo.prov.cfg.Eta, lo.prov.cfg.Lambda
 	zc := lo.eig.Q.MulVecT(w)
 	dt := lo.eig.Q.MulVecT(s.dStar)
@@ -187,7 +190,8 @@ func refMultinomialOptEval(s *multinomialWhatIf) []float64 {
 	mo := s.mo
 	nEff := s.log.n - len(s.log.ids)
 	w := mat.NewDense(mo.prov.q, mo.prov.data.M())
-	refMultinomialUpdateInto(mo.prov, w, s.log.removalMask(), 0, mo.ts)
+	mask, _, _ := gbm.Removals(s.log.n, s.log.ids)
+	refMultinomialUpdateInto(mo.prov, w, mask, 0, mo.ts)
 	eta, lambda := mo.prov.cfg.Eta, mo.prov.cfg.Lambda
 	for k := 0; k < mo.prov.q; k++ {
 		cPrime := mat.CloneVec(mo.eigs[k].Values)
@@ -378,6 +382,140 @@ func TestRemovedFoldMatchesPerRowLoopsMultinomial(t *testing.T) {
 			}
 			assertSameBits(t, "multinomial-opt Update/"+mode.name, upd.Vec(), wantOpt)
 		}
+	}
+}
+
+// optCursorCase is one opt capture under the cursor matrix: its cursor, its
+// Update and the per-row reference Eval of a cursor.
+type optCursorCase struct {
+	name   string
+	n, b   int
+	whatIf func() (WhatIfState, error)
+	update func([]int) (*gbm.Model, error)
+	ref    func(WhatIfState) []float64
+}
+
+// optCursorCases captures both opt families at batch sizes that straddle the
+// 64-bit word boundaries of the schedule-coordinate bitset, each with full
+// caches and, up to B = 64, with SVD factors at m > B (past it the m > B
+// eigensolves would dominate the package's test time).
+func optCursorCases(t *testing.T) []optCursorCase {
+	t.Helper()
+	var cases []optCursorCase
+	for _, b := range []int{63, 64, 65, 130} {
+		for _, mode := range []struct {
+			name string
+			m    int
+			opts Options
+		}{{"full", 6, Options{Mode: ModeFull}}, {"svd", b + 7, Options{Mode: ModeSVD}}} {
+			if mode.name == "svd" && b > 64 {
+				continue
+			}
+			n := 3 * b
+			cfg := gbm.Config{Eta: 0.05, Lambda: 0.02, BatchSize: b, Iterations: 8, Seed: int64(b)}
+			sched, err := gbm.NewSchedule(n, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bin, err := dataset.GenerateBinary("cursor-lo", n, mode.m, 1.2, int64(b))
+			if err != nil {
+				t.Fatal(err)
+			}
+			lo, err := CaptureLogisticOpt(bin, cfg, sched, testLin, mode.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mc, err := dataset.GenerateMulticlass("cursor-mo", n, mode.m, 3, 2.5, int64(b))
+			if err != nil {
+				t.Fatal(err)
+			}
+			mo, err := CaptureMultinomialOpt(mc, cfg, sched, mode.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cases = append(cases,
+				optCursorCase{
+					name: fmt.Sprintf("logistic-opt/B=%d/%s", b, mode.name), n: n, b: b,
+					whatIf: lo.WhatIf, update: lo.Update,
+					ref: func(s WhatIfState) []float64 { return refLogisticOptEval(s.(*logisticWhatIf)) },
+				},
+				optCursorCase{
+					name: fmt.Sprintf("multinomial-opt/B=%d/%s", b, mode.name), n: n, b: b,
+					whatIf: mo.WhatIf, update: mo.Update,
+					ref: func(s WhatIfState) []float64 { return refMultinomialOptEval(s.(*multinomialWhatIf)) },
+				})
+		}
+	}
+	return cases
+}
+
+// TestCursorMatrixBitwise holds the opt cursors' cached schedule-coordinate
+// removals and lazily refreshed ΔD to Update's bits and to the per-row
+// reference: a random log split into random Apply batches, with Evals
+// interleaved at random (Eval → Apply → Eval), a Fork taken while
+// iterations are stale and evaluated in child and parent — in both orders —
+// and repeated Evals with no Apply between.
+func TestCursorMatrixBitwise(t *testing.T) {
+	for ci, c := range optCursorCases(t) {
+		rng := rand.New(rand.NewSource(int64(ci) + 90))
+		perm := rng.Perm(c.n)
+		log, extra := perm[:c.n/2], perm[c.n/2:c.n/2+2]
+		check := func(what string, s WhatIfState, log []int) {
+			t.Helper()
+			ev, err := s.Eval()
+			if err != nil {
+				t.Fatal(err)
+			}
+			upd, err := c.update(log)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameBits(t, c.name+" "+what+" vs Update", ev.Vec(), upd.Vec())
+			assertSameBits(t, c.name+" "+what+" vs reference", ev.Vec(), c.ref(s))
+		}
+		st, err := c.whatIf()
+		if err != nil {
+			t.Fatal(err)
+		}
+		applied, forked := 0, false
+		for applied < len(log) {
+			k := min(applied+1+rng.Intn(c.b/2), len(log))
+			if err := st.Apply(log[applied:k]); err != nil {
+				t.Fatal(err)
+			}
+			applied = k
+			if !forked && applied >= len(log)/2 && applied < len(log) {
+				// Evaluate, then apply one more row, so only that row's
+				// iterations are stale when the fork is taken; the child's
+				// extra rows stale others.
+				forked = true
+				check("before fork", st, log[:applied])
+				if err := st.Apply(log[applied : applied+1]); err != nil {
+					t.Fatal(err)
+				}
+				applied++
+				child := st.Fork()
+				childLog := append(append([]int(nil), log[:applied]...), extra...)
+				if err := child.Apply(extra); err != nil {
+					t.Fatal(err)
+				}
+				first, second := "fork child", "fork parent"
+				firstSt, secondSt, firstLog, secondLog := child, st, childLog, log[:applied]
+				if ci%2 == 1 {
+					first, second = second, first
+					firstSt, secondSt, firstLog, secondLog = secondSt, firstSt, secondLog, firstLog
+				}
+				check(first, firstSt, firstLog)
+				check(second, secondSt, secondLog)
+				check(first+" again", firstSt, firstLog)
+				continue
+			}
+			if rng.Intn(3) == 0 {
+				check(fmt.Sprintf("Eval at %d", applied), st, log[:applied])
+			}
+		}
+		check("final Eval", st, log)
+		check("repeated Eval", st, log)
 	}
 }
 

@@ -7,7 +7,7 @@ import (
 	"repro/internal/mat"
 )
 
-// What-if evaluation: forkable, read-only cursors over a PrIU-opt capture.
+// What-if evaluation: forkable cursors over a PrIU-opt capture.
 //
 // A WhatIfState accumulates a removal log incrementally — Apply folds more
 // removed rows into the state's partial sums — and Eval materializes the
@@ -18,6 +18,16 @@ import (
 // cursor across commits, so a commit costs Apply(batch) + Eval instead of a
 // full-log Update.
 //
+// The logistic and multinomial cursors keep their PrIU phase-1 removals in
+// schedule coordinates (schedRemovals): Apply sets one bit per (iteration,
+// batch position) the row occupies, found through the capture's occurrence
+// index, and marks those iterations stale. The phase-1 roll at Eval reads
+// the removed rows from the bits and the cached ΔD_t = Σ dᵢxᵢ — the
+// w-independent half of each iteration's correction — re-summing ΔD only
+// for stale iterations, so a commit recomputes only the w-dependent ΔC·w
+// half for the iterations its batch did not touch. Eval therefore writes
+// the cursor's own cached state; forks never share it.
+//
 // Bitwise contract: log order is the canonical fold order. For every applied
 // log L (the concatenation of the Apply batches; ids distinct across all
 // calls, in any order), Eval() returns the exact bits Update(L) would. This
@@ -27,16 +37,18 @@ import (
 // correction sums dot² over rows in that same order starting from zero, and
 // the per-eigenvector dot uses the identical operand order as
 // Dense.MulVecInto (row element × eigenvector element, ascending
-// coordinates). Both paths then run the same per-family tail (eigenTail /
-// finish).
+// coordinates). The phase-1 roll depends on the removal set alone, and a
+// cached ΔD_t is re-summed in batch order from zero, as Update sums it. Both
+// paths then run the same per-family tail (eigenTail / finish).
 
 // WhatIfState is a forkable what-if cursor. Apply folds additional removed
 // row ids into the state (ids must be distinct across all Apply calls, in
 // any order; the concatenation is the fold order); Fork returns an
-// independent copy sharing only immutable captured state, in O(m + |log|);
-// Eval returns the model the updater's Update of the applied log would
-// produce. A rejected Apply leaves the state unchanged. A state is not safe
-// for concurrent use.
+// independent copy sharing only immutable captured state; Eval returns the
+// model the updater's Update of the applied log would produce. A rejected
+// Apply leaves the state unchanged. A state is not safe for concurrent use,
+// and that includes Eval, which refreshes the state's cached sums: distinct
+// states (a state and its forks) may be evaluated concurrently.
 type WhatIfState interface {
 	Apply(ids []int) error
 	Fork() WhatIfState
@@ -98,17 +110,6 @@ func (l *removalLog) extend(ids []int) error {
 
 func (l *removalLog) fork() removalLog {
 	return removalLog{n: l.n, ids: append([]int(nil), l.ids...), hi: l.hi}
-}
-
-// removalMask returns the applied set as the dense mask the PrIU phase-1
-// roll indexes: the owned mask when Apply built one, else a transient one
-// (a planner's forks never retain an n-sized mask).
-func (l *removalLog) removalMask() []bool {
-	if l.mask != nil {
-		return l.mask
-	}
-	mask, _, _ := gbm.Removals(l.n, l.ids) // ids were validated by extend
-	return mask
 }
 
 // linearWhatIf incrementally maintains N' = N − Σ yᵢxᵢ and the per-eigenvalue
@@ -187,12 +188,15 @@ func (s *linearWhatIf) Eval() (*gbm.Model, error) {
 }
 
 // logisticWhatIf incrementally maintains D*' and the Gram corrections
-// ‖Z·qⱼ‖² (rows √(−aᵢ,*)·xᵢ) for LogisticOpt (Sec 5.4). The PrIU phase-1
-// roll to ts is a function of the full set and runs at Eval.
+// ‖Z·qⱼ‖² (rows √(−aᵢ,*)·xᵢ) for LogisticOpt (Sec 5.4), and the phase-1
+// removals in schedule coordinates with each iteration's cached ΔD. The PrIU
+// phase-1 roll to ts depends on w and runs at Eval, re-summing only the ΔD
+// of iterations an Apply touched since the last Eval.
 type logisticWhatIf struct {
 	lo      *LogisticOpt
 	qt      *mat.Dense
 	log     removalLog
+	rm      *schedRemovals
 	dStar   []float64
 	sSum    []float64
 	scratch []float64
@@ -208,6 +212,7 @@ func (lo *LogisticOpt) WhatIf() (WhatIfState, error) {
 		lo:      lo,
 		qt:      lo.eig.Q.T(),
 		log:     newRemovalLog(d.N()),
+		rm:      lo.phase1Removals(true),
 		dStar:   mat.CloneVec(lo.dStar),
 		sSum:    make([]float64, d.M()),
 		scratch: make([]float64, 2*d.M()),
@@ -233,6 +238,7 @@ func (s *logisticWhatIf) Apply(ids []int) error {
 		}
 		mat.Axpy(s.dStar, -s.lo.bStar[id]*d.Y[id], xi)
 	}
+	s.rm.add(&s.lo.occ, ids)
 	return nil
 }
 
@@ -241,6 +247,7 @@ func (s *logisticWhatIf) Fork() WhatIfState {
 		lo:      s.lo,
 		qt:      s.qt,
 		log:     s.log.fork(),
+		rm:      s.rm.fork(),
 		dStar:   mat.CloneVec(s.dStar),
 		sSum:    mat.CloneVec(s.sSum),
 		scratch: make([]float64, len(s.scratch)),
@@ -260,16 +267,18 @@ func (s *logisticWhatIf) Eval() (*gbm.Model, error) {
 	for i := range cPrime {
 		cPrime[i] = s.lo.eig.Values[i] + s.sSum[i]
 	}
-	return s.lo.finish(s.log.removalMask(), cPrime, s.dStar, nEff), nil
+	return s.lo.finish(s.rm, cPrime, s.dStar, nEff), nil
 }
 
 // multinomialWhatIf is the per-class generalization: D*ₖ' and the class-k
-// Gram corrections accumulate per applied row, the per-class eigen
-// recurrences run at Eval.
+// Gram corrections accumulate per applied row, the phase-1 removals and
+// per-class ΔD as for logistic, and the per-class eigen recurrences run at
+// Eval.
 type multinomialWhatIf struct {
 	mo      *MultinomialOpt
 	qts     []*mat.Dense
 	log     removalLog
+	rm      *schedRemovals
 	dStar   [][]float64
 	sSum    [][]float64
 	scratch []float64
@@ -285,6 +294,7 @@ func (mo *MultinomialOpt) WhatIf() (WhatIfState, error) {
 		mo:      mo,
 		qts:     make([]*mat.Dense, q),
 		log:     newRemovalLog(d.N()),
+		rm:      mo.phase1Removals(true),
 		dStar:   make([][]float64, q),
 		sSum:    make([][]float64, q),
 		scratch: make([]float64, 2*d.M()),
@@ -318,6 +328,7 @@ func (s *multinomialWhatIf) Apply(ids []int) error {
 			mat.Axpy(s.dStar[k], -s.mo.cStar[k*n+id], xi)
 		}
 	}
+	s.rm.add(&s.mo.occ, ids)
 	return nil
 }
 
@@ -326,6 +337,7 @@ func (s *multinomialWhatIf) Fork() WhatIfState {
 		mo:      s.mo,
 		qts:     s.qts,
 		log:     s.log.fork(),
+		rm:      s.rm.fork(),
 		dStar:   make([][]float64, len(s.dStar)),
 		sSum:    make([][]float64, len(s.sSum)),
 		scratch: make([]float64, len(s.scratch)),
@@ -353,5 +365,5 @@ func (s *multinomialWhatIf) Eval() (*gbm.Model, error) {
 			cPrimes[k][i] = s.mo.eigs[k].Values[i] - sum[i]
 		}
 	}
-	return s.mo.finish(s.log.removalMask(), cPrimes, s.dStar, nEff), nil
+	return s.mo.finish(s.rm, cPrimes, s.dStar, nEff), nil
 }

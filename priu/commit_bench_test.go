@@ -119,3 +119,55 @@ func BenchmarkLogisticOptEvalLongLog(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkMultinomialOptEvalLongLog is the multinomial counterpart of
+// BenchmarkLogisticOptEvalLongLog, on a cov-small-like shape at perfbench's
+// paper-sec6 scale (n=6000, m=54, q=7, B=200, τ=200, one worker): one cursor
+// Eval at 120-, 600- and 1200-row deletion logs, and per log length one
+// Fork+Apply+Eval — a what-if that forks the cursor, which copies the
+// per-class ΔD cache (q·ts·m·8 bytes), and folds 4 more rows. ns/op, B/op
+// and allocs/op; no speedup, so benchguard sets no floor.
+func BenchmarkMultinomialOptEvalLongLog(b *testing.B) {
+	prev := Workers()
+	SetWorkers(1)
+	b.Cleanup(func() { SetWorkers(prev) })
+
+	const n, m, q, batch = 6000, 54, 7, 4
+	d, err := GenerateMulticlass("b-mc", n, m, q, 1.5, 3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	u, err := Train(FamilyMultinomialOpt, d,
+		WithEta(1e-2), WithLambda(0.001), WithBatchSize(200),
+		WithIterations(200), WithSeed(103))
+	if err != nil {
+		b.Fatal(err)
+	}
+	perm := rand.New(rand.NewSource(9)).Perm(n)
+	for _, logLen := range []int{120, 600, 1200} {
+		cur, err := ReplayLog(u, n, perm[:logLen])
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("log=%d", logLen), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := cur.Eval(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("fork+apply+eval/log=%d", logLen), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				f := cur.Fork()
+				if err := f.Apply(perm[logLen : logLen+batch]); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := f.Eval(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -2,6 +2,7 @@ package priu
 
 import (
 	"bytes"
+	"math"
 	"testing"
 )
 
@@ -15,8 +16,10 @@ func fuzzSeedSnapshot(f *testing.F, family string, deleted []int) []byte {
 		err error
 	)
 	switch family {
-	case FamilyLogistic:
+	case FamilyLogistic, FamilyLogisticOpt:
 		ds, err = GenerateBinary("fuzz-lg", 20, 3, 1.2, 1)
+	case FamilyMultinomialOpt:
+		ds, err = GenerateMulticlass("fuzz-mc", 24, 3, 3, 1.5, 1)
 	case FamilySparseLogistic:
 		ds, err = GenerateSparseBinary("fuzz-sp", 20, 12, 3, 1)
 	default:
@@ -42,13 +45,18 @@ func fuzzSeedSnapshot(f *testing.F, family string, deleted []int) []byte {
 // streams: it must never panic or over-allocate, and whatever it accepts
 // must be a coherent session (registered family, non-nil training set and
 // updater, every deletion-log index in range) whose updater runs: Update with
-// no removals and with the snapshot's own deletion log must not panic. Seed
-// corpus in testdata/fuzz/FuzzReadSessionSnapshot.
+// no removals and with the snapshot's own deletion log must not panic, and
+// where Update of the log succeeds, the cursor a restored session rebuilds
+// (ReplayLog, which for the opt families holds the loader's derived
+// occurrence index) must evaluate to its exact bits. Seed corpus in
+// testdata/fuzz/FuzzReadSessionSnapshot.
 func FuzzReadSessionSnapshot(f *testing.F) {
 	valid := fuzzSeedSnapshot(f, FamilyLinear, []int{2, 7})
 	f.Add(valid)
 	f.Add(fuzzSeedSnapshot(f, FamilyLogistic, []int{4}))
 	f.Add(fuzzSeedSnapshot(f, FamilySparseLogistic, []int{1, 13}))
+	f.Add(fuzzSeedSnapshot(f, FamilyLogisticOpt, []int{6, 2, 11}))
+	f.Add(fuzzSeedSnapshot(f, FamilyMultinomialOpt, []int{3, 19, 8}))
 	f.Add(valid[:len(valid)/2])  // truncated mid-provenance
 	f.Add(valid[:16])            // truncated mid-header
 	f.Add([]byte("PRSNgarbage")) // magic then junk
@@ -76,6 +84,26 @@ func FuzzReadSessionSnapshot(f *testing.F) {
 		}
 		// An error is an answer; only a panic fails the target.
 		_, _ = u.Update(nil)
-		_, _ = u.Update(deleted)
+		want, err := u.Update(deleted)
+		if err != nil {
+			return
+		}
+		cur, err := ReplayLog(u, n, deleted)
+		if err != nil {
+			return
+		}
+		got, err := cur.Eval()
+		if err != nil {
+			return
+		}
+		gv, wv := got.Vec(), want.Vec()
+		if len(gv) != len(wv) {
+			t.Fatalf("%s: cursor Eval has %d parameters, Update %d", family, len(gv), len(wv))
+		}
+		for i := range gv {
+			if math.Float64bits(gv[i]) != math.Float64bits(wv[i]) {
+				t.Fatalf("%s: cursor Eval parameter %d is %v, Update gives %v", family, i, gv[i], wv[i])
+			}
+		}
 	})
 }

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"math/rand"
@@ -257,4 +258,91 @@ func TestConcurrentCommitsMatchUpdate(t *testing.T) {
 	if want := directUpdate(t, srv.st, id); !sameParams(mr.Parameters, want) {
 		t.Fatal("concurrent commits differ from a direct Update of the log")
 	}
+}
+
+// TestV2RejectionsLeaveSessionUntouched: v2 batches holding an id already in
+// the log, an id repeated within the batch or an out-of-range id are
+// rejected as invalid_removals and leave the log, the model and
+// total_deleted as they were — on a live session, after evict+restore
+// (which rebuilds the log's membership set) and after a v1 commit whose
+// repeats joined the log. The ids of a rejected batch stay deletable.
+func TestV2RejectionsLeaveSessionUntouched(t *testing.T) {
+	ti, err := store.NewTiered(t.TempDir(), store.NewMemory(store.WithMaxSessions(2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = ti.Close() })
+	ts := httptest.NewServer(NewServer(WithStore(ti)).Handler())
+	defer ts.Close()
+
+	const n = 120
+	id := v2Create(t, ts.URL, v2CreateBody(t, "logistic-opt", n, 6, 41)).SessionID
+	filler := v2Create(t, ts.URL, v2CreateBody(t, "logistic-opt", n, 6, 42)).SessionID
+	deletions := ts.URL + "/v2/sessions/" + id + "/deletions"
+	streamBatches(t, deletions, []string{`{"remove":[5,9,13]}`})
+	logOf := func() []int {
+		sess, ok := ti.Get(id)
+		if !ok {
+			t.Fatalf("session %s not in the store", id)
+		}
+		sess.Mu.Lock()
+		defer sess.Mu.Unlock()
+		return append([]int(nil), sess.Deleted...)
+	}
+
+	fresh := 60 // ids from here up are committed once the rejections pass
+	rejectAll := func(stage string, logged int) {
+		t.Helper()
+		before, beforeLog := liveParams(t, ts.URL, id), logOf()
+		batches := []string{
+			fmt.Sprintf(`{"remove":[%d]}`, logged),
+			fmt.Sprintf(`{"remove":[%d,%d]}`, fresh, logged),
+			fmt.Sprintf(`{"remove":[%d,%d,%d]}`, fresh, fresh+1, fresh),
+			fmt.Sprintf(`{"remove":[%d,%d]}`, fresh+1, n),
+			fmt.Sprintf(`{"remove":[-1,%d]}`, fresh),
+		}
+		for i, line := range streamBatches(t, deletions, batches) {
+			var env ErrorEnvelope
+			if err := json.Unmarshal([]byte(line), &env); err != nil {
+				t.Fatal(err)
+			}
+			if env.Error.Code != ErrCodeInvalidRemovals {
+				t.Fatalf("%s: batch %s gave %q, want %q", stage, batches[i], env.Error.Code, ErrCodeInvalidRemovals)
+			}
+		}
+		after, afterLog := liveParams(t, ts.URL, id), logOf()
+		if !sameParams(after.Parameters, before.Parameters) || after.TotalDeleted != before.TotalDeleted {
+			t.Fatalf("%s: rejected batches moved the model or total_deleted (%d → %d)", stage, before.TotalDeleted, after.TotalDeleted)
+		}
+		if fmt.Sprint(afterLog) != fmt.Sprint(beforeLog) {
+			t.Fatalf("%s: rejected batches changed the log %v → %v", stage, beforeLog, afterLog)
+		}
+		// The rejected batches' new ids are still deletable.
+		var res DeletionResult
+		lines := streamBatches(t, deletions, []string{fmt.Sprintf(`{"remove":[%d,%d]}`, fresh, fresh+1)})
+		if err := json.Unmarshal([]byte(lines[0]), &res); err != nil || res.TotalDeleted != before.TotalDeleted+2 {
+			t.Fatalf("%s: committing the rejected batches' new ids: %s", stage, lines[0])
+		}
+		fresh += 2
+		if want := directUpdate(t, ti, id); !sameParams(liveParams(t, ts.URL, id).Parameters, want) {
+			t.Fatalf("%s: live parameters differ from a direct Update of the log", stage)
+		}
+	}
+
+	rejectAll("live", 9)
+
+	liveParams(t, ts.URL, filler)
+	v2Create(t, ts.URL, v2CreateBody(t, "logistic-opt", n, 6, 43))
+	restores := ti.Stats().Restores
+	liveParams(t, ts.URL, id)
+	if ti.Stats().Restores == restores {
+		t.Fatal("the session was never evicted and restored")
+	}
+	rejectAll("after evict+restore", 13)
+
+	var dr DeleteResponse
+	if resp := postJSON(t, ts.URL+"/v1/delete", DeleteRequest{SessionID: id, Removed: []int{80, 5, 80}}, &dr); resp.StatusCode != http.StatusOK {
+		t.Fatalf("v1 delete: status %d", resp.StatusCode)
+	}
+	rejectAll("after a v1 commit with repeats", 80)
 }

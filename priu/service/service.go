@@ -844,7 +844,7 @@ func (s *Server) deleteOne(ctx context.Context, ten *Tenant, sessionID string, r
 			if sess.GoneLocked() {
 				return DeleteResponse{}, nil, true
 			}
-			r, e := s.applyDeletionLocked(ctx, sess, removed, v1Fold(sess.Deleted, removed))
+			r, e := s.applyDeletionLocked(ctx, sess, removed, v1Fold(sess, removed))
 			return r, e, false
 		}()
 		if retry {
@@ -871,33 +871,27 @@ var errInternal = errors.New("internal error")
 // v1Fold returns the part of a v1 batch the session's cursor folds. v1
 // tolerates ids repeated within the batch or already in the log — they
 // still join the log as sent and count toward total_deleted — so only each
-// new id's first occurrence folds.
-func v1Fold(log, removed []int) []int {
-	seen := loggedOf(log, removed)
+// new id's first occurrence folds. Callers hold sess.Mu.
+func v1Fold(sess *Session, removed []int) []int {
+	logged := sess.LoggedLocked()
+	n := sess.DS.N()
 	fold := make([]int, 0, len(removed))
 	for _, i := range removed {
-		if !seen[i] {
-			seen[i] = true
+		if i < 0 || i >= n {
+			fold = append(fold, i) // the cursor's Apply rejects it
+			continue
+		}
+		if !logged.Has(i) {
+			logged.Add(i)
 			fold = append(fold, i)
 		}
 	}
-	return fold
-}
-
-// loggedOf maps each of removed's ids to whether the deletion log already
-// holds it. It indexes the (small) batch and scans the log once, so a commit
-// never builds an index of the whole log.
-func loggedOf(log, removed []int) map[int]bool {
-	seen := make(map[int]bool, len(removed))
-	for _, i := range removed {
-		seen[i] = false
-	}
-	for _, i := range log {
-		if _, ok := seen[i]; ok {
-			seen[i] = true
+	for _, i := range fold {
+		if i >= 0 && i < n {
+			logged.Remove(i)
 		}
 	}
-	return seen
+	return fold
 }
 
 // applyDeletionLocked appends removed to the session's cumulative removal
@@ -907,8 +901,6 @@ func loggedOf(log, removed []int) map[int]bool {
 // GoneLocked.
 func (s *Server) applyDeletionLocked(ctx context.Context, sess *Session, removed, fold []int) (DeleteResponse, error) {
 	sess.Touch()
-	// Deletions are cumulative within a session.
-	all := append(append([]int(nil), sess.Deleted...), removed...)
 	start := time.Now()
 	_, span := obs.StartSpan(ctx, "update")
 	updated, err := sess.FoldLocked(fold)
@@ -927,7 +919,10 @@ func (s *Server) applyDeletionLocked(ctx context.Context, sess *Session, removed
 		sess.DropCursorLocked()
 		return DeleteResponse{}, fmt.Errorf("%w: comparing models: %v", errInternal, err)
 	}
-	sess.Deleted = all
+	// Deletions are cumulative within a session. The log grows in place:
+	// every reader copies it under Mu, and an append never rewrites the
+	// prefix an earlier copy or slice holds.
+	sess.Deleted = append(sess.Deleted, removed...)
 	sess.Model = updated
 	sess.Updates++
 	sess.LastUpdateSeconds = dt.Seconds()
@@ -936,7 +931,7 @@ func (s *Server) applyDeletionLocked(ctx context.Context, sess *Session, removed
 		SessionID:     store.LocalID(sess.ID),
 		Parameters:    updated.Vec(),
 		UpdateSeconds: dt.Seconds(),
-		TotalDeleted:  len(all),
+		TotalDeleted:  len(sess.Deleted),
 		CosineVsPrev:  cmp.Cosine,
 	}, nil
 }

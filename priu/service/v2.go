@@ -841,7 +841,6 @@ func (s *Server) validateBatchLocked(sess *Session, removed []int) *APIError {
 		}
 	}
 	n := sess.DS.N()
-	seen := loggedOf(sess.Deleted, removed)
 	for _, i := range removed {
 		if i < 0 || i >= n {
 			return &APIError{
@@ -849,15 +848,28 @@ func (s *Server) validateBatchLocked(sess *Session, removed []int) *APIError {
 				Message: fmt.Sprintf("removal index %d out of range [0,%d)", i, n),
 			}
 		}
-		if seen[i] {
-			return &APIError{
+	}
+	// Each id joins the log's membership set as it passes, so a repeat
+	// within the batch reads as already deleted; the ids leave it again
+	// before returning.
+	logged := sess.LoggedLocked()
+	var apiErr *APIError
+	k := 0
+	for ; k < len(removed); k++ {
+		i := removed[k]
+		if logged.Has(i) {
+			apiErr = &APIError{
 				Code:    ErrCodeInvalidRemovals,
 				Message: fmt.Sprintf("removal index %d is duplicated or already deleted", i),
 			}
+			break
 		}
-		seen[i] = true
+		logged.Add(i)
 	}
-	return nil
+	for _, i := range removed[:k] {
+		logged.Remove(i)
+	}
+	return apiErr
 }
 
 // ParamDigest hashes a parameter vector (FNV-1a over the float bits) into a

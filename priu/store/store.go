@@ -142,6 +142,12 @@ type Session struct {
 	// adopt, snapshot import — and after any failed fold; the next commit
 	// rebuilds it from Deleted.
 	cursor priu.WhatIfState
+	// logged is the membership set of Deleted[:loggedLen]. Derived state
+	// like the cursor: nil on every freshly built session, built on the
+	// first membership query and caught up with the log's appended tail on
+	// later ones.
+	logged    RowSet
+	loggedLen int
 
 	// Updates / LastUpdateSeconds are per-session stats counters (guarded by
 	// Mu); they ride along in spill files so restarts don't zero them.
@@ -230,6 +236,36 @@ func (sess *Session) FoldLocked(fold []int) (*priu.Model, error) {
 		return nil, err
 	}
 	return model, nil
+}
+
+// RowSet is a membership bitset over training rows: bit i of word i/64 is
+// set when the set holds row i.
+type RowSet []uint64
+
+// Has reports whether the set holds row i.
+func (s RowSet) Has(i int) bool { return s[i>>6]&(1<<(i&63)) != 0 }
+
+// Add puts row i in the set.
+func (s RowSet) Add(i int) { s[i>>6] |= 1 << (i & 63) }
+
+// Remove takes row i out of the set.
+func (s RowSet) Remove(i int) { s[i>>6] &^= 1 << (i & 63) }
+
+// LoggedLocked returns the membership set of Deleted over the training
+// rows. The caller may add ids it is checking — a batch's own repeats — but
+// must remove them again before releasing Mu. Callers hold Mu.
+func (sess *Session) LoggedLocked() RowSet {
+	n := sess.DS.N()
+	if sess.logged == nil || sess.loggedLen > len(sess.Deleted) {
+		sess.logged, sess.loggedLen = make(RowSet, (n+63)/64), 0
+	}
+	for _, i := range sess.Deleted[sess.loggedLen:] {
+		if i >= 0 && i < n {
+			sess.logged.Add(i)
+		}
+	}
+	sess.loggedLen = len(sess.Deleted)
+	return sess.logged
 }
 
 // DropCursorLocked discards the live cursor (rebuilt from Deleted on the

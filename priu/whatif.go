@@ -26,7 +26,9 @@ import (
 // returns the model Update of the applied log would produce without mutating
 // the updater. Log order is the canonical fold order: a cursor that applied
 // a deletion log batch by batch evaluates to the exact bits of one Update of
-// that log, which is what lets a session commit in O(batch).
+// that log, which is what lets a session commit in O(batch). Eval refreshes
+// the cursor's own cached sums, so a cursor is not safe for concurrent use;
+// distinct forks are.
 type WhatIfState = core.WhatIfState
 
 // WhatIfer is the optional capability of updaters that can answer what-if
@@ -193,7 +195,9 @@ func (p *WhatIfPlanner) Eval(ids []int) (*Model, error) {
 
 // EvalBatch plans all sets, then evaluates the distinct unevaluated leaves
 // concurrently on the shared worker pool with at most workers evaluators
-// (workers ≤ 1 evaluates serially). Results align with sets.
+// (workers ≤ 1 evaluates serially). Each leaf holds its own forked state,
+// and Eval writes that state's cached sums, so no state is ever evaluated
+// by two evaluators at once. Results align with sets.
 func (p *WhatIfPlanner) EvalBatch(sets [][]int, workers int) []WhatIfResult {
 	out := make([]WhatIfResult, len(sets))
 	leaves := make([]*whatifNode, len(sets))

@@ -64,6 +64,49 @@ func TestWhatIfPlannerIncrementalBitwise(t *testing.T) {
 	}
 }
 
+// TestWhatIfEvalBatchConcurrentOptForks: EvalBatch evaluates sibling forks
+// of both phase-1 opt families on two workers — each Eval refreshes its own
+// fork's cached ΔD — with Update's bits. Under -race it checks that sibling
+// forks share no written state.
+func TestWhatIfEvalBatchConcurrentOptForks(t *testing.T) {
+	prev := Workers()
+	SetWorkers(2)
+	t.Cleanup(func() { SetWorkers(prev) })
+	sets := [][]int{
+		{1, 4, 9, 16, 25},
+		{1, 4, 9, 16, 36},
+		{1, 4, 9, 49},
+		{1, 4, 64, 81},
+		{2, 3},
+		{1, 4, 9, 16, 25, 100},
+	}
+	for _, family := range []string{FamilyLogisticOpt, FamilyMultinomialOpt} {
+		u, err := Train(family, denseSet(t, family), testOpts()...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := NewWhatIfPlanner(u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !p.Incremental() {
+			t.Fatalf("%s should plan incrementally", family)
+		}
+		for i, r := range p.EvalBatch(sets, 2) {
+			if r.Err != nil {
+				t.Fatalf("%s set %d: %v", family, i, r.Err)
+			}
+			want, err := u.Update(sets[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bitwiseEqual(r.Model, want) {
+				t.Fatalf("%s set %d: concurrent EvalBatch result differs from Update", family, i)
+			}
+		}
+	}
+}
+
 func TestWhatIfPlannerFallbackFamily(t *testing.T) {
 	testWorkers(t)
 	// Base linear has no WhatIfer capability: the planner must fall back to
