@@ -70,12 +70,14 @@ spill-smoke:
 
 # Fuzz smoke: each native fuzz target runs its committed seed corpus plus a
 # short random budget. One `go test -fuzz` invocation per target (the flag
-# must match exactly one fuzz function per package).
+# must match exactly one fuzz function per package). Minimizing a new
+# interesting input may take 60s by default, which would spend the whole
+# budget on the first find; one second keeps the engine exploring.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzReadSessionSnapshot$$' -fuzztime $(FUZZTIME) ./priu
-	$(GO) test -run '^$$' -fuzz '^FuzzSpillEnvelope$$' -fuzztime $(FUZZTIME) ./priu/store
-	$(GO) test -run '^$$' -fuzz '^FuzzDeltaSegment$$' -fuzztime $(FUZZTIME) ./priu/store
-	$(GO) test -run '^$$' -fuzz '^FuzzCSRUpload$$' -fuzztime $(FUZZTIME) ./priu/service
+	$(GO) test -run '^$$' -fuzz '^FuzzReadSessionSnapshot$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./priu
+	$(GO) test -run '^$$' -fuzz '^FuzzSpillEnvelope$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./priu/store
+	$(GO) test -run '^$$' -fuzz '^FuzzDeltaSegment$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./priu/store
+	$(GO) test -run '^$$' -fuzz '^FuzzCSRUpload$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./priu/service
 
 # Coverage gate: the storage and service layers must stay above their
 # watermarks (cmd/covergate computes statement coverage from the profiles).

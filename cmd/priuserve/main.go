@@ -12,11 +12,13 @@
 //	          -probe-interval 3s \
 //	          -admin-addr 127.0.0.1:9090 -slow-op-ms 250
 //
-// Endpoints (see priu/service for the full wire formats; the v1 rows are
-// deprecated and carry Deprecation/Sunset headers pointing at /v2/meta):
+// Endpoints (see priu/service for the full wire formats). The v1 rows are
+// deprecated wire-format adapters over the v2 create and commit core: they
+// carry Deprecation/Sunset headers pointing at /v2/meta, share the v2 error
+// statuses and tenant rate limits, and answer errors as {"error":"..."}.
 //
 //	POST   /v1/train                   register data + hyperparameters (deprecated)
-//	POST   /v1/delete                  incremental removal (deprecated)
+//	POST   /v1/delete                  incremental removal; batch items run at their owner (deprecated)
 //	GET    /v1/model/ID                fetch a session's current parameters (deprecated)
 //	GET    /v1/sessions                list the caller's sessions (deprecated)
 //	GET    /v1/stats                   per-shard, per-session and per-tier counters (deprecated)
@@ -33,7 +35,7 @@
 //
 // -auth-keys names a JSON tenant key file (see service.TenantConfig):
 // "Authorization: Bearer" keys resolve to tenants, each with its own session
-// namespace, session/byte quota and deletion-stream rate limit. The file is
+// namespace, session/byte quota and deletion rate limit. The file is
 // re-read on SIGHUP, so keys rotate and limits change without a restart.
 // -auth selects the mode: "off" ignores keys, "optional" (default) honors
 // keys but admits anonymous callers, "required" rejects everything without a

@@ -368,14 +368,15 @@ func bearerKey(r *http.Request) (string, bool) {
 }
 
 // writeUnauthorized reports a 401 in the API generation's native error shape:
-// a typed envelope on /v2, the flat v1 string otherwise.
+// a typed envelope on /v2, the flat shape otherwise.
 func writeUnauthorized(w http.ResponseWriter, r *http.Request, format string, args ...any) {
 	w.Header().Set("WWW-Authenticate", `Bearer realm="priu"`)
+	e := apiErrorf(http.StatusUnauthorized, ErrCodeUnauthorized, format, args...)
 	if strings.HasPrefix(r.URL.Path, "/v2/") {
-		writeV2Error(w, http.StatusUnauthorized, ErrCodeUnauthorized, format, args...)
+		writeAPIError(w, e)
 		return
 	}
-	writeError(w, http.StatusUnauthorized, format, args...)
+	writeFlat(w, e)
 }
 
 // withAuth wraps the route mux with tenant resolution. /healthz bypasses

@@ -565,6 +565,39 @@ func TestTenantRateLimitStreamResumes(t *testing.T) {
 	if env := decodeEnvelope(t, oresp.Body); env.Error.Code != ErrCodeRateLimited {
 		t.Fatalf("429 open code %q", env.Error.Code)
 	}
+
+	// v1 deletes pay the same bucket. On the still-empty bucket a single
+	// delete is a flat 429 + Retry-After and a batch item reports the
+	// throttle per item; a delete over the burst is a 400.
+	v1resp := doAuthed(t, http.MethodPost, ts.URL+"/v1/delete", "ak_alice",
+		jsonBody(t, DeleteRequest{SessionID: sr.SessionID, Removed: []int{30, 31, 32}}), "application/json")
+	var flat struct {
+		Error string `json:"error"`
+	}
+	if err := json.NewDecoder(v1resp.Body).Decode(&flat); err != nil {
+		t.Fatal(err)
+	}
+	v1resp.Body.Close()
+	if v1resp.StatusCode != http.StatusTooManyRequests || v1resp.Header.Get("Retry-After") == "" || flat.Error == "" {
+		t.Fatalf("throttled v1 delete: status %d, Retry-After %q, body %v", v1resp.StatusCode, v1resp.Header.Get("Retry-After"), flat)
+	}
+	bresp := doAuthed(t, http.MethodPost, ts.URL+"/v1/delete", "ak_alice",
+		jsonBody(t, DeleteRequest{Batch: []DeleteItem{{SessionID: sr.SessionID, Removed: []int{33, 34, 35}}}}), "application/json")
+	var br BatchDeleteResponse
+	if err := json.NewDecoder(bresp.Body).Decode(&br); err != nil {
+		t.Fatal(err)
+	}
+	bresp.Body.Close()
+	if bresp.StatusCode != http.StatusOK || len(br.Results) != 1 || br.Results[0].Result != nil ||
+		!strings.Contains(br.Results[0].Error, "rate limit") {
+		t.Fatalf("throttled v1 batch item: status %d, %+v", bresp.StatusCode, br.Results)
+	}
+	big := doAuthed(t, http.MethodPost, ts.URL+"/v1/delete", "ak_alice",
+		jsonBody(t, DeleteRequest{SessionID: sr.SessionID, Removed: []int{40, 41, 42, 43, 44}}), "application/json")
+	big.Body.Close()
+	if big.StatusCode != http.StatusBadRequest {
+		t.Fatalf("over-burst v1 delete status %d, want 400", big.StatusCode)
+	}
 }
 
 func TestTenantStatsEndpoint(t *testing.T) {

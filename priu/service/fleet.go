@@ -1,16 +1,12 @@
 package service
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
-	"io"
 	"net/http"
 	"net/http/httputil"
 	"net/url"
 	"strings"
-	"sync"
 
 	"repro/priu/cluster"
 	"repro/priu/obs"
@@ -21,10 +17,9 @@ import (
 // (store.WithBlobStore) and agree on session placement through rendezvous
 // hashing over (tenant-namespaced) session IDs. Each replica serves the
 // sessions it owns and routes everything else to the owner — a 307 redirect
-// for body-less requests, a transparent streaming proxy for the NDJSON
+// for body-less requests and a transparent streaming proxy for the NDJSON
 // deletion and what-if streams (whose piped request bodies cannot be
-// replayed through a redirect), and a scatter-gather split for v1 batch
-// deletes that mix owners. Session IDs minted by a fleet member carry a
+// replayed through a redirect). Session IDs minted by a fleet member carry a
 // node-derived suffix so concurrently-creating replicas never collide, and a
 // membership change triggers a handoff: sessions this node no longer owns are
 // certified into the blob tier and forgotten locally, for the new owner to
@@ -103,11 +98,9 @@ func (s *Server) withFleet(next http.Handler) http.Handler {
 		}
 		wireID, stream := fleetSessionRoute(r)
 		if wireID == "" {
-			if r.URL.Path == "/v1/delete" && r.Method == http.MethodPost {
-				s.fleetV1Delete(w, r, next)
-				return
-			}
-			// Creation, listings, stats, meta, health: always local.
+			// Creation, listings, stats, meta, health: always local. So are
+			// deletes that name their sessions in the body; their handler
+			// routes item by item.
 			next.ServeHTTP(w, r)
 			return
 		}
@@ -165,154 +158,6 @@ func (s *Server) proxyTo(w http.ResponseWriter, r *http.Request, owner string) {
 		},
 	}
 	rp.ServeHTTP(w, r)
-}
-
-// fleetV1Delete routes POST /v1/delete, whose body (not the path) names the
-// target sessions. Single-session requests go to their owner whole; batch
-// requests are split per owner and the per-item results merged back in
-// request order, so one request may fan out across the fleet. Item failures
-// (including an unreachable owner) stay per-item, as in the local batch path.
-func (s *Server) fleetV1Delete(w http.ResponseWriter, r *http.Request, next http.Handler) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<28))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "reading request: %v", err)
-		return
-	}
-	var req DeleteRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
-		return
-	}
-	ten := tenantFor(r)
-	if len(req.Batch) == 0 {
-		if req.SessionID != "" {
-			if owner, self := s.cluster.Owner(ten.storeID(req.SessionID)); !self {
-				s.forwardV1Delete(w, r, owner, body)
-				return
-			}
-		}
-		r.Body = io.NopCloser(bytes.NewReader(body))
-		next.ServeHTTP(w, r)
-		return
-	}
-	if req.SessionID != "" || len(req.Removed) > 0 {
-		writeError(w, http.StatusBadRequest, "set either session_id/removed or batch, not both")
-		return
-	}
-	// Scatter: group item indices by owning node ("" = this one).
-	groups := map[string][]int{}
-	for i, item := range req.Batch {
-		owner, self := s.cluster.Owner(ten.storeID(item.SessionID))
-		if self {
-			owner = ""
-		}
-		groups[owner] = append(groups[owner], i)
-	}
-	results := make([]BatchDeleteResult, len(req.Batch))
-	var wg sync.WaitGroup
-	for owner, idxs := range groups {
-		if owner == "" {
-			continue
-		}
-		wg.Add(1)
-		go func(owner string, idxs []int) {
-			defer wg.Done()
-			sub := make([]DeleteItem, len(idxs))
-			for j, i := range idxs {
-				sub[j] = req.Batch[i]
-			}
-			part, err := s.peerV1Delete(r, owner, DeleteRequest{Batch: sub})
-			for j, i := range idxs {
-				switch {
-				case err != nil:
-					s.cluster.ReportFailure(owner)
-					results[i] = BatchDeleteResult{
-						SessionID: req.Batch[i].SessionID,
-						Error:     fmt.Sprintf("session owner %s unavailable: %v", owner, err),
-					}
-				case j < len(part):
-					results[i] = part[j]
-				default:
-					results[i] = BatchDeleteResult{
-						SessionID: req.Batch[i].SessionID,
-						Error:     fmt.Sprintf("session owner %s returned a short batch response", owner),
-					}
-				}
-			}
-		}(owner, idxs)
-	}
-	if idxs := groups[""]; len(idxs) > 0 {
-		for _, i := range idxs {
-			item := req.Batch[i]
-			results[i].SessionID = item.SessionID
-			resp, _, err := s.deleteOne(r.Context(), ten, item.SessionID, item.Removed)
-			if err != nil {
-				results[i].Error = err.Error()
-				continue
-			}
-			results[i].Result = &resp
-		}
-	}
-	wg.Wait()
-	writeJSON(w, BatchDeleteResponse{Results: results})
-}
-
-// forwardV1Delete re-issues a whole single-session /v1/delete at the owner
-// and copies the response back verbatim.
-func (s *Server) forwardV1Delete(w http.ResponseWriter, r *http.Request, owner string, body []byte) {
-	s.fleetProxied.Add(1)
-	resp, err := s.peerDo(r, owner, body)
-	if err != nil {
-		s.cluster.ReportFailure(owner)
-		writeError(w, http.StatusBadGateway, "forwarding to session owner %s: %v", owner, err)
-		return
-	}
-	defer resp.Body.Close()
-	w.Header().Set("Content-Type", resp.Header.Get("Content-Type"))
-	w.WriteHeader(resp.StatusCode)
-	_, _ = io.Copy(w, resp.Body)
-}
-
-// peerV1Delete executes a /v1/delete sub-batch at a peer and decodes its
-// per-item results.
-func (s *Server) peerV1Delete(r *http.Request, owner string, req DeleteRequest) ([]BatchDeleteResult, error) {
-	buf, err := json.Marshal(req)
-	if err != nil {
-		return nil, err
-	}
-	s.fleetProxied.Add(1)
-	resp, err := s.peerDo(r, owner, buf)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return nil, fmt.Errorf("peer answered %s: %s", resp.Status, strings.TrimSpace(string(body)))
-	}
-	var out BatchDeleteResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, err
-	}
-	return out.Results, nil
-}
-
-// peerDo posts a JSON /v1/delete body to a peer, carrying the caller's
-// credentials and the single-hop guard.
-func (s *Server) peerDo(r *http.Request, owner string, body []byte) (*http.Response, error) {
-	freq, err := http.NewRequestWithContext(r.Context(), http.MethodPost, owner+"/v1/delete", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	freq.Header.Set("Content-Type", "application/json")
-	freq.Header.Set(fleetHopHeader, s.cluster.Self())
-	if a := r.Header.Get("Authorization"); a != "" {
-		freq.Header.Set("Authorization", a)
-	}
-	if id := r.Header.Get(obs.TraceHeader); id != "" {
-		freq.Header.Set(obs.TraceHeader, id) // scatter-gather legs share the trace
-	}
-	return http.DefaultClient.Do(freq)
 }
 
 // handoff reacts to a membership change: locally-held sessions whose owner

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
@@ -20,10 +21,11 @@ import (
 // its own Tiered store, all sharing one FSBlob, joined by Memberships whose
 // probes consult the test's liveness switchboard.
 type testFleet struct {
-	urls    []string
-	servers []*Server
-	members []*cluster.Membership
-	stores  []*store.Tiered
+	urls      []string
+	listeners []*httptest.Server
+	servers   []*Server
+	members   []*cluster.Membership
+	stores    []*store.Tiered
 
 	mu sync.Mutex
 	up map[string]bool
@@ -59,6 +61,7 @@ func newTestFleet(t *testing.T, n int, probeInterval time.Duration) *testFleet {
 		}))
 		t.Cleanup(ts.Close)
 		f.urls = append(f.urls, ts.URL)
+		f.listeners = append(f.listeners, ts)
 		f.up[ts.URL] = true
 	}
 	for i := 0; i < n; i++ {
@@ -229,6 +232,73 @@ func TestFleetV1DeleteScatterGather(t *testing.T) {
 	if dr.SessionID != srB.SessionID || dr.TotalDeleted != 3 {
 		t.Fatalf("forwarded delete response %+v", dr)
 	}
+
+	// The owner's rejection of a forwarded single-session delete keeps its
+	// status and flat message: out of range is a 400, unknown a 404.
+	flatDelete := func(base string, req DeleteRequest) (int, string) {
+		t.Helper()
+		buf, _ := json.Marshal(req)
+		resp, err := http.Post(base+"/v1/delete", "application/json", strings.NewReader(string(buf)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var flat map[string]string
+		_ = json.NewDecoder(resp.Body).Decode(&flat)
+		return resp.StatusCode, flat["error"]
+	}
+	unknownAt1 := ""
+	for i := 0; unknownAt1 == ""; i++ {
+		if id := fmt.Sprintf("sess-nope-%d", i); !fleetOwns(f.members[0], id) {
+			unknownAt1 = id
+		}
+	}
+	for _, c := range []struct {
+		req    DeleteRequest
+		status int
+	}{
+		{DeleteRequest{SessionID: srB.SessionID, Removed: []int{999}}, http.StatusBadRequest},
+		{DeleteRequest{SessionID: unknownAt1, Removed: []int{1}}, http.StatusNotFound},
+	} {
+		viaStatus, viaMsg := flatDelete(f.urls[0], c.req)
+		ownStatus, ownMsg := flatDelete(f.urls[1], c.req)
+		if viaStatus != c.status || ownStatus != c.status || viaMsg == "" || viaMsg != ownMsg {
+			t.Fatalf("forwarded %+v: %d %q, at the owner %d %q, want %d and the owner's message",
+				c.req, viaStatus, viaMsg, ownStatus, ownMsg, c.status)
+		}
+	}
+
+	// With the owner's server stopped, a single delete is a 502 and a mixed
+	// batch reports the item per item while its local item still commits.
+	// The liveness probe still answers for the stopped node, so the first
+	// forward's demotion is undone before the batch runs.
+	g := newTestFleet(t, 2, 20*time.Millisecond)
+	gA := v2Create(t, g.urls[0], v2CreateBody(t, "linear", 80, 4, 3))
+	gB := v2Create(t, g.urls[1], v2CreateBody(t, "linear", 80, 4, 4))
+	g.listeners[1].Close()
+	if status, msg := flatDelete(g.urls[0], DeleteRequest{SessionID: gB.SessionID, Removed: []int{1}}); status != http.StatusBadGateway || msg == "" {
+		t.Fatalf("delete for a stopped owner: %d %q, want 502", status, msg)
+	}
+	waitFor(t, "the stopped owner's re-admission", func() bool { return !fleetOwns(g.members[0], gB.SessionID) })
+	var mixed BatchDeleteResponse
+	if resp := postJSON(t, g.urls[0]+"/v1/delete", DeleteRequest{Batch: []DeleteItem{
+		{SessionID: gA.SessionID, Removed: []int{1}},
+		{SessionID: gB.SessionID, Removed: []int{2}},
+	}}, &mixed); resp.StatusCode != http.StatusOK || len(mixed.Results) != 2 {
+		t.Fatalf("mixed batch with a stopped owner: status %d, %+v", resp.StatusCode, mixed.Results)
+	}
+	if r := mixed.Results[0]; r.Error != "" || r.Result == nil || r.Result.TotalDeleted != 1 {
+		t.Fatalf("local item with a stopped peer: %+v", r)
+	}
+	if r := mixed.Results[1]; r.Error == "" || r.Result != nil {
+		t.Fatalf("item for a stopped owner: %+v, want a per-item error", r)
+	}
+}
+
+// fleetOwns reports whether m's node owns the anonymous tenant's session id.
+func fleetOwns(m *cluster.Membership, id string) bool {
+	_, self := m.Owner(id)
+	return self
 }
 
 func TestFleetMetaAndStatsExposeCluster(t *testing.T) {

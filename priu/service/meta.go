@@ -25,23 +25,6 @@ func (m AuthMode) String() string {
 	}
 }
 
-// v1Sunset is the advertised retirement date of the /v1 surface (an RFC 9110
-// HTTP-date, carried in the Sunset header of every v1 response).
-const v1Sunset = "Thu, 01 Jul 2027 00:00:00 GMT"
-
-// deprecateV1 marks a v1 response as deprecated: Deprecation (RFC 9745),
-// Sunset (RFC 8594) and a successor-version link to the v2 discovery
-// endpoint. The v1 bodies are unchanged — existing callers keep working
-// until the sunset date.
-func deprecateV1(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Sunset", v1Sunset)
-		w.Header().Set("Link", `</v2/meta>; rel="successor-version"`)
-		h(w, r)
-	}
-}
-
 // MetaFeatures reports which optional subsystems the deployment enables.
 type MetaFeatures struct {
 	// AuthMode is "off", "optional" or "required".

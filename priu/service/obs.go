@@ -362,7 +362,7 @@ func (w *obsWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 // withObs is the outermost middleware: it adopts (or mints) the request's
 // trace ID, opens the root span, and records latency and status. The trace
 // ID is written back onto r.Header so everything downstream that re-issues
-// the request — the fleet reverse proxy, peerDo — forwards it for free, and
+// the request — the fleet reverse proxy, deleteAtOwner — forwards it for free, and
 // onto the response so clients (and the SDK's *APIError) can quote it.
 func (s *Server) withObs(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

@@ -15,7 +15,11 @@
 // which transparently restores the session (deletion log replayed) from the
 // spill directory.
 //
-// Two API generations are mounted side by side:
+// Two API generations are mounted side by side. Both run one core: a session
+// is created by createSession and every deletion batch is applied by commit,
+// which owns the tenant's row budget, the session lookup and lock, and the
+// incremental update; failures are APIErrors that carry their HTTP status.
+// v1 is a set of wire-format adapters over that core, all in v1.go.
 //
 //	v1 (deprecated: every response carries Deprecation/Sunset headers and a
 //	successor-version link to /v2/meta; wire formats unchanged until sunset)
@@ -53,12 +57,14 @@
 // is a pure function of the alive member set: priu/cluster rendezvous-hashes
 // session storage IDs, so every node computes the same owner with no
 // coordination, and the fleet middleware routes accordingly — non-owner
-// nodes answer session reads with a 307 to the owner, transparently proxy
-// the streaming routes (deletions, what-if) so clients keep one connection,
-// and scatter-gather v1 batch deletes across owners. A forwarded request
-// carries a hop header so routing can never loop. Session creation is always
-// local: IDs are minted with a per-node suffix until one rendezvous-hashes
-// to the creating node, so a new session's home is the node that trained it.
+// nodes answer session reads with a 307 to the owner and transparently proxy
+// the streaming routes (deletions, what-if) so clients keep one connection.
+// Deletes that name their sessions in the body are routed item by item: an
+// item whose session another node owns runs there as a single-session
+// delete. A forwarded request carries a hop header so routing can never
+// loop. Session creation is always local: IDs are minted with a per-node
+// suffix until one rendezvous-hashes to the creating node, so a new
+// session's home is the node that trained it.
 //
 // Durability under node loss belongs to the store, not the routing layer:
 // replicas share a blob tier (store.WithBlobStore), every spill is certified
@@ -97,15 +103,11 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/dataset"
-	"repro/internal/mat"
 	"repro/internal/metrics"
 	"repro/internal/par"
 	"repro/priu"
@@ -121,7 +123,7 @@ type Session = store.Session
 // numShards mirrors the store's shard count for the /v1/stats layout.
 const numShards = store.NumShards
 
-// defaultMaxRemovalsPerBatch bounds one v2 deletion batch; oversize batches
+// defaultMaxRemovalsPerBatch bounds one deletion batch; oversize batches
 // are rejected with a typed error instead of stalling the update pool.
 const defaultMaxRemovalsPerBatch = 1 << 20
 
@@ -172,7 +174,7 @@ type Server struct {
 	maxSessions int
 	maxBytes    int64
 
-	// maxRemovals bounds one v2 deletion batch.
+	// maxRemovals bounds one deletion batch.
 	maxRemovals int
 
 	// What-if plane (see whatif.go): per-batch evaluation fan-out, the
@@ -233,7 +235,7 @@ func WithMaxSessions(n int) ServerOption { return func(s *Server) { s.maxSession
 // Ignored when WithStore injects a pre-built store.
 func WithMaxBytes(b int64) ServerOption { return func(s *Server) { s.maxBytes = b } }
 
-// WithMaxRemovalsPerBatch bounds the size of one v2 deletion batch.
+// WithMaxRemovalsPerBatch bounds the size of one deletion batch (v1 and v2).
 func WithMaxRemovalsPerBatch(n int) ServerOption {
 	return func(s *Server) {
 		if n > 0 {
@@ -324,165 +326,6 @@ func sessionIDLess(a, b string) bool {
 // tenant's storage key).
 func validWireID(id string) bool { return id != "" && !strings.Contains(id, "/") }
 
-// TrainRequest registers a training job. Features is row-major n×m.
-type TrainRequest struct {
-	Kind       string      `json:"kind"` // linear | logistic | multinomial
-	Features   [][]float64 `json:"features"`
-	Labels     []float64   `json:"labels"`
-	Classes    int         `json:"classes,omitempty"`
-	Eta        float64     `json:"eta"`
-	Lambda     float64     `json:"lambda"`
-	BatchSize  int         `json:"batch_size"`
-	Iterations int         `json:"iterations"`
-	Seed       int64       `json:"seed"`
-}
-
-// TrainResponse reports the new session.
-type TrainResponse struct {
-	SessionID      string    `json:"session_id"`
-	Parameters     []float64 `json:"parameters"`
-	ProvenanceMB   float64   `json:"provenance_mb"`
-	CaptureSeconds float64   `json:"capture_seconds"`
-}
-
-// DeleteItem is one session's removal set within a batched delete.
-type DeleteItem struct {
-	SessionID string `json:"session_id"`
-	Removed   []int  `json:"removed"`
-}
-
-// DeleteRequest removes training samples. Either the single-session fields
-// (SessionID + Removed) or Batch must be set, not both. Batch items for
-// different sessions execute concurrently.
-type DeleteRequest struct {
-	SessionID string       `json:"session_id,omitempty"`
-	Removed   []int        `json:"removed,omitempty"`
-	Batch     []DeleteItem `json:"batch,omitempty"`
-}
-
-// DeleteResponse reports the incrementally updated model.
-type DeleteResponse struct {
-	SessionID     string    `json:"session_id"`
-	Parameters    []float64 `json:"parameters"`
-	UpdateSeconds float64   `json:"update_seconds"`
-	TotalDeleted  int       `json:"total_deleted"`
-	CosineVsPrev  float64   `json:"cosine_vs_previous"`
-}
-
-// BatchDeleteResult is one item's outcome within a batched delete: either the
-// update result or the item's error.
-type BatchDeleteResult struct {
-	SessionID string          `json:"session_id"`
-	Error     string          `json:"error,omitempty"`
-	Result    *DeleteResponse `json:"result,omitempty"`
-}
-
-// BatchDeleteResponse reports all outcomes of a batched delete, in request
-// order. Per-item failures do not fail the batch.
-type BatchDeleteResponse struct {
-	Results []BatchDeleteResult `json:"results"`
-}
-
-// ModelResponse reports a session's current model.
-type ModelResponse struct {
-	SessionID    string    `json:"session_id"`
-	Kind         string    `json:"kind"`
-	Parameters   []float64 `json:"parameters"`
-	TotalDeleted int       `json:"total_deleted"`
-}
-
-// SessionStats is one session's counters within /v1/stats.
-type SessionStats struct {
-	SessionID         string    `json:"session_id"`
-	Kind              string    `json:"kind"`
-	CreatedAt         time.Time `json:"created_at"`
-	Updates           int64     `json:"updates"`
-	TotalDeleted      int       `json:"total_deleted"`
-	LastUpdateSeconds float64   `json:"last_update_seconds"`
-}
-
-// ShardStats is one shard's counters within /v1/stats. Evictions counts only
-// budget (LRU) evictions; explicit DELETEs are reported separately.
-type ShardStats struct {
-	Shard           int            `json:"shard"`
-	Sessions        int            `json:"sessions"`
-	Trains          int64          `json:"trains"`
-	Deletes         int64          `json:"deletes"`
-	DeleteErrors    int64          `json:"delete_errors"`
-	Evictions       int64          `json:"evictions"`
-	ExplicitDeletes int64          `json:"explicit_deletes"`
-	SessionStats    []SessionStats `json:"session_stats,omitempty"`
-}
-
-// StatsResponse is the /v1/stats payload. Sessions/ResidentBytes describe the
-// in-memory tier; Spilled/SpilledBytes/Spills/Restores describe the disk tier
-// (zero without -store-dir).
-type StatsResponse struct {
-	UptimeSeconds   float64 `json:"uptime_seconds"`
-	Workers         int     `json:"workers"`
-	Sessions        int     `json:"sessions"`
-	Trains          int64   `json:"trains"`
-	Deletes         int64   `json:"deletes"`
-	DeleteErrors    int64   `json:"delete_errors"`
-	Evictions       int64   `json:"evictions"`
-	ExplicitDeletes int64   `json:"explicit_deletes"`
-	ResidentBytes   int64   `json:"resident_bytes"`
-	Spilled         int     `json:"spilled"`
-	SpilledBytes    int64   `json:"spilled_bytes"`
-	Spills          int64   `json:"spills"`
-	Restores        int64   `json:"restores"`
-	SpillDirBytes   int64   `json:"spill_dir_bytes,omitempty"`
-	SpillMaxBytes   int64   `json:"spill_max_bytes,omitempty"`
-	// Lifecycle-manager counters: write-behind spills (subset of Spills
-	// performed off the request path), the queue's current backlog and its
-	// backpressure drops, disk-budget file evictions that dropped cold
-	// sessions, and age-based GC removals of orphaned files.
-	WriteBehindSpills int64 `json:"write_behind_spills,omitempty"`
-	SpillQueueDepth   int   `json:"spill_queue_depth,omitempty"`
-	SpillQueueFull    int64 `json:"spill_queue_full,omitempty"`
-	DiskEvictions     int64 `json:"disk_evictions,omitempty"`
-	GCRemovals        int64 `json:"gc_removals,omitempty"`
-	// Log-structured tier counters: spills that wrote an O(batch) delta
-	// segment (subset of Spills), chain folds into a new base, delta
-	// segments currently on disk, publishes discarded because a newer cut
-	// won the chain race, and deletion tombstones awaiting their blob or
-	// local-file removal.
-	DeltaSpills       int64 `json:"delta_spills,omitempty"`
-	Compactions       int64 `json:"compactions,omitempty"`
-	DeltaSegments     int   `json:"delta_segments,omitempty"`
-	StaleSpills       int64 `json:"stale_spills,omitempty"`
-	PendingTombstones int   `json:"pending_tombstones,omitempty"`
-	// What-if plane gauges: streams served, candidate sets evaluated, and
-	// prefix-tree cache hits (shared-prefix rows the planners did not
-	// re-apply).
-	WhatIfs         int64 `json:"whatifs,omitempty"`
-	WhatIfSets      int64 `json:"whatif_sets,omitempty"`
-	WhatIfCacheHits int64 `json:"whatif_cache_hits,omitempty"`
-	// Blob tier (zero without -blob): sessions with a certified copy in the
-	// shared tier and their bytes there, plus the operation/error counters
-	// and cache demotions (local spill files dropped because the blob copy
-	// makes them redundant).
-	BlobSessions  int   `json:"blob_sessions,omitempty"`
-	BlobBytes     int64 `json:"blob_bytes,omitempty"`
-	BlobPuts      int64 `json:"blob_puts,omitempty"`
-	BlobGets      int64 `json:"blob_gets,omitempty"`
-	BlobDeletes   int64 `json:"blob_deletes,omitempty"`
-	BlobErrors    int64 `json:"blob_errors,omitempty"`
-	BlobDemotions int64 `json:"blob_demotions,omitempty"`
-	// Fleet (zero without -peers): this node's advertised URL, the current
-	// placement-ring epoch and alive members, and the routing/handoff
-	// counters.
-	Node           string   `json:"node,omitempty"`
-	RingVersion    uint64   `json:"ring_version,omitempty"`
-	FleetAlive     []string `json:"fleet_alive,omitempty"`
-	FleetRedirects int64    `json:"fleet_redirects,omitempty"`
-	FleetProxied   int64    `json:"fleet_proxied,omitempty"`
-	FleetHandoffs  int64    `json:"fleet_handoffs,omitempty"`
-	FleetReleased  int64    `json:"fleet_released,omitempty"`
-
-	Shards []ShardStats `json:"shards"`
-}
-
 // HealthResponse is the /healthz payload for load-balancer probes.
 type HealthResponse struct {
 	Version       string  `json:"version"`
@@ -520,17 +363,12 @@ type HealthResponse struct {
 	RingVersion uint64 `json:"ring_version,omitempty"`
 }
 
-// Handler returns the service's HTTP routes — the v1 surface (deprecated;
-// every response carries Deprecation/Sunset headers pointing at /v2/meta),
-// the v2 REST surface and the health probe — wrapped in the
-// tenant-resolution middleware.
+// Handler returns the service's HTTP routes — the deprecated v1 adapters,
+// the v2 REST surface and the health probe — wrapped in the observability,
+// tenant-resolution and fleet-routing middleware.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/train", deprecateV1(s.handleTrain))
-	mux.HandleFunc("/v1/delete", deprecateV1(s.handleDelete))
-	mux.HandleFunc("/v1/model/", deprecateV1(s.handleModel))
-	mux.HandleFunc("/v1/sessions", deprecateV1(s.handleSessions))
-	mux.HandleFunc("/v1/stats", deprecateV1(s.handleStats))
+	s.mountV1(mux)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mountV2(mux)
 	// Middleware order, outside in: observability first (every request gets a
@@ -541,71 +379,9 @@ func (s *Server) Handler() http.Handler {
 	return s.withObs(s.withAuth(s.withFleet(mux)))
 }
 
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(v)
-}
-
-func (s *Server) handleTrain(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	var req TrainRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
-		return
-	}
-	d, err := datasetFromRequest(req.Kind, req.Features, req.Labels, req.Classes)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	cfg := priu.Config{
-		Eta: req.Eta, Lambda: req.Lambda,
-		BatchSize: req.BatchSize, Iterations: req.Iterations, Seed: req.Seed,
-	}
-	ten := tenantFor(r)
-	if qe := s.admitSession(ten); qe != nil {
-		s.tc(ten.Name).quotaRejections.Add(1)
-		status, _ := quotaHTTP(qe)
-		writeError(w, status, "%v", qe)
-		return
-	}
-	start := time.Now()
-	_, span := obs.StartSpan(r.Context(), "capture")
-	upd, err := priu.TrainConfig(req.Kind, d, cfg)
-	span.End()
-	s.captureSeconds.Observe(time.Since(start).Seconds())
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	sess, err := s.addSession(ten, req.Kind, d, upd, nil, nil)
-	if err != nil {
-		// The store's atomic check caught a rejection that raced past the
-		// admission pre-check (quota), or the resident tier is pinned solid
-		// (transient pressure, 503 + Retry-After).
-		s.failRegistration(w, ten, err)
-		return
-	}
-	// Put published the session; IDs are guessable, so a concurrent delete
-	// could already be mutating it — read the model under its lock.
-	sess.Mu.Lock()
-	params := sess.Model.Vec()
-	sess.Mu.Unlock()
-	writeJSON(w, TrainResponse{
-		SessionID:      store.LocalID(sess.ID),
-		Parameters:     params,
-		ProvenanceMB:   float64(upd.FootprintBytes()) / (1 << 20),
-		CaptureSeconds: time.Since(start).Seconds(),
-	})
 }
 
 // admitSession is the cheap pre-training quota check: it rejects before the
@@ -638,51 +414,26 @@ func (s *Server) admitSession(ten *Tenant) *store.QuotaError {
 	return nil
 }
 
-// quotaHTTP maps a quota rejection to its HTTP status and v2 error code: the
-// spill-byte cap is a disk condition (507 spill_quota), every other
-// dimension a 429 insufficient_quota.
-func quotaHTTP(err error) (int, string) {
-	var qe *store.QuotaError
-	if errors.As(err, &qe) && qe.Dimension == store.DimensionSpillBytes {
-		return http.StatusInsufficientStorage, ErrCodeSpillQuota
-	}
-	return http.StatusTooManyRequests, ErrCodeQuota
-}
-
-// registrationHTTP maps a failed store registration to its HTTP status, v2
-// error code, and Retry-After seconds (0 = no header). Resident pressure —
-// budget exhausted with every evictable session pinned — is transient
-// backpressure (503 + Retry-After), not a quota violation: the caller should
-// retry once an export or what-if stream releases its pin.
-func registrationHTTP(err error) (status int, code string, retryAfter int) {
+// registrationError maps a rejected admission or store registration to its
+// APIError. Resident pressure — budget exhausted with every evictable session
+// pinned — is transient backpressure (503 + Retry-After), not a quota
+// violation: the caller should retry once an export or what-if stream
+// releases its pin. A quota rejection counts against the tenant: the
+// spill-byte cap is a disk condition (507 spill_quota), every other dimension
+// a 429 insufficient_quota.
+func (s *Server) registrationError(ten *Tenant, err error) *APIError {
 	var pe *store.PressureError
 	if errors.As(err, &pe) {
-		return http.StatusServiceUnavailable, ErrCodeResidentPressure, 1
+		e := apiErrorf(http.StatusServiceUnavailable, ErrCodeResidentPressure, "%v", err)
+		e.retryAfter = 1
+		return e
 	}
-	status, code = quotaHTTP(err)
-	return status, code, 0
-}
-
-// failRegistration reports an addSession error in the v1 wire shape.
-func (s *Server) failRegistration(w http.ResponseWriter, ten *Tenant, err error) {
-	status, _, retry := registrationHTTP(err)
-	if retry > 0 {
-		w.Header().Set("Retry-After", strconv.Itoa(retry))
-	} else {
-		s.tc(ten.Name).quotaRejections.Add(1)
+	s.tc(ten.Name).quotaRejections.Add(1)
+	var qe *store.QuotaError
+	if errors.As(err, &qe) && qe.Dimension == store.DimensionSpillBytes {
+		return apiErrorf(http.StatusInsufficientStorage, ErrCodeSpillQuota, "%v", err)
 	}
-	writeError(w, status, "%v", err)
-}
-
-// failRegistrationV2 reports an addSession error as a typed v2 envelope.
-func (s *Server) failRegistrationV2(w http.ResponseWriter, ten *Tenant, err error) {
-	status, code, retry := registrationHTTP(err)
-	if retry > 0 {
-		w.Header().Set("Retry-After", strconv.Itoa(retry))
-	} else {
-		s.tc(ten.Name).quotaRejections.Add(1)
-	}
-	writeV2Error(w, status, code, "%v", err)
+	return apiErrorf(http.StatusTooManyRequests, ErrCodeQuota, "%v", err)
 }
 
 // addSession registers an updater under a fresh session ID in the tenant's
@@ -700,198 +451,113 @@ func (s *Server) addSession(ten *Tenant, kind string, ds priu.TrainingSet, upd p
 	return sess, nil
 }
 
-// datasetFromRequest builds the dense dataset for a JSON training request.
-// The family name decides the task; sparse families use the v2 CSR shape.
-func datasetFromRequest(family string, features [][]float64, labels []float64, classes int) (*dataset.Dataset, error) {
-	n := len(features)
-	if n == 0 {
-		return nil, fmt.Errorf("empty feature matrix")
-	}
-	m := len(features[0])
-	if m == 0 {
-		return nil, fmt.Errorf("zero-width feature matrix")
-	}
-	if len(labels) != n {
-		return nil, fmt.Errorf("%d labels for %d rows", len(labels), n)
-	}
-	x := make([]float64, 0, n*m)
-	for i, row := range features {
-		if len(row) != m {
-			return nil, fmt.Errorf("row %d has %d features, want %d", i, len(row), m)
-		}
-		x = append(x, row...)
-	}
-	task, err := taskForFamily(family)
-	if err != nil {
-		return nil, err
-	}
-	switch task {
-	case dataset.Regression:
-		classes = 0
-	case dataset.BinaryClassification:
-		classes = 2
-	}
-	d := &dataset.Dataset{
-		Name:    "api",
-		Task:    task,
-		Classes: classes,
-		X:       mat.NewDenseData(n, m, x),
-		Y:       labels,
-	}
-	if err := d.Validate(); err != nil {
-		return nil, err
-	}
-	return d, nil
+// commitResult is one committed deletion batch: the updated parameters, the
+// update's wall time, the log length after it and the cosine against the
+// model it replaced.
+type commitResult struct {
+	params        []float64
+	updateSeconds float64
+	totalDeleted  int
+	cosine        float64
 }
 
-// taskForFamily resolves a family's label task from the priu registry, so
-// externally registered families are servable without service changes.
-func taskForFamily(family string) (dataset.Task, error) {
-	f, ok := priu.Lookup(family)
-	if !ok {
-		return 0, fmt.Errorf("unknown kind %q", family)
-	}
-	if f.Sparse {
-		return 0, fmt.Errorf("family %q trains on sparse input; POST /v2/sessions with a CSR body or restore a snapshot", family)
-	}
-	return f.Task, nil
-}
-
-func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	var req DeleteRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
-		return
-	}
-	if req.SessionID == "" && len(req.Removed) == 0 && len(req.Batch) == 0 {
-		writeError(w, http.StatusBadRequest, "empty delete request: set session_id/removed or batch")
-		return
-	}
-	ten := tenantFor(r)
-	if len(req.Batch) > 0 {
-		if req.SessionID != "" || len(req.Removed) > 0 {
-			writeError(w, http.StatusBadRequest, "set either session_id/removed or batch, not both")
-			return
-		}
-		s.handleBatchDelete(w, r, ten, req.Batch)
-		return
-	}
-	resp, status, err := s.deleteOne(r.Context(), ten, req.SessionID, req.Removed)
-	if err != nil {
-		writeError(w, status, "%v", err)
-		return
-	}
-	writeJSON(w, resp)
-}
-
-// handleBatchDelete executes the items concurrently on the shared worker
-// pool. Items targeting the same session serialize on that session's mutex;
-// everything else proceeds independently. Results keep request order.
-func (s *Server) handleBatchDelete(w http.ResponseWriter, r *http.Request, ten *Tenant, batch []DeleteItem) {
-	results := make([]BatchDeleteResult, len(batch))
-	ctx := r.Context()
-	par.For(len(batch), 1, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			item := batch[i]
-			results[i].SessionID = item.SessionID
-			resp, _, err := s.deleteOne(ctx, ten, item.SessionID, item.Removed)
-			if err != nil {
-				results[i].Error = err.Error()
-				continue
-			}
-			results[i].Result = &resp
-		}
-	})
-	writeJSON(w, BatchDeleteResponse{Results: results})
-}
-
-// deleteOne applies one session's cumulative deletion and returns the
-// response, or the HTTP status to report and the error. The wire session ID
-// is resolved inside the caller's tenant namespace. If the session copy it
-// fetched was evicted before the lock was won, it re-fetches — which, on a
-// tiered store, restores the session from its spill file (deletion log
+// commit is the one deletion path every API generation runs. It admits the
+// batch against the per-batch cap and the tenant's deletion-row bucket,
+// resolves the wire session ID inside the tenant's namespace and applies the
+// batch under the session lock: prepare runs under sess.Mu and returns the ids
+// the session's cursor folds, or the batch's rejection. If the session copy
+// it fetched was evicted before the lock was won, it re-fetches — which, on a
+// tiered store, restores the session from its spill chain (deletion log
 // replayed) — so an eviction mid-request never loses an honored deletion.
-func (s *Server) deleteOne(ctx context.Context, ten *Tenant, sessionID string, removed []int) (DeleteResponse, int, error) {
-	storeID := ten.storeID(sessionID)
-	rq := &s.reqs[store.ShardIndex(storeID)]
+func (s *Server) commit(ctx context.Context, ten *Tenant, wireID string, removed []int,
+	prepare func(sess *Session, removed []int) ([]int, *APIError)) (commitResult, *APIError) {
 	tq := s.tc(ten.Name)
+	if e := s.admitRows(ten, len(removed)); e != nil {
+		if e.Code == ErrCodeRateLimited {
+			tq.rateLimited.Add(1)
+		} else {
+			tq.deleteErrors.Add(1)
+		}
+		return commitResult{}, e
+	}
+	storeID := ten.storeID(wireID)
+	rq := &s.reqs[store.ShardIndex(storeID)]
 	rq.deletes.Add(1)
 	tq.deletes.Add(1)
-	if !validWireID(sessionID) {
-		rq.deleteErrors.Add(1)
-		tq.deleteErrors.Add(1)
-		return DeleteResponse{}, http.StatusNotFound, fmt.Errorf("unknown session %q", sessionID)
-	}
+	var (
+		res   commitResult
+		e     *APIError
+		retry bool
+	)
 	for {
-		sess, ok := s.st.Get(storeID)
+		var sess *Session
+		ok := false
+		if validWireID(wireID) {
+			sess, ok = s.st.Get(storeID)
+		}
 		if !ok {
-			rq.deleteErrors.Add(1)
-			tq.deleteErrors.Add(1)
-			return DeleteResponse{}, http.StatusNotFound, fmt.Errorf("unknown session %q", sessionID)
+			e = apiErrorf(http.StatusNotFound, ErrCodeNotFound, "unknown session %q", wireID)
+			break
 		}
-		if len(removed) == 0 {
-			rq.deleteErrors.Add(1)
-			tq.deleteErrors.Add(1)
-			return DeleteResponse{}, http.StatusBadRequest, fmt.Errorf("empty removal set")
-		}
-		resp, err, retry := func() (DeleteResponse, error, bool) {
+		// Validation and application happen under one lock acquisition so a
+		// concurrent commit to the same session can't slip a duplicate
+		// through between the check and the apply; the deferred unlock keeps
+		// a panicking engine from wedging the session mutex.
+		res, e, retry = func() (commitResult, *APIError, bool) {
 			sess.Mu.Lock()
 			defer sess.Mu.Unlock()
 			if sess.GoneLocked() {
-				return DeleteResponse{}, nil, true
+				return commitResult{}, nil, true // evicted between Get and Lock
 			}
-			r, e := s.applyDeletionLocked(ctx, sess, removed, v1Fold(sess, removed))
-			return r, e, false
+			fold, e := prepare(sess, removed)
+			if e != nil {
+				return commitResult{}, e, false
+			}
+			res, e := s.applyDeletionLocked(ctx, sess, removed, fold)
+			return res, e, false
 		}()
-		if retry {
-			continue // evicted between Get and Lock; re-fetch (and restore)
+		if !retry {
+			break
 		}
-		if err != nil {
-			rq.deleteErrors.Add(1)
-			tq.deleteErrors.Add(1)
-			status := http.StatusBadRequest
-			if errors.Is(err, errInternal) {
-				status = http.StatusInternalServerError
-			}
-			return DeleteResponse{}, status, err
-		}
-		tq.rowsDeleted.Add(int64(len(removed)))
-		return resp, http.StatusOK, nil
 	}
+	if e != nil {
+		rq.deleteErrors.Add(1)
+		tq.deleteErrors.Add(1)
+		return commitResult{}, e
+	}
+	tq.rowsDeleted.Add(int64(len(removed)))
+	return res, nil
 }
 
-// errInternal marks server-side invariant failures (as opposed to invalid
-// client input), which v1 reports as 500.
-var errInternal = errors.New("internal error")
+// admitRows admits one deletion batch of n rows. A batch over the server's
+// per-batch cap, or over the tenant's rate-limit burst (which no wait could
+// admit), is too large; otherwise the rows are charged to the tenant's token
+// bucket, and a throttled batch charges nothing and says when to retry. The
+// charge precedes validation, so a tenant cannot probe for free.
+func (s *Server) admitRows(ten *Tenant, n int) *APIError {
+	if n > s.maxRemovals {
+		return apiErrorf(http.StatusBadRequest, ErrCodeBatchTooLarge,
+			"batch of %d removals exceeds the limit of %d", n, s.maxRemovals)
+	}
+	if burst := ten.Capacity(); burst > 0 && float64(n) > burst {
+		return apiErrorf(http.StatusBadRequest, ErrCodeBatchTooLarge,
+			"%d removals exceed tenant %q's rate-limit burst of %.0f rows", n, ten.Name, burst)
+	}
+	if wait, ok := ten.takeRows(n); !ok {
+		return rateLimited(ten, wait)
+	}
+	return nil
+}
 
-// v1Fold returns the part of a v1 batch the session's cursor folds. v1
-// tolerates ids repeated within the batch or already in the log — they
-// still join the log as sent and count toward total_deleted — so only each
-// new id's first occurrence folds. Callers hold sess.Mu.
-func v1Fold(sess *Session, removed []int) []int {
-	logged := sess.LoggedLocked()
-	n := sess.DS.N()
-	fold := make([]int, 0, len(removed))
-	for _, i := range removed {
-		if i < 0 || i >= n {
-			fold = append(fold, i) // the cursor's Apply rejects it
-			continue
-		}
-		if !logged.Has(i) {
-			logged.Add(i)
-			fold = append(fold, i)
-		}
-	}
-	for _, i := range fold {
-		if i >= 0 && i < n {
-			logged.Remove(i)
-		}
-	}
-	return fold
+// rateLimited reports a tenant over its deletion-row rate: HTTP 429 with a
+// whole-second Retry-After, and the exact wait as retry_after_seconds.
+func rateLimited(ten *Tenant, wait time.Duration) *APIError {
+	e := apiErrorf(http.StatusTooManyRequests, ErrCodeRateLimited,
+		"tenant %q is over its deletion rate limit (%.4g rows/s); retry in %.2fs",
+		ten.Name, ten.DeletionRowsPerSec, wait.Seconds())
+	e.RetryAfterSeconds = wait.Seconds()
+	e.retryAfter = int(wait.Seconds()) + 1
+	return e
 }
 
 // applyDeletionLocked appends removed to the session's cumulative removal
@@ -899,7 +565,7 @@ func v1Fold(sess *Session, removed []int) []int {
 // batch was validated distinct and new) through the session's live cursor
 // and swaps in the new model. Callers hold sess.Mu and have checked
 // GoneLocked.
-func (s *Server) applyDeletionLocked(ctx context.Context, sess *Session, removed, fold []int) (DeleteResponse, error) {
+func (s *Server) applyDeletionLocked(ctx context.Context, sess *Session, removed, fold []int) (commitResult, *APIError) {
 	sess.Touch()
 	start := time.Now()
 	_, span := obs.StartSpan(ctx, "update")
@@ -908,7 +574,7 @@ func (s *Server) applyDeletionLocked(ctx context.Context, sess *Session, removed
 	dt := time.Since(start)
 	s.updateSeconds.Observe(dt.Seconds())
 	if err != nil {
-		return DeleteResponse{}, err
+		return commitResult{}, apiErrorf(http.StatusBadRequest, ErrCodeUpdateFailed, "%v", err)
 	}
 	s.deletionRows.Add(int64(len(removed)))
 	cmp, err := metrics.Compare(updated, sess.Model)
@@ -917,7 +583,8 @@ func (s *Server) applyDeletionLocked(ctx context.Context, sess *Session, removed
 		// server-side invariant failure, not bad client input. The cursor
 		// already holds the batch, which is not committed: drop it.
 		sess.DropCursorLocked()
-		return DeleteResponse{}, fmt.Errorf("%w: comparing models: %v", errInternal, err)
+		return commitResult{}, apiErrorf(http.StatusInternalServerError, ErrCodeUpdateFailed,
+			"internal error: comparing models: %v", err)
 	}
 	// Deletions are cumulative within a session. The log grows in place:
 	// every reader copies it under Mu, and an append never rewrites the
@@ -927,172 +594,12 @@ func (s *Server) applyDeletionLocked(ctx context.Context, sess *Session, removed
 	sess.Updates++
 	sess.LastUpdateSeconds = dt.Seconds()
 	sess.MarkDirtyLocked()
-	return DeleteResponse{
-		SessionID:     store.LocalID(sess.ID),
-		Parameters:    updated.Vec(),
-		UpdateSeconds: dt.Seconds(),
-		TotalDeleted:  len(sess.Deleted),
-		CosineVsPrev:  cmp.Cosine,
+	return commitResult{
+		params:        updated.Vec(),
+		updateSeconds: dt.Seconds(),
+		totalDeleted:  len(sess.Deleted),
+		cosine:        cmp.Cosine,
 	}, nil
-}
-
-func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
-	id := strings.TrimPrefix(r.URL.Path, "/v1/model/")
-	ten := tenantFor(r)
-	var (
-		sess *Session
-		ok   bool
-	)
-	if validWireID(id) {
-		sess, ok = s.st.Get(ten.storeID(id))
-	}
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown session %q", id)
-		return
-	}
-	sess.Mu.Lock()
-	defer sess.Mu.Unlock()
-	writeJSON(w, ModelResponse{
-		SessionID:    store.LocalID(sess.ID),
-		Kind:         sess.Kind,
-		Parameters:   sess.Model.Vec(),
-		TotalDeleted: len(sess.Deleted),
-	})
-}
-
-func (s *Server) handleSessions(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
-	ten := tenantFor(r)
-	type row struct {
-		ID        string    `json:"id"`
-		Kind      string    `json:"kind"`
-		CreatedAt time.Time `json:"created_at"`
-		Spilled   bool      `json:"spilled,omitempty"`
-	}
-	p, err := parsePageParams(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	// Listings are tenant-scoped (a caller sees only its own namespace) and
-	// include spilled sessions, which are still servable: they restore on
-	// touch.
-	out := make([]row, 0)
-	for _, si := range s.listSessions(ten) {
-		out = append(out, row{ID: si.SessionID, Kind: si.Family, CreatedAt: si.CreatedAt, Spilled: si.Spilled})
-	}
-	if !p.paged {
-		// The pre-pagination wire shape, unchanged for existing callers.
-		writeJSON(w, out)
-		return
-	}
-	lo, hi, next := pageWindow(len(out), func(i int) string { return out[i].ID }, p)
-	writeJSON(w, struct {
-		Sessions   []row  `json:"sessions"`
-		NextCursor string `json:"next_cursor,omitempty"`
-	}{Sessions: out[lo:hi], NextCursor: next})
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
-	st := s.st.Stats()
-	resp := StatsResponse{
-		UptimeSeconds:     time.Since(s.start).Seconds(),
-		Workers:           par.Workers(),
-		Sessions:          st.Resident,
-		Evictions:         st.BudgetEvictions,
-		ExplicitDeletes:   st.ExplicitDeletes,
-		ResidentBytes:     st.ResidentBytes,
-		Spilled:           st.Spilled,
-		SpilledBytes:      st.SpilledBytes,
-		Spills:            st.Spills,
-		Restores:          st.Restores,
-		SpillDirBytes:     st.SpillDirBytes,
-		SpillMaxBytes:     st.SpillMaxBytes,
-		WriteBehindSpills: st.WriteBehindSpills,
-		SpillQueueDepth:   st.SpillQueueDepth,
-		SpillQueueFull:    st.SpillQueueFull,
-		DiskEvictions:     st.DiskEvictions,
-		GCRemovals:        st.GCRemovals,
-		DeltaSpills:       st.DeltaSpills,
-		Compactions:       st.Compactions,
-		DeltaSegments:     st.DeltaSegments,
-		StaleSpills:       st.StaleSpills,
-		PendingTombstones: st.PendingTombstones,
-		WhatIfs:           s.whatifs.Value(),
-		WhatIfSets:        s.whatifSets.Value(),
-		WhatIfCacheHits:   s.whatifCacheHits.Value(),
-		BlobSessions:      st.BlobSessions,
-		BlobBytes:         st.BlobBytes,
-		BlobPuts:          st.BlobPuts,
-		BlobGets:          st.BlobGets,
-		BlobDeletes:       st.BlobDeletes,
-		BlobErrors:        st.BlobErrors,
-		BlobDemotions:     st.BlobDemotions,
-	}
-	if s.cluster != nil {
-		ring := s.cluster.Ring()
-		resp.Node = s.cluster.Self()
-		resp.RingVersion = ring.Version()
-		resp.FleetAlive = ring.Nodes()
-		resp.FleetRedirects = s.fleetRedirects.Value()
-		resp.FleetProxied = s.fleetProxied.Value()
-		resp.FleetHandoffs = s.fleetHandoffs.Value()
-		resp.FleetReleased = s.fleetReleased.Value()
-	}
-	ten := tenantFor(r)
-	perShard := make([][]SessionStats, numShards)
-	// Global counters are service-wide; the per-session rows are scoped to
-	// the caller's tenant so one tenant cannot enumerate another's sessions.
-	s.st.Range(func(sess *Session) bool {
-		if store.TenantOf(sess.ID) != ten.Name {
-			return true
-		}
-		sess.Mu.Lock()
-		ss := SessionStats{
-			SessionID:         store.LocalID(sess.ID),
-			Kind:              sess.Kind,
-			CreatedAt:         sess.CreatedAt,
-			Updates:           sess.Updates,
-			TotalDeleted:      len(sess.Deleted),
-			LastUpdateSeconds: sess.LastUpdateSeconds,
-		}
-		sess.Mu.Unlock()
-		i := store.ShardIndex(sess.ID)
-		perShard[i] = append(perShard[i], ss)
-		return true
-	})
-	for i := 0; i < numShards; i++ {
-		rq := &s.reqs[i]
-		ss := ShardStats{
-			Shard:           i,
-			Sessions:        st.Shards[i].Sessions,
-			Trains:          rq.trains.Value(),
-			Deletes:         rq.deletes.Value(),
-			DeleteErrors:    rq.deleteErrors.Value(),
-			Evictions:       st.Shards[i].BudgetEvictions,
-			ExplicitDeletes: st.Shards[i].ExplicitDeletes,
-			SessionStats:    perShard[i],
-		}
-		sort.Slice(ss.SessionStats, func(a, b int) bool {
-			return sessionIDLess(ss.SessionStats[a].SessionID, ss.SessionStats[b].SessionID)
-		})
-		resp.Trains += ss.Trains
-		resp.Deletes += ss.Deletes
-		resp.DeleteErrors += ss.DeleteErrors
-		resp.Shards = append(resp.Shards, ss)
-	}
-	writeJSON(w, resp)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/dataset"
+	"repro/internal/mat"
 	"repro/internal/sparse"
 	"repro/priu"
 	"repro/priu/obs"
@@ -77,13 +78,34 @@ const (
 	ErrCodePeerUnavailable = "peer_unavailable"
 )
 
-// APIError is the typed error payload of every v2 failure.
+// APIError is the typed error payload of every v2 failure, and the one error
+// value the service core returns: each failure carries exactly one HTTP
+// status, which v2 writes with the envelope and v1 with its flat shape.
 type APIError struct {
 	Code    string `json:"code"`
 	Message string `json:"message"`
 	// RetryAfterSeconds accompanies rate_limited errors: how long until the
 	// rejected batch would be admitted.
 	RetryAfterSeconds float64 `json:"retry_after_seconds,omitempty"`
+
+	// status is the failure's HTTP status; retryAfter, when positive, the
+	// Retry-After header in whole seconds. Neither is part of the body.
+	status     int
+	retryAfter int
+}
+
+// apiErrorf builds an APIError with its HTTP status.
+func apiErrorf(status int, code, format string, args ...any) *APIError {
+	return &APIError{Code: code, Message: fmt.Sprintf(format, args...), status: status}
+}
+
+// writeHead writes the error's Retry-After and content type, then its status.
+func (e *APIError) writeHead(w http.ResponseWriter) {
+	if e.retryAfter > 0 {
+		w.Header().Set("Retry-After", strconv.Itoa(e.retryAfter))
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(e.status)
 }
 
 // ErrorEnvelope wraps an APIError as the v2 wire format.
@@ -91,13 +113,14 @@ type ErrorEnvelope struct {
 	Error APIError `json:"error"`
 }
 
+// writeAPIError writes e as a v2 envelope under its status.
+func writeAPIError(w http.ResponseWriter, e *APIError) {
+	e.writeHead(w)
+	_ = json.NewEncoder(w).Encode(ErrorEnvelope{Error: *e})
+}
+
 func writeV2Error(w http.ResponseWriter, status int, code, format string, args ...any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(ErrorEnvelope{Error: APIError{
-		Code:    code,
-		Message: fmt.Sprintf(format, args...),
-	}})
+	writeAPIError(w, apiErrorf(status, code, format, args...))
 }
 
 // CreateSessionRequest is the JSON body of POST /v2/sessions. Dense families
@@ -244,65 +267,107 @@ func (s *Server) handleV2CreateSession(w http.ResponseWriter, r *http.Request) {
 		writeV2Error(w, http.StatusBadRequest, ErrCodeBadRequest, "decoding request: %v", err)
 		return
 	}
-	if req.Family == "" {
-		writeV2Error(w, http.StatusBadRequest, ErrCodeBadRequest, "family is required (one of %v)", priu.Families())
+	sess, took, e := s.createSession(r.Context(), tenantFor(r), &req)
+	if e != nil {
+		writeAPIError(w, e)
 		return
+	}
+	w.WriteHeader(http.StatusCreated)
+	writeJSON(w, s.v2SessionResponse(sess, took.Seconds(), false))
+}
+
+// createSession builds the training set a request describes (dense features
+// or a CSR triple, as the family wants), trains it with provenance capture
+// and registers the session in the tenant's namespace — the one creation
+// path every API generation runs. It also returns the time from the start of
+// capture through registration, which responses report as capture_seconds.
+func (s *Server) createSession(ctx context.Context, ten *Tenant, req *CreateSessionRequest) (*Session, time.Duration, *APIError) {
+	if req.Family == "" {
+		return nil, 0, apiErrorf(http.StatusBadRequest, ErrCodeBadRequest, "family is required (one of %v)", priu.Families())
 	}
 	f, ok := priu.Lookup(req.Family)
 	if !ok {
-		writeV2Error(w, http.StatusBadRequest, ErrCodeBadRequest, "unknown family %q (registered: %v)", req.Family, priu.Families())
-		return
+		return nil, 0, apiErrorf(http.StatusBadRequest, ErrCodeBadRequest, "unknown family %q (registered: %v)", req.Family, priu.Families())
 	}
 	var (
 		d   priu.TrainingSet
 		err error
 	)
-	if f.Sparse {
-		d, err = sparseDatasetFromRequest(f, &req)
-	} else {
-		if len(req.Indptr) > 0 || len(req.Values) > 0 {
-			err = fmt.Errorf("family %q trains on dense input; send features, not a CSR triple", req.Family)
-		} else {
-			d, err = datasetFromRequest(req.Family, req.Features, req.Labels, req.Classes)
-		}
+	switch {
+	case f.Sparse:
+		d, err = sparseDatasetFromRequest(f, req)
+	case len(req.Indptr) > 0 || len(req.Values) > 0:
+		err = fmt.Errorf("family %q trains on dense input; send features, not a CSR triple", req.Family)
+	default:
+		d, err = datasetFromRequest(f.Task, req.Features, req.Labels, req.Classes)
 	}
 	if err != nil {
-		writeV2Error(w, http.StatusBadRequest, ErrCodeBadRequest, "%v", err)
-		return
+		return nil, 0, apiErrorf(http.StatusBadRequest, ErrCodeBadRequest, "%v", err)
 	}
 	mode, err := parseMode(req.Mode)
 	if err != nil {
-		writeV2Error(w, http.StatusBadRequest, ErrCodeBadRequest, "%v", err)
-		return
+		return nil, 0, apiErrorf(http.StatusBadRequest, ErrCodeBadRequest, "%v", err)
 	}
 	cfg := priu.Config{
 		Eta: req.Eta, Lambda: req.Lambda,
 		BatchSize: req.BatchSize, Iterations: req.Iterations, Seed: req.Seed,
 		Mode: mode, Epsilon: req.Epsilon,
 	}
-	ten := tenantFor(r)
 	if qe := s.admitSession(ten); qe != nil {
-		s.tc(ten.Name).quotaRejections.Add(1)
-		status, code := quotaHTTP(qe)
-		writeV2Error(w, status, code, "%v", qe)
-		return
+		return nil, 0, s.registrationError(ten, qe)
 	}
 	start := time.Now()
-	_, span := obs.StartSpan(r.Context(), "capture")
+	_, span := obs.StartSpan(ctx, "capture")
 	upd, err := priu.TrainConfig(req.Family, d, cfg)
 	span.End()
 	s.captureSeconds.Observe(time.Since(start).Seconds())
 	if err != nil {
-		writeV2Error(w, http.StatusBadRequest, ErrCodeCaptureFailed, "%v", err)
-		return
+		return nil, 0, apiErrorf(http.StatusBadRequest, ErrCodeCaptureFailed, "%v", err)
 	}
 	sess, err := s.addSession(ten, req.Family, d, upd, nil, nil)
 	if err != nil {
-		s.failRegistrationV2(w, ten, err)
-		return
+		return nil, 0, s.registrationError(ten, err)
 	}
-	w.WriteHeader(http.StatusCreated)
-	writeJSON(w, s.v2SessionResponse(sess, time.Since(start).Seconds(), false))
+	return sess, time.Since(start), nil
+}
+
+// datasetFromRequest builds the dense dataset for a JSON training request.
+func datasetFromRequest(task dataset.Task, features [][]float64, labels []float64, classes int) (*dataset.Dataset, error) {
+	n := len(features)
+	if n == 0 {
+		return nil, fmt.Errorf("empty feature matrix")
+	}
+	m := len(features[0])
+	if m == 0 {
+		return nil, fmt.Errorf("zero-width feature matrix")
+	}
+	if len(labels) != n {
+		return nil, fmt.Errorf("%d labels for %d rows", len(labels), n)
+	}
+	x := make([]float64, 0, n*m)
+	for i, row := range features {
+		if len(row) != m {
+			return nil, fmt.Errorf("row %d has %d features, want %d", i, len(row), m)
+		}
+		x = append(x, row...)
+	}
+	switch task {
+	case dataset.Regression:
+		classes = 0
+	case dataset.BinaryClassification:
+		classes = 2
+	}
+	d := &dataset.Dataset{
+		Name:    "api",
+		Task:    task,
+		Classes: classes,
+		X:       mat.NewDenseData(n, m, x),
+		Y:       labels,
+	}
+	if err := d.Validate(); err != nil {
+		return nil, err
+	}
+	return d, nil
 }
 
 // sparseDatasetFromRequest builds the CSR dataset for a sparse-family
@@ -382,9 +447,7 @@ func parseMode(mode string) (priu.CacheMode, error) {
 func (s *Server) handleV2Restore(w http.ResponseWriter, r *http.Request) {
 	ten := tenantFor(r)
 	if qe := s.admitSession(ten); qe != nil {
-		s.tc(ten.Name).quotaRejections.Add(1)
-		status, code := quotaHTTP(qe)
-		writeV2Error(w, status, code, "%v", qe)
+		writeAPIError(w, s.registrationError(ten, qe))
 		return
 	}
 	family, ds, upd, deleted, err := priu.ReadSessionSnapshot(r.Body)
@@ -402,7 +465,7 @@ func (s *Server) handleV2Restore(w http.ResponseWriter, r *http.Request) {
 	}
 	sess, err := s.addSession(ten, family, ds, upd, deleted, model)
 	if err != nil {
-		s.failRegistrationV2(w, ten, err)
+		writeAPIError(w, s.registrationError(ten, err))
 		return
 	}
 	w.WriteHeader(http.StatusCreated)
@@ -582,42 +645,6 @@ func (s *Server) handleV2Snapshot(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// applyV2Batch validates and applies one removal batch against the current
-// authoritative copy of the session, re-fetching (which restores a spilled
-// session) whenever the copy it locked was evicted concurrently. id is the
-// storage ID; wireID is what error messages echo back to the caller.
-func (s *Server) applyV2Batch(ctx context.Context, id, wireID string, removed []int) (DeleteResponse, *APIError, error) {
-	for {
-		sess, ok := s.st.Get(id)
-		if !ok {
-			return DeleteResponse{}, &APIError{
-				Code:    ErrCodeNotFound,
-				Message: fmt.Sprintf("unknown session %q", wireID),
-			}, nil
-		}
-		// Validation and application happen under one lock acquisition so a
-		// concurrent stream to the same session can't slip a duplicate
-		// through between the check and the apply; the deferred unlock keeps
-		// a panicking engine from wedging the session mutex.
-		resp, apiErr, err, retry := func() (DeleteResponse, *APIError, error, bool) {
-			sess.Mu.Lock()
-			defer sess.Mu.Unlock()
-			if sess.GoneLocked() {
-				return DeleteResponse{}, nil, nil, true
-			}
-			if apiErr := s.validateBatchLocked(sess, removed); apiErr != nil {
-				return DeleteResponse{}, apiErr, nil, false
-			}
-			r, e := s.applyDeletionLocked(ctx, sess, removed, removed)
-			return r, nil, e, false
-		}()
-		if retry {
-			continue
-		}
-		return resp, apiErr, err
-	}
-}
-
 // handleV2Deletions streams removal batches on one connection: each request
 // NDJSON line {"remove":[...]} is validated, charged against the tenant's
 // rate limit, applied cumulatively to the session, and answered with one
@@ -636,22 +663,19 @@ func (s *Server) handleV2Deletions(w http.ResponseWriter, r *http.Request) {
 	// Body.Read" panics).
 	rc := http.NewResponseController(w)
 	_ = rc.EnableFullDuplex()
-	earlyError := func(status int, headers map[string]string, code, format string, args ...any) {
+	earlyError := func(e *APIError) {
 		w.Header().Set("Connection", "close")
-		for k, v := range headers {
-			w.Header().Set(k, v)
-		}
-		writeV2Error(w, status, code, format, args...)
+		writeAPIError(w, e)
 	}
 	ten := tenantFor(r)
 	wireID := r.PathValue("id")
+	id := ten.storeID(wireID)
 	if !validWireID(wireID) {
-		earlyError(http.StatusNotFound, nil, ErrCodeNotFound, "unknown session %q", wireID)
+		earlyError(apiErrorf(http.StatusNotFound, ErrCodeNotFound, "unknown session %q", wireID))
 		return
 	}
-	id := ten.storeID(wireID)
 	if _, ok := s.st.Get(id); !ok {
-		earlyError(http.StatusNotFound, nil, ErrCodeNotFound, "unknown session %q", wireID)
+		earlyError(apiErrorf(http.StatusNotFound, ErrCodeNotFound, "unknown session %q", wireID))
 		return
 	}
 	// An already-exhausted bucket rejects the stream at open with a plain
@@ -659,11 +683,7 @@ func (s *Server) handleV2Deletions(w http.ResponseWriter, r *http.Request) {
 	// connection; once streaming, throttling is reported per batch.
 	if wait := ten.streamWait(); wait > 0 {
 		s.tc(ten.Name).rateLimited.Add(1)
-		earlyError(http.StatusTooManyRequests,
-			map[string]string{"Retry-After": strconv.Itoa(int(wait.Seconds()) + 1)},
-			ErrCodeRateLimited,
-			"tenant %q is over its deletion rate limit (%.4g rows/s); retry in %.2fs",
-			ten.Name, ten.DeletionRowsPerSec, wait.Seconds())
+		earlyError(rateLimited(ten, wait))
 		return
 	}
 	paramMode := r.URL.Query().Get("parameters")
@@ -690,65 +710,26 @@ func (s *Server) handleV2Deletions(w http.ResponseWriter, r *http.Request) {
 			flush()
 			return // cannot resync a corrupt stream
 		}
-		// Rate limiting precedes validation: a removal batch charges its row
-		// count whether or not it turns out valid, so a tenant cannot probe
-		// for free. A batch the bucket can never hold is a size error, not a
-		// wait; a throttled batch charges nothing and says when to retry.
-		if burst := ten.Capacity(); burst > 0 && float64(len(batch.Remove)) > burst {
-			tq.deleteErrors.Add(1)
-			_ = enc.Encode(ErrorEnvelope{Error: APIError{
-				Code: ErrCodeBatchTooLarge,
-				Message: fmt.Sprintf("batch %d: %d removals exceed tenant %q's rate-limit burst of %.0f rows",
-					batchNo, len(batch.Remove), ten.Name, burst),
-			}})
+		res, e := s.commit(r.Context(), ten, wireID, batch.Remove, validateBatchLocked)
+		if e != nil {
+			e.Message = fmt.Sprintf("batch %d: %s", batchNo, e.Message)
+			_ = enc.Encode(ErrorEnvelope{Error: *e})
 			flush()
-			continue
-		}
-		if wait, ok := ten.takeRows(len(batch.Remove)); !ok {
-			tq.rateLimited.Add(1)
-			_ = enc.Encode(ErrorEnvelope{Error: APIError{
-				Code: ErrCodeRateLimited,
-				Message: fmt.Sprintf("batch %d: tenant %q is over its deletion rate limit (%.4g rows/s)",
-					batchNo, ten.Name, ten.DeletionRowsPerSec),
-				RetryAfterSeconds: wait.Seconds(),
-			}})
-			flush()
-			continue
-		}
-		rq.deletes.Add(1)
-		tq.deletes.Add(1)
-		resp, apiErr, err := s.applyV2Batch(r.Context(), id, wireID, batch.Remove)
-		if apiErr != nil {
-			rq.deleteErrors.Add(1)
-			tq.deleteErrors.Add(1)
-			_ = enc.Encode(ErrorEnvelope{Error: *apiErr})
-			flush()
-			if apiErr.Code == ErrCodeNotFound {
+			if e.Code == ErrCodeNotFound {
 				return // the session is gone; later batches cannot succeed
 			}
 			continue
 		}
-		if err != nil {
-			rq.deleteErrors.Add(1)
-			tq.deleteErrors.Add(1)
-			_ = enc.Encode(ErrorEnvelope{Error: APIError{
-				Code:    ErrCodeUpdateFailed,
-				Message: fmt.Sprintf("batch %d: %v", batchNo, err),
-			}})
-			flush()
-			continue
-		}
-		tq.rowsDeleted.Add(int64(len(batch.Remove)))
 		result := DeletionResult{
 			Batch:         batchNo,
 			Removed:       len(batch.Remove),
-			TotalDeleted:  resp.TotalDeleted,
-			UpdateSeconds: resp.UpdateSeconds,
-			Digest:        ParamDigest(resp.Parameters),
-			CosineVsPrev:  resp.CosineVsPrev,
+			TotalDeleted:  res.totalDeleted,
+			UpdateSeconds: res.updateSeconds,
+			Digest:        ParamDigest(res.params),
+			CosineVsPrev:  res.cosine,
 		}
 		if paramMode == "all" || batch.Parameters {
-			result.Parameters = resp.Parameters
+			result.Parameters = res.params
 		}
 		_ = enc.Encode(result)
 		flush()
@@ -828,40 +809,31 @@ func (s *Server) handleV2TenantStats(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// validateBatchLocked checks one removal batch against the session's bounds
-// and cumulative deletion log. Callers hold sess.Mu.
-func (s *Server) validateBatchLocked(sess *Session, removed []int) *APIError {
+// validateBatchLocked is v2's under-lock step of commit: it checks one
+// removal batch against the session's bounds and cumulative deletion log and
+// folds the batch as sent. Callers hold sess.Mu.
+func validateBatchLocked(sess *Session, removed []int) ([]int, *APIError) {
 	if len(removed) == 0 {
-		return &APIError{Code: ErrCodeInvalidRemovals, Message: "empty removal set"}
-	}
-	if len(removed) > s.maxRemovals {
-		return &APIError{
-			Code:    ErrCodeBatchTooLarge,
-			Message: fmt.Sprintf("batch of %d removals exceeds the limit of %d", len(removed), s.maxRemovals),
-		}
+		return nil, apiErrorf(http.StatusBadRequest, ErrCodeInvalidRemovals, "empty removal set")
 	}
 	n := sess.DS.N()
 	for _, i := range removed {
 		if i < 0 || i >= n {
-			return &APIError{
-				Code:    ErrCodeInvalidRemovals,
-				Message: fmt.Sprintf("removal index %d out of range [0,%d)", i, n),
-			}
+			return nil, apiErrorf(http.StatusBadRequest, ErrCodeInvalidRemovals,
+				"removal index %d out of range [0,%d)", i, n)
 		}
 	}
 	// Each id joins the log's membership set as it passes, so a repeat
 	// within the batch reads as already deleted; the ids leave it again
 	// before returning.
 	logged := sess.LoggedLocked()
-	var apiErr *APIError
+	var e *APIError
 	k := 0
 	for ; k < len(removed); k++ {
 		i := removed[k]
 		if logged.Has(i) {
-			apiErr = &APIError{
-				Code:    ErrCodeInvalidRemovals,
-				Message: fmt.Sprintf("removal index %d is duplicated or already deleted", i),
-			}
+			e = apiErrorf(http.StatusBadRequest, ErrCodeInvalidRemovals,
+				"removal index %d is duplicated or already deleted", i)
 			break
 		}
 		logged.Add(i)
@@ -869,7 +841,10 @@ func (s *Server) validateBatchLocked(sess *Session, removed []int) *APIError {
 	for _, i := range removed[:k] {
 		logged.Remove(i)
 	}
-	return apiErr
+	if e != nil {
+		return nil, e
+	}
+	return removed, nil
 }
 
 // ParamDigest hashes a parameter vector (FNV-1a over the float bits) into a

@@ -206,34 +206,31 @@ func (s *Server) handleV2WhatIf(w http.ResponseWriter, r *http.Request) {
 	// connection so a keep-alive reuse cannot race the unread body.
 	rc := http.NewResponseController(w)
 	_ = rc.EnableFullDuplex()
-	earlyError := func(status int, headers map[string]string, code, format string, args ...any) {
+	earlyError := func(e *APIError) {
 		w.Header().Set("Connection", "close")
-		for k, v := range headers {
-			w.Header().Set(k, v)
-		}
-		writeV2Error(w, status, code, format, args...)
+		writeAPIError(w, e)
 	}
 	ten := tenantFor(r)
 	tq := s.tc(ten.Name)
 	wireID := r.PathValue("id")
 	if !validWireID(wireID) {
-		earlyError(http.StatusNotFound, nil, ErrCodeNotFound, "unknown session %q", wireID)
+		earlyError(apiErrorf(http.StatusNotFound, ErrCodeNotFound, "unknown session %q", wireID))
 		return
 	}
 	id := ten.storeID(wireID)
 	sess, ok := s.st.Get(id)
 	if !ok {
-		earlyError(http.StatusNotFound, nil, ErrCodeNotFound, "unknown session %q", wireID)
+		earlyError(apiErrorf(http.StatusNotFound, ErrCodeNotFound, "unknown session %q", wireID))
 		return
 	}
 	if inFlight := tq.whatifActive.Add(1); s.whatifLimit > 0 && inFlight > int64(s.whatifLimit) {
 		tq.whatifActive.Add(-1)
 		tq.whatifLimited.Add(1)
-		earlyError(http.StatusTooManyRequests,
-			map[string]string{"Retry-After": "1"},
-			ErrCodeWhatIfLimited,
+		e := apiErrorf(http.StatusTooManyRequests, ErrCodeWhatIfLimited,
 			"tenant %q already has %d what-if evaluations in flight (limit %d)",
 			ten.Name, inFlight-1, s.whatifLimit)
+		e.retryAfter = 1
+		earlyError(e)
 		return
 	}
 	defer tq.whatifActive.Add(-1)
@@ -250,7 +247,7 @@ func (s *Server) handleV2WhatIf(w http.ResponseWriter, r *http.Request) {
 	sess.Mu.Lock()
 	if sess.GoneLocked() {
 		sess.Mu.Unlock()
-		earlyError(http.StatusNotFound, nil, ErrCodeNotFound, "unknown session %q", wireID)
+		earlyError(apiErrorf(http.StatusNotFound, ErrCodeNotFound, "unknown session %q", wireID))
 		return
 	}
 	sess.Touch()
@@ -266,8 +263,8 @@ func (s *Server) handleV2WhatIf(w http.ResponseWriter, r *http.Request) {
 	planSpan.End()
 	s.whatifPlanSeconds.Observe(time.Since(planStart).Seconds())
 	if err != nil {
-		earlyError(http.StatusInternalServerError, nil, ErrCodeUpdateFailed,
-			"building what-if planner: %v", err)
+		earlyError(apiErrorf(http.StatusInternalServerError, ErrCodeUpdateFailed,
+			"building what-if planner: %v", err))
 		return
 	}
 	ev := &whatifEvaluator{
@@ -371,11 +368,11 @@ func (s *Server) handleV2WhatIf(w http.ResponseWriter, r *http.Request) {
 	// and evaluated concurrently, results streamed back in request order.
 	var req WhatIfRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		earlyError(http.StatusBadRequest, nil, ErrCodeBadRequest, "decoding request: %v", err)
+		earlyError(apiErrorf(http.StatusBadRequest, ErrCodeBadRequest, "decoding request: %v", err))
 		return
 	}
 	if len(req.Sets) == 0 {
-		earlyError(http.StatusBadRequest, nil, ErrCodeBadRequest, "sets is required (send at least one candidate deletion set)")
+		earlyError(apiErrorf(http.StatusBadRequest, ErrCodeBadRequest, "sets is required (send at least one candidate deletion set)"))
 		return
 	}
 	unions := make([][]int, len(req.Sets))
@@ -391,8 +388,8 @@ func (s *Server) handleV2WhatIf(w http.ResponseWriter, r *http.Request) {
 		valid = append(valid, union)
 	}
 	if sessionGone() {
-		earlyError(http.StatusNotFound, nil, ErrCodeGone,
-			"session %q was deleted before the what-if batch ran", wireID)
+		earlyError(apiErrorf(http.StatusNotFound, ErrCodeGone,
+			"session %q was deleted before the what-if batch ran", wireID))
 		return
 	}
 	_, evalSpan := obs.StartSpan(r.Context(), "whatif.eval")

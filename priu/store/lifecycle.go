@@ -53,7 +53,7 @@ func (t *Tiered) enqueueSpill(sess *Session) {
 		return
 	}
 	t.qmu.Lock()
-	if t.qClosed || t.pending[sess.ID] {
+	if t.qClosed || t.pending[sess] {
 		t.qmu.Unlock()
 		return
 	}
@@ -81,7 +81,7 @@ func (t *Tiered) enqueueSpill(sess *Session) {
 func (t *Tiered) offerLocked(sess *Session) {
 	select {
 	case t.queue <- sess:
-		t.pending[sess.ID] = true
+		t.pending[sess] = true
 	default:
 		t.queueFull.Add(1)
 	}
@@ -95,7 +95,7 @@ func (t *Tiered) requeue(sess *Session) {
 		return
 	}
 	t.qmu.Lock()
-	if !t.qClosed && !t.pending[sess.ID] {
+	if !t.qClosed && !t.pending[sess] {
 		t.offerLocked(sess)
 	}
 	t.qmu.Unlock()
@@ -171,7 +171,7 @@ func (t *Tiered) spillWorker() {
 	for sess := range t.queue {
 		t.inflight.Add(1)
 		t.qmu.Lock()
-		delete(t.pending, sess.ID)
+		delete(t.pending, sess)
 		t.qmu.Unlock()
 		var cut *spillCut
 		var needPush bool
@@ -232,7 +232,7 @@ func (t *Tiered) flushQuiet(now time.Time) {
 			continue
 		}
 		delete(t.debounce, id)
-		if !t.qClosed && !t.pending[id] {
+		if !t.qClosed && !t.pending[d.sess] {
 			t.offerLocked(d.sess)
 		}
 	}
@@ -248,7 +248,7 @@ func (t *Tiered) Flush() {
 	t.qmu.Lock()
 	for id, d := range t.debounce {
 		delete(t.debounce, id)
-		if !t.qClosed && !t.pending[id] {
+		if !t.qClosed && !t.pending[d.sess] {
 			t.offerLocked(d.sess)
 		}
 	}

@@ -320,3 +320,69 @@ func TestTieredGCRemovesOrphans(t *testing.T) {
 		t.Fatal("gc removed an indexed spill file")
 	}
 }
+
+// TestTieredWriteBehindQueuesRestoredIncarnation: a session evicted while its
+// write-behind request still waits in the queue, then restored and mutated,
+// must be queued again — the stale incarnation's queue entry is not the
+// restored one's. The single worker is stalled on another session's lock so
+// the evicted copy stays queued across the restore.
+func TestTieredWriteBehindQueuesRestoredIncarnation(t *testing.T) {
+	dir := t.TempDir()
+	ti := newTestTiered(t, dir, NewMemory(WithMaxSessions(2)))
+	a := trainSession(t, "sess-a", 1)
+	b := trainSession(t, "sess-b", 2)
+	for _, sess := range []*Session{a, b} {
+		if err := ti.Put(sess); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ti.Flush()
+
+	// Stall the worker: it dequeues b and blocks on b's lock. The pin keeps
+	// b out of the evictions below, which would need that lock too.
+	b.Pin()
+	b.Mu.Lock()
+	b.MarkDirtyLocked()
+	deadline := time.Now().Add(5 * time.Second)
+	for ti.inflight.Load() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the worker never picked up the stalling session")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	// Dirty a (its request waits behind b), evict it with a synchronous
+	// spill, restore it and commit to the restored copy.
+	applyDeletion(t, a, []int{2, 4})
+	if err := ti.Put(trainSession(t, "sess-c", 3)); err != nil {
+		t.Fatal(err)
+	}
+	a2, ok := ti.Get("sess-a")
+	if !ok || a2 == a {
+		t.Fatalf("sess-a was not evicted and restored (ok=%v, same record=%v)", ok, a2 == a)
+	}
+	wantVec := applyDeletion(t, a2, []int{7, 9})
+
+	b.Mu.Unlock()
+	b.Unpin()
+	ti.Flush()
+	if a2.Dirty() {
+		t.Fatal("the restored session's commit was never spilled: write-behind skipped it")
+	}
+
+	hardKill(ti)
+	ti2 := newTestTiered(t, dir, NewMemory())
+	got, ok := ti2.Get("sess-a")
+	if !ok {
+		t.Fatal("sess-a lost across the reboot")
+	}
+	vec, nDel, _ := sessionState(t, got)
+	if nDel != 4 {
+		t.Fatalf("reboot served %d of 4 logged deletions", nDel)
+	}
+	for i := range vec {
+		if vec[i] != wantVec[i] {
+			t.Fatalf("rebooted model differs at %d", i)
+		}
+	}
+}

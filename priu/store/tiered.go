@@ -189,10 +189,13 @@ type Tiered struct {
 	// sidecar log, and the GC sweep retries until resolution. Guarded by mu.
 	tombstones map[string]*tombstone
 
-	// Write-behind queue state (lifecycle.go).
+	// Write-behind queue state (lifecycle.go). pending holds the queued
+	// session records, keyed by record rather than ID: an evicted
+	// incarnation still waiting in the queue must not stand in for the
+	// restored one that replaced it.
 	qmu      sync.Mutex
 	queue    chan *Session
-	pending  map[string]bool
+	pending  map[*Session]bool
 	debounce map[string]*debEntry
 	qClosed  bool
 	inflight atomic.Int64
@@ -356,7 +359,7 @@ func NewTiered(dir string, mem *Memory, opts ...TieredOption) (*Tiered, error) {
 		dir:          dir,
 		index:        make(map[string]*spillEntry),
 		flights:      make(map[string]*flight),
-		pending:      make(map[string]bool),
+		pending:      make(map[*Session]bool),
 		debounce:     make(map[string]*debEntry),
 		blobPutting:  make(map[string]bool),
 		compacting:   make(map[string]bool),
