@@ -65,7 +65,7 @@ bench-baseline:
 # generation guards. Under -race.
 spill-smoke:
 	$(GO) test -race -count=1 \
-		-run 'TestCrashRestartDurability|TestEvictTouchRestoreUnderLoad|TestTiered|TestChaos|RunsOffSessionLock|TestSyncSpillFallbackUsesCurrentGeneration|TestDeltaPublishDiscardedAfterDeleteAndReput|TestStorePropertyOracle' \
+		-run 'TestCrashRestartDurability|TestEvictTouchRestoreUnderLoad|TestTiered|TestChaos|TestCrashEnumeration|TestFaultPointRegistry|RunsOffSessionLock|TestSyncSpillFallbackUsesCurrentGeneration|TestDeltaPublishDiscardedAfterDeleteAndReput|TestStorePropertyOracle' \
 		./priu/service ./priu/store
 
 # Fuzz smoke: each native fuzz target runs its committed seed corpus plus a

@@ -252,6 +252,15 @@ func (t *Tiered) faultAt(point string) error {
 	return t.fault(point)
 }
 
+// faultPoints names every crash point the fault hook can see: each faultAt
+// literal and each unlink point handed to removeSpillFile.
+var faultPoints = []string{
+	"blob.delete", "blob.get", "blob.put",
+	"compact.after-temp", "compact.create-temp", "compact.publish", "compact.unlink-old",
+	"delete.unlink", "drain.session", "gc.unlink", "invalidate.unlink", "release.unlink",
+	"spill.after-temp", "spill.create-temp", "spill.serialize", "spill.unlink-old",
+}
+
 // removeSpillFile unlinks a de-indexed spill file, keeping the disk gauge
 // honest when the unlink fails (or a fault skips it): the file still
 // occupies disk, so its bytes move to the orphan share — where the
