@@ -49,21 +49,26 @@ type BlobStore interface {
 }
 
 // FSBlob is a filesystem-backed BlobStore: one file per object in a flat
-// directory, written as temp + rename so concurrent readers never see a torn
-// object. Keys are query-escaped into file names, so namespaced session IDs
-// ("tenant/sess-1") round-trip losslessly. It is the in-process
-// implementation behind cmd/priublob and the single-machine fleet tests.
+// directory, written as temp + fsync + rename so concurrent readers never see
+// a torn object. Keys are query-escaped into file names, so namespaced
+// session IDs ("tenant/sess-1") round-trip losslessly. It is the
+// implementation behind cmd/priublob and the single-machine fleet tests, and
+// Tiered keeps its spill directory in one.
 type FSBlob struct {
 	dir string
 }
 
 // NewFSBlob opens (creating if needed) a filesystem-backed blob store rooted
-// at dir.
+// at dir, removing temp files at least tmpFloor old: those are writes a
+// crashed process abandoned, while younger ones may be another process's Put
+// in flight on a shared directory.
 func NewFSBlob(dir string) (*FSBlob, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: creating blob dir: %w", err)
 	}
-	return &FSBlob{dir: dir}, nil
+	b := &FSBlob{dir: dir}
+	b.sweepTemps(tmpFloor)
+	return b, nil
 }
 
 // blobTmp prefixes in-flight temp files (skipped by List).
@@ -73,35 +78,96 @@ func (b *FSBlob) path(key string) string {
 	return filepath.Join(b.dir, url.QueryEscape(key))
 }
 
-// Put implements BlobStore with the same temp-file + rename discipline as the
-// local spill tier: a crash mid-put leaves an ignorable temp file, never a
-// torn object.
-func (b *FSBlob) Put(key string, r io.Reader) error {
-	tmp, err := os.CreateTemp(b.dir, blobTmp+"*")
+// fsTemp is a staged write: a fsynced temp file not yet visible under a key.
+type fsTemp struct {
+	name  string
+	size  int64
+	fsync time.Duration
+}
+
+// stage writes an object to a temp file and fsyncs it — the first half of
+// every write to the directory. The caller either commits the temp under a
+// key or aborts it.
+func (b *FSBlob) stage(write func(io.Writer) error) (fsTemp, error) {
+	f, err := os.CreateTemp(b.dir, blobTmp+"*")
 	if err != nil {
-		return fmt.Errorf("store: creating blob temp file: %w", err)
+		return fsTemp{}, fmt.Errorf("store: creating temp file: %w", err)
 	}
-	tmpName := tmp.Name()
-	fail := func(err error) error {
-		tmp.Close()
-		_ = os.Remove(tmpName)
-		return err
+	tmp := fsTemp{name: f.Name()}
+	err = write(f)
+	if err == nil {
+		tmp.size, err = f.Seek(0, io.SeekCurrent)
 	}
-	if _, err := io.Copy(tmp, r); err != nil {
-		return fail(fmt.Errorf("store: writing blob %s: %w", key, err))
+	if err == nil {
+		start := time.Now()
+		err = f.Sync()
+		tmp.fsync = time.Since(start)
 	}
-	if err := tmp.Sync(); err != nil {
-		return fail(err)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := tmp.Close(); err != nil {
-		_ = os.Remove(tmpName)
-		return err
+	if err != nil {
+		b.abort(tmp)
+		return fsTemp{}, err
 	}
-	if err := os.Rename(tmpName, b.path(key)); err != nil {
-		_ = os.Remove(tmpName)
-		return fmt.Errorf("store: publishing blob %s: %w", key, err)
+	return tmp, nil
+}
+
+// commit renames a staged temp into place under key, atomically replacing
+// any previous version.
+func (b *FSBlob) commit(tmp fsTemp, key string) error {
+	if err := os.Rename(tmp.name, b.path(key)); err != nil {
+		b.abort(tmp)
+		return fmt.Errorf("store: publishing %s: %w", key, err)
 	}
 	return nil
+}
+
+// abort removes a staged temp.
+func (b *FSBlob) abort(tmp fsTemp) { _ = os.Remove(tmp.name) }
+
+// syncDir fsyncs the directory, making the renames and unlinks before it
+// durable.
+func (b *FSBlob) syncDir() error {
+	d, err := os.Open(b.dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
+}
+
+// sweepTemps removes temp files at least minAge old and reports how many
+// went.
+func (b *FSBlob) sweepTemps(minAge time.Duration) int {
+	entries, err := os.ReadDir(b.dir)
+	if err != nil {
+		return 0
+	}
+	n := 0
+	for _, de := range entries {
+		if de.IsDir() || !strings.HasPrefix(de.Name(), blobTmp) {
+			continue
+		}
+		if info, err := de.Info(); err == nil && time.Since(info.ModTime()) >= minAge &&
+			os.Remove(filepath.Join(b.dir, de.Name())) == nil {
+			n++
+		}
+	}
+	return n
+}
+
+// Put implements BlobStore: stage + commit, so a crash mid-put leaves an
+// ignorable temp file, never a torn object.
+func (b *FSBlob) Put(key string, r io.Reader) error {
+	tmp, err := b.stage(func(w io.Writer) error {
+		_, err := io.Copy(w, r)
+		return err
+	})
+	if err != nil {
+		return fmt.Errorf("store: writing blob %s: %w", key, err)
+	}
+	return b.commit(tmp, key)
 }
 
 // Get implements BlobStore.

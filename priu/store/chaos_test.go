@@ -58,7 +58,7 @@ func TestChaosCrashMidSpillLeavesPriorStateServable(t *testing.T) {
 	if ti.spillErrors.Load() == 0 {
 		t.Fatal("fault point never fired")
 	}
-	tmps, _ := filepath.Glob(filepath.Join(dir, spillTmp+"*"))
+	tmps, _ := filepath.Glob(filepath.Join(dir, blobTmp+"*"))
 	if len(tmps) == 0 {
 		t.Fatal("simulated crash should leave the torn temp file behind")
 	}
@@ -78,7 +78,7 @@ func TestChaosCrashMidSpillLeavesPriorStateServable(t *testing.T) {
 	if nDel != 0 {
 		t.Fatalf("restored %d deletions from a spill that never published", nDel)
 	}
-	if tmps, _ := filepath.Glob(filepath.Join(dir, spillTmp+"*")); len(tmps) != 0 {
+	if tmps, _ := filepath.Glob(filepath.Join(dir, blobTmp+"*")); len(tmps) != 0 {
 		t.Fatalf("reboot left torn temp files: %v", tmps)
 	}
 }

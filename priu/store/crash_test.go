@@ -265,7 +265,7 @@ func crashRun(t *testing.T, point string, k int) bool {
 		func() { del("acme/s2", 2) }, // adopted from the blob tier, then a base cut
 		func() {
 			old := time.Now().Add(-2 * time.Hour)
-			for _, name := range []string{strings.Repeat("0", 32) + spillExt, spillTmp + "aged"} {
+			for _, name := range []string{strings.Repeat("0", 32) + spillExt, blobTmp + "aged"} {
 				path := filepath.Join(dir, name)
 				if err := os.WriteFile(path, []byte("orphaned bytes"), 0o644); err != nil {
 					t.Fatal(err)
@@ -419,7 +419,7 @@ func spillListingBytes(t *testing.T, dir string) int64 {
 	}
 	var total int64
 	for _, de := range ents {
-		if de.IsDir() || strings.HasPrefix(de.Name(), spillTmp) || de.Name() == tombstoneFile {
+		if de.IsDir() || strings.HasPrefix(de.Name(), blobTmp) || de.Name() == tombstoneFile {
 			continue
 		}
 		info, err := de.Info()

@@ -29,7 +29,7 @@ func fuzzSeedEnvelope(id, kind string, updates int64, deleted []int) []byte {
 }
 
 // fuzzSeedV1Envelope serializes the legacy v1 envelope (no deletion log) —
-// still accepted at boot so pre-LSM spill dirs restore.
+// rejected by the decoder; a v1 base fails the boot by name.
 func fuzzSeedV1Envelope(id, kind string, updates int64) []byte {
 	var buf bytes.Buffer
 	bw := binio.NewWriter(&buf)
@@ -57,7 +57,7 @@ func FuzzSpillEnvelope(f *testing.F) {
 	f.Add([]byte("PRSP"))                                 // bare magic
 	f.Add([]byte{})                                       // empty
 	f.Add(fuzzSeedEnvelope("", "linear", 0, nil))         // missing ID: must be rejected
-	f.Add(fuzzSeedV1Envelope("acme/sess-42", "ridge", 3)) // legacy v1, still accepted
+	f.Add(fuzzSeedV1Envelope("acme/sess-42", "ridge", 3)) // legacy v1, rejected
 	// A length claim far past the stream (bounded-alloc check).
 	var huge bytes.Buffer
 	bw := binio.NewWriter(&huge)

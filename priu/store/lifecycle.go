@@ -2,8 +2,6 @@ package store
 
 import (
 	"errors"
-	"os"
-	"path/filepath"
 	"strings"
 	"time"
 )
@@ -318,8 +316,8 @@ func (t *Tiered) evictSpillFileLocked(keepID string) (bool, bool) {
 			skipped++ // a restore is reading this chain right now
 			continue
 		}
-		if t.compacting[id] {
-			skipped++ // a compaction is splicing it; transient
+		if t.compacting[id] || t.deleting[id] > 0 {
+			skipped++ // a compaction is splicing it, or a Delete owns it; transient
 			continue
 		}
 		class := classLoss
@@ -357,14 +355,14 @@ func (t *Tiered) evictSpillFileLocked(keepID string) (bool, bool) {
 	// eviction on failure; a delta segment whose unlink fails afterwards is
 	// already useless (its base is gone) and just moves to the orphan share
 	// for the GC.
-	if err := os.Remove(victim.path); err != nil && !os.IsNotExist(err) {
+	if t.local.Delete(victim.key) != nil {
 		return false, false
 	}
 	t.diskBytes -= victim.bytes
 	for i := range victim.deltas {
 		sg := &victim.deltas[i]
 		t.diskBytes -= sg.bytes
-		if err := os.Remove(sg.path); err != nil && !os.IsNotExist(err) {
+		if t.local.Delete(sg.key) != nil {
 			t.orphanBytes += sg.bytes
 		}
 	}
@@ -372,7 +370,7 @@ func (t *Tiered) evictSpillFileLocked(keepID string) (bool, bool) {
 		// Cache drop: the entry survives remote-only; restores fall through
 		// to the blob tier. Tenant spill accounting keeps charging the blob
 		// copy (same content), so nothing is released here.
-		victim.path, victim.local, victim.deltas = "", false, nil
+		victim.key, victim.local, victim.deltas = "", false, nil
 		t.blobDemotions.Add(1)
 		return true, false
 	}
@@ -392,6 +390,23 @@ func (t *Tiered) evictSpillFileLocked(keepID string) (bool, bool) {
 	return true, false
 }
 
+// ownedKeysLocked adds the keys of every indexed file, and of every
+// de-indexed file whose unlink is in flight, to m. Callers hold t.mu.
+func (t *Tiered) ownedKeysLocked(m map[string]bool) map[string]bool {
+	if m == nil {
+		m = make(map[string]bool, len(t.index)+len(t.unlinking))
+	}
+	for _, e := range t.index {
+		for _, kb := range e.localKeys() {
+			m[kb.key] = true
+		}
+	}
+	for key := range t.unlinking {
+		m[key] = true
+	}
+	return m
+}
+
 // gcLoop runs gcOnce every gcInterval until stop closes.
 func (t *Tiered) gcLoop(stop <-chan struct{}) {
 	defer t.wg.Done()
@@ -407,28 +422,25 @@ func (t *Tiered) gcLoop(stop <-chan struct{}) {
 	}
 }
 
-// gcOnce is one age-based GC sweep: orphaned session and delta files
-// (unindexed — left by crashes, or by unlink failures) older than gcAge and
-// stale temp files are removed, files belonging to tombstoned sessions are
-// removed regardless of age (and the tombstone's local side resolved once
-// none remain), the orphan-byte share of the spill_dir_bytes gauge is
-// refreshed from what remains, and the disk budget is re-enforced in case
-// orphans pushed the gauge over it. The sweep ends with tombstone-log
-// compaction and the blob maintenance pass.
+// gcOnce is one age-based GC sweep: stale temp files and orphaned session
+// and delta files (unindexed — left by crashes, or by unlink failures) older
+// than gcAge are removed, files belonging to tombstoned sessions are removed
+// regardless of age (and the tombstone's local side resolved once none
+// remain), the orphan-byte share of the spill_dir_bytes gauge is refreshed
+// from what remains, and the disk budget is re-enforced in case orphans
+// pushed the gauge over it. The sweep ends with the blob maintenance pass.
 func (t *Tiered) gcOnce() {
-	entries, err := os.ReadDir(t.dir)
-	if err != nil {
-		return
+	// Temps younger than tmpFloor may be an in-flight spill.
+	if t.faultAt("gc.unlink") == nil {
+		t.gcRemovals.Add(int64(t.local.sweepTemps(max(t.gcAge, tmpFloor))))
 	}
-	now := time.Now()
-	tmpAge := t.gcAge
-	if tmpAge < tmpFloor {
-		tmpAge = tmpFloor
-	}
-	// Snapshot the tombstones whose local side is unresolved: their files
-	// are swept on sight, and headers must be read (off-lock, below) to know
-	// which files are theirs.
+	// Snapshot, before listing, the keys the index owns and the tombstones
+	// whose local side is unresolved (their files are swept on sight, and
+	// headers must be read, off-lock, to know which files are theirs). A
+	// listed file the index owned before the listing or owns after it is no
+	// orphan: disk evictions, unlinks and publishes race the listing.
 	t.mu.Lock()
+	owned := t.ownedKeysLocked(nil)
 	tombPending := make(map[string]bool)
 	for id, ts := range t.tombstones {
 		if !ts.localClean {
@@ -436,83 +448,46 @@ func (t *Tiered) gcOnce() {
 		}
 	}
 	t.mu.Unlock()
-	type fileInfo struct {
-		name string
-		size int64
-		age  time.Duration
-		id   string // session the file claims, when headers were read
+	infos, err := t.local.List("")
+	if err != nil {
+		return
 	}
-	var files []fileInfo
-	for _, de := range entries {
-		name := de.Name()
-		if de.IsDir() || strings.HasPrefix(name, spillTmp) {
-			// In-flight temps are fresh; stale ones are crash leftovers.
-			// Temps are never part of the gauge either way.
-			if !de.IsDir() {
-				if info, err := de.Info(); err == nil && now.Sub(info.ModTime()) >= tmpAge {
-					if t.faultAt("gc.unlink") == nil && os.Remove(filepath.Join(t.dir, name)) == nil {
-						t.gcRemovals.Add(1)
-					}
-				}
-			}
-			continue
-		}
-		if name == tombstoneFile {
-			continue // the sidecar log is never an orphan
-		}
-		info, err := de.Info()
-		if err != nil {
-			continue
-		}
-		fi := fileInfo{name: name, size: info.Size(), age: now.Sub(info.ModTime())}
-		if len(tombPending) > 0 {
-			path := filepath.Join(t.dir, name)
-			switch {
-			case strings.HasSuffix(name, spillExt):
-				if f, err := os.Open(path); err == nil {
-					if _, env, err := readSpillEnvelope(f); err == nil {
-						fi.id = env.id
-					}
-					f.Close()
-				}
-			case strings.HasSuffix(name, deltaExt):
-				if hdr, err := readDeltaHeaderFile(path); err == nil {
-					fi.id = hdr.id
-				}
+	now := time.Now()
+	owner := make(map[string]string) // key -> session id, when headers were read
+	if len(tombPending) > 0 {
+		for _, info := range infos {
+			if obj, _ := classify(t.local, info); obj.id != "" {
+				owner[info.Key] = obj.id
 			}
 		}
-		files = append(files, fi)
 	}
 	// Classify against the index and refresh the orphan gauge in one
 	// critical section, so a spill publishing concurrently is never treated
 	// as an orphan of the same sweep that counts its index entry.
 	t.mu.Lock()
-	indexed := make(map[string]bool, len(t.index))
-	for _, e := range t.index {
-		for _, pb := range e.localPaths() {
-			indexed[filepath.Base(pb.path)] = true
-		}
-	}
+	owned = t.ownedKeysLocked(owned)
 	var orphanBytes int64
 	var remove []string
 	tombRemain := make(map[string]int) // files still on disk per pending tombstone
-	var tombFiles []fileInfo
-	for _, fi := range files {
-		if indexed[fi.name] {
-			continue
-		}
-		if fi.id != "" && tombPending[fi.id] {
+	var tombFiles []string
+	for _, info := range infos {
+		id := owner[info.Key]
+		switch {
+		case info.Key == tombstoneFile:
+		case owned[info.Key]:
+			if tombPending[id] {
+				tombRemain[id]++ // its unlink is in flight; resolve on a later sweep
+			}
+		case tombPending[id]:
 			// Tombstoned session's leftover: sweep on sight, no age floor.
-			tombRemain[fi.id]++
-			tombFiles = append(tombFiles, fi)
-			continue
+			tombRemain[id]++
+			tombFiles = append(tombFiles, info.Key)
+		case (strings.HasSuffix(info.Key, spillExt) || strings.HasSuffix(info.Key, deltaExt)) &&
+			now.Sub(info.ModTime) >= t.gcAge:
+			remove = append(remove, info.Key)
+		default:
+			orphanBytes += info.Size
 		}
-		sessFile := strings.HasSuffix(fi.name, spillExt) || strings.HasSuffix(fi.name, deltaExt)
-		if sessFile && fi.age >= t.gcAge {
-			remove = append(remove, fi.name)
-			continue
-		}
-		orphanBytes += fi.size
 	}
 	t.orphanBytes = orphanBytes
 	if t.maxDiskBytes > 0 {
@@ -523,15 +498,15 @@ func (t *Tiered) gcOnce() {
 		}
 	}
 	t.mu.Unlock()
-	for _, name := range remove {
-		if t.faultAt("gc.unlink") == nil && os.Remove(filepath.Join(t.dir, name)) == nil {
+	for _, key := range remove {
+		if t.faultAt("gc.unlink") == nil && t.local.Delete(key) == nil {
 			t.gcRemovals.Add(1)
 		}
 	}
-	for _, fi := range tombFiles {
-		if t.faultAt("gc.unlink") == nil && os.Remove(filepath.Join(t.dir, fi.name)) == nil {
+	for _, key := range tombFiles {
+		if t.faultAt("gc.unlink") == nil && t.local.Delete(key) == nil {
 			t.gcRemovals.Add(1)
-			tombRemain[fi.id]--
+			tombRemain[owner[key]]--
 		}
 	}
 	// A pending tombstone with no surviving local file is locally clean.
@@ -540,7 +515,6 @@ func (t *Tiered) gcOnce() {
 			t.tombstoneResolve(id, tombLocal)
 		}
 	}
-	t.compactTombLog()
 	// Blob pass: retry tombstoned deletes until they stick and re-push local
 	// files whose upload failed, so the shared tier converges on the truth.
 	t.blobMaintain()

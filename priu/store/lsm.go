@@ -5,8 +5,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"time"
 
 	"repro/internal/binio"
@@ -108,73 +106,36 @@ func readDelta(r io.Reader) (deltaData, error) {
 	return d, nil
 }
 
-// readDeltaFile decodes a whole delta segment from disk.
-func readDeltaFile(path string) (deltaData, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return deltaData{}, err
-	}
-	defer f.Close()
-	return readDelta(f)
-}
-
-// readDeltaHeaderFile reads a delta segment's header AND verifies the
-// entries actually follow in full — a truncated (torn) segment fails here,
-// so reindex never chains a file that a restore could not replay.
-func readDeltaHeaderFile(path string) (deltaHeader, error) {
-	var h deltaHeader
-	f, err := os.Open(path)
-	if err != nil {
-		return h, err
-	}
-	defer f.Close()
-	br := binio.NewReader(f)
-	h, err = readDeltaHeader(br)
-	if err != nil {
-		return h, err
-	}
-	for i := int64(0); i < h.entries; i++ {
-		br.I64()
-	}
-	if br.Err != nil {
-		return h, br.Err
-	}
-	return h, nil
-}
-
 // spliceChain folds a base file plus an ordered delta chain into one v2
 // spill file written to w — merged envelope (base log + every segment's
 // entries, tip counters) followed by the base's embedded snapshot copied
 // byte for byte. The model is never decoded. Chain continuity is verified
 // against the actual file contents, not just the index.
-func spliceChain(w io.Writer, id, basePath string, segs []deltaSeg) error {
-	f, err := os.Open(basePath)
+func (t *Tiered) spliceChain(w io.Writer, id, base string, segs []deltaSeg) error {
+	tail, err := t.readTail(id, segs)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	br, env, err := readSpillEnvelope(f)
+	rc, _, err := t.local.Get(base)
+	if err != nil {
+		return err
+	}
+	defer rc.Close()
+	br, env, err := readSpillEnvelope(rc)
 	if err != nil {
 		return err
 	}
 	if env.id != id {
-		return fmt.Errorf("store: base %s holds session %s, want %s", basePath, env.id, id)
+		return fmt.Errorf("store: base %s holds session %s, want %s", base, env.id, id)
 	}
-	if env.version < 2 {
-		return fmt.Errorf("store: cannot splice a version-%d base", env.version)
-	}
-	merged := append([]int(nil), env.deleted...)
+	merged := env.deleted
 	tipUpdates, tipLastUpd := env.updates, env.lastUpdateSeconds
-	for _, sg := range segs {
-		d, err := readDeltaFile(sg.path)
-		if err != nil {
-			return err
+	if tail != nil {
+		if !tail.extends(&env) {
+			return fmt.Errorf("store: delta chain of %s does not extend base %s", id, base)
 		}
-		if d.id != id || d.fromLen != int64(len(merged)) || d.fromUpdates != tipUpdates {
-			return fmt.Errorf("store: delta segment %s does not extend %s's chain", sg.path, id)
-		}
-		merged = append(merged, d.entries...)
-		tipUpdates, tipLastUpd = d.updates, d.lastUpd
+		merged = append(merged, tail.entries...)
+		tipUpdates, tipLastUpd = tail.updates, tail.lastUpd
 	}
 	if err := writeSpillEnvelope(w, id, env.kind, env.createdAt, tipUpdates, tipLastUpd, merged); err != nil {
 		return err
@@ -223,17 +184,17 @@ func (t *Tiered) scheduleCompact(id string) {
 // flight is mid-read, then renames and unlinks the folded files. A crash
 // before the rename leaves a temp file (swept by GC) with the old chain
 // authoritative; a crash after it leaves both the new base and the old
-// chain, and the boot reindex deterministically picks the new base — same
+// chain, and the boot scan deterministically picks the new base — same
 // update counter, longer envelope log — and removes the rest.
 func (t *Tiered) compactOnce(id string) {
 	start := time.Now()
 	t.mu.Lock()
 	e := t.index[id]
-	if e == nil || !e.local || len(e.deltas) == 0 || e.logLen < 0 {
+	if e == nil || !e.local || len(e.deltas) == 0 {
 		t.mu.Unlock()
 		return
 	}
-	basePath, baseBytes := e.path, e.bytes
+	base, baseBytes := e.key, e.bytes
 	segs := append([]deltaSeg(nil), e.deltas...)
 	var foldedBytes int64
 	for _, sg := range segs {
@@ -244,45 +205,26 @@ func (t *Tiered) compactOnce(id string) {
 	if t.faultAt("compact.create-temp") != nil {
 		return
 	}
-	tmp, err := os.CreateTemp(t.dir, spillTmp+"*")
-	if err != nil {
-		return
-	}
-	tmpName := tmp.Name()
 	h := sha256.New()
-	if err := spliceChain(io.MultiWriter(tmp, h), id, basePath, segs); err != nil {
-		tmp.Close()
-		_ = os.Remove(tmpName)
-		return
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		_ = os.Remove(tmpName)
+	tmp, err := t.local.stage(func(w io.Writer) error {
+		return t.spliceChain(io.MultiWriter(w, h), id, base, segs)
+	})
+	if err != nil {
 		return
 	}
 	if t.faultAt("compact.after-temp") != nil {
 		// Simulated crash after the temp write: the old chain stays
-		// authoritative; the temp is GC-swept.
-		tmp.Close()
+		// authoritative; the temp is swept at boot or by the GC.
 		return
 	}
-	size, err := tmp.Seek(0, io.SeekCurrent)
-	if err != nil || tmp.Close() != nil {
-		_ = os.Remove(tmpName)
-		return
-	}
-	final := filepath.Join(t.dir, hex.EncodeToString(h.Sum(nil))[:32]+spillExt)
+	key := hex.EncodeToString(h.Sum(nil))[:32] + spillExt
+	diskDelta := tmp.size - (baseBytes + foldedBytes)
 
 	t.mu.Lock()
 	cur := t.index[id]
-	stale := cur == nil || !cur.local || cur.path != basePath || len(cur.deltas) < len(segs)
-	if !stale {
-		for i := range segs {
-			if cur.deltas[i].path != segs[i].path {
-				stale = true
-				break
-			}
-		}
+	stale := cur == nil || !cur.local || cur.key != base || len(cur.deltas) < len(segs)
+	for i := 0; !stale && i < len(segs); i++ {
+		stale = cur.deltas[i].key != segs[i].key
 	}
 	if _, restoring := t.flights[id]; restoring {
 		// A restore snapshotted the old chain and may be mid-read; folding
@@ -292,52 +234,46 @@ func (t *Tiered) compactOnce(id string) {
 	}
 	if stale {
 		t.mu.Unlock()
-		_ = os.Remove(tmpName)
+		t.local.abort(tmp)
 		return
 	}
-	diskDelta := size - (baseBytes + foldedBytes)
 	if ok, _ := t.reserveDiskLocked(diskDelta, id); !ok {
 		t.mu.Unlock()
-		_ = os.Remove(tmpName)
+		t.local.abort(tmp)
 		return
 	}
 	if err := t.mem.reserveSpill(TenantOf(id), diskDelta); err != nil {
 		t.diskBytes -= diskDelta
 		t.mu.Unlock()
-		_ = os.Remove(tmpName)
+		t.local.abort(tmp)
 		return
 	}
-	if t.faultAt("compact.publish") != nil {
-		// Simulated crash at the publish point, before the rename lands.
+	if t.faultAt("compact.publish") != nil || t.local.commit(tmp, key) != nil {
+		// A simulated crash at the publish point (the temp stays), or a
+		// failed rename (commit removed the temp).
 		t.diskBytes -= diskDelta
 		t.mem.adjustSpill(TenantOf(id), -diskDelta)
 		t.mu.Unlock()
 		return
 	}
-	if err := os.Rename(tmpName, final); err != nil {
-		t.diskBytes -= diskDelta
-		t.mem.adjustSpill(TenantOf(id), -diskDelta)
-		t.mu.Unlock()
-		_ = os.Remove(tmpName)
-		return
-	}
-	oldFiles := make([]pathBytes, 0, 1+len(segs))
-	if basePath != final {
+	oldFiles := make([]keyBytes, 0, 1+len(segs))
+	if base != key {
 		// Identical content (possible when the chain carried only counter
 		// echoes) means the rename already overwrote the base in place.
-		oldFiles = append(oldFiles, pathBytes{basePath, baseBytes})
+		oldFiles = append(oldFiles, keyBytes{base, baseBytes})
 	}
 	for _, sg := range segs {
-		oldFiles = append(oldFiles, pathBytes{sg.path, sg.bytes})
+		oldFiles = append(oldFiles, keyBytes{sg.key, sg.bytes})
 	}
-	cur.path = final
-	cur.bytes = size
+	t.unlinkingLocked(oldFiles)
+	cur.key = key
+	cur.bytes = tmp.size
 	cur.deltas = append([]deltaSeg(nil), cur.deltas[len(segs):]...)
 	cur.spillCharged += diskDelta
 	cur.lastUsed = time.Now().UnixNano()
 	t.mu.Unlock()
-	for _, pb := range oldFiles {
-		t.removeSpillFile(pb.path, pb.bytes, "compact.unlink-old")
+	for _, kb := range oldFiles {
+		t.removeSpillFile(kb.key, kb.bytes, "compact.unlink-old")
 	}
 	t.compactions.Add(1)
 	if m := t.metrics; m != nil {

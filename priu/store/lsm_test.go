@@ -240,7 +240,7 @@ func TestChaosCrashMidCompactionOldChainAuthoritative(t *testing.T) {
 	armed.Store(true)
 	ti.compactOnce("sess-1")
 	armed.Store(false)
-	if tmps, _ := filepath.Glob(filepath.Join(dir, spillTmp+"*")); len(tmps) != 1 {
+	if tmps, _ := filepath.Glob(filepath.Join(dir, blobTmp+"*")); len(tmps) != 1 {
 		t.Fatalf("%d temp files after the mid-compaction crash, want the torn fold left behind", len(tmps))
 	}
 	hardKill(ti)
@@ -259,7 +259,7 @@ func TestChaosCrashMidCompactionOldChainAuthoritative(t *testing.T) {
 			t.Fatalf("restored model differs at %d", i)
 		}
 	}
-	if tmps, _ := filepath.Glob(filepath.Join(dir, spillTmp+"*")); len(tmps) != 0 {
+	if tmps, _ := filepath.Glob(filepath.Join(dir, blobTmp+"*")); len(tmps) != 0 {
 		t.Fatalf("reboot left torn compaction temps: %v", tmps)
 	}
 }

@@ -13,15 +13,17 @@
 //     delta segments, each carrying only the deletion-log suffix one spill
 //     appended — so a mutation-heavy stream pays O(batch) bytes per spill,
 //     and background compaction folds chains back into a single base by
-//     byte splice. Every file lands content-addressed via an atomic
-//     temp-file rename; restore replays base + deltas in one update call
+//     byte splice. The spill directory is an FSBlob: every file lands
+//     content-addressed through its one writer (temp file + fsync +
+//     atomic rename); restore replays base + deltas in one update call
 //     — so honored deletions stay deleted — with singleflight so concurrent
 //     touches of a cold session trigger exactly one restore. Forgotten
-//     sessions leave persistent tombstones (a fsynced sidecar log replayed
-//     at boot) so an acknowledged DELETE can never resurrect, even when
-//     the crash beat the unlink or blob delete. Close snapshots every
-//     dirty resident session, and NewTiered re-indexes the spill
-//     directory, so a kill/restart loses nothing.
+//     sessions leave persistent tombstones (the pending set, rewritten as
+//     one object on every change and read at boot) so an acknowledged
+//     DELETE can never resurrect, even when the crash beat the unlink or
+//     blob delete. Close snapshots every dirty resident session, and
+//     NewTiered rebuilds the index from one scan of the spill directory
+//     (and the blob tier's listing), so a kill/restart loses nothing.
 //
 // Mutators (the service's deletion handlers) hold Session.Mu while applying
 // an update and must re-fetch through Get when GoneLocked reports the copy

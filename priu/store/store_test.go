@@ -200,7 +200,7 @@ func TestTieredCloseDrainAndReboot(t *testing.T) {
 	}
 
 	// Leave a torn temp file; reboot must clean it up and ignore it.
-	if err := os.WriteFile(filepath.Join(dir, spillTmp+"dead"), []byte("torn"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, blobTmp+"dead"), []byte("torn"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -221,7 +221,7 @@ func TestTieredCloseDrainAndReboot(t *testing.T) {
 			t.Fatalf("rebooted model differs at %d", i)
 		}
 	}
-	files, err := filepath.Glob(filepath.Join(dir, spillTmp+"*"))
+	files, err := filepath.Glob(filepath.Join(dir, blobTmp+"*"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,9 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,23 +16,22 @@ import (
 )
 
 // Spill-file envelope: a small header carrying the store-level identity,
-// counters and (since version 2) the cumulative deletion log, followed by
-// the self-contained snapshot (family + dataset + provenance; the embedded
-// snapshot's own log section is empty in v2 files). Keeping the log in the
-// envelope makes the disk tier log-structured: a spill of a mutated session
-// appends a small delta segment carrying only the log suffix since the
-// base, and compaction folds a chain into a new base by splicing — merged
-// envelope plus the base's snapshot bytes copied verbatim, no model decode.
-// Files are content-addressed — named by the SHA-256 of their bytes — and
-// written as temp-file + fsync + rename, so a crash mid-spill leaves at
-// worst an ignorable temp file, never a torn session or delta. Version 1
-// files (log inside the snapshot) remain readable; they are opaque to
-// splicing, so the first dirty spill on top of one rewrites a v2 base.
+// counters and the cumulative deletion log, followed by the self-contained
+// snapshot (family + dataset + provenance, with an empty log section).
+// Keeping the log in the envelope makes the disk tier log-structured: a
+// spill of a mutated session appends a small delta segment carrying only the
+// log suffix since the base, and compaction folds a chain into a new base by
+// splicing — merged envelope plus the base's snapshot bytes copied verbatim,
+// no model decode. The spill directory is an FSBlob: files are
+// content-addressed keys — named by the SHA-256 of their bytes — written
+// through its stage/commit writer (temp file + fsync + rename), so a crash
+// mid-spill leaves at worst an ignorable temp file, never a torn session or
+// delta. Only version 2 is read: a version-1 base (log inside the snapshot,
+// written before the log-structured tier) fails NewTiered by name.
 const (
 	spillMagic   = "PRSP"
 	spillVersion = 2
 	spillExt     = ".sess"
-	spillTmp     = "tmp-"
 
 	// Delta segments: "<sha256>.delta" files appended to a v2 base. Each
 	// carries the deletion-log suffix it adds, the (logLen, updates) tip it
@@ -50,7 +46,7 @@ const (
 
 // deltaSeg is one published delta segment in a spill entry's chain.
 type deltaSeg struct {
-	path  string
+	key   string
 	bytes int64
 	// fromLen/fromUpdates name the chain tip this segment extends; a
 	// segment chains iff they equal the previous element's tip exactly.
@@ -65,12 +61,12 @@ type deltaSeg struct {
 
 // spillEntry is the disk tier's index record for one session: a base
 // snapshot plus an ordered delta-segment chain. At least one of
-// local/remote is true: local means path names a base file (and deltas its
+// local/remote is true: local means key names a base file (and deltas its
 // chain) in the spill directory, remote means the shared blob tier holds
 // the same logical tip (when both are set the local chain is a read cache
 // of the blob object).
 type spillEntry struct {
-	path      string
+	key       string
 	bytes     int64 // base file size; localBytes() for the whole chain
 	deltas    []deltaSeg
 	kind      string
@@ -82,14 +78,11 @@ type spillEntry struct {
 	// reconciling against the blob tier.
 	updates int64
 	// logLen is the deletion-log length the chain tip covers — together
-	// with updates it is the guard a delta publish must match. -1 marks a
-	// version-1 base whose log lives inside the snapshot (unknown without
-	// decoding): such chains take no deltas; the next dirty spill rewrites
-	// a v2 base.
+	// with updates it is the guard a delta publish must match.
 	logLen int64
 	// charged is what the session's tenant ownership was billed for this
 	// session (guarded by Tiered.mu): the resident footprint when spilled by
-	// this process, the file size when seeded from a reboot reindex (the
+	// this process, the file size when seeded from the boot scan (the
 	// footprint isn't known without restoring). Restores settle the drift.
 	charged int64
 	// spillCharged is the tenant's current spill-byte charge for this entry
@@ -115,22 +108,22 @@ func (e *spillEntry) localBytes() int64 {
 	return n
 }
 
-// localPaths returns every file the entry owns (base first, then the chain).
-func (e *spillEntry) localPaths() []pathBytes {
+// localKeys returns every file the entry owns (base first, then the chain).
+func (e *spillEntry) localKeys() []keyBytes {
 	if !e.local {
 		return nil
 	}
-	out := make([]pathBytes, 0, 1+len(e.deltas))
-	out = append(out, pathBytes{e.path, e.bytes})
+	out := make([]keyBytes, 0, 1+len(e.deltas))
+	out = append(out, keyBytes{e.key, e.bytes})
 	for i := range e.deltas {
-		out = append(out, pathBytes{e.deltas[i].path, e.deltas[i].bytes})
+		out = append(out, keyBytes{e.deltas[i].key, e.deltas[i].bytes})
 	}
 	return out
 }
 
-// pathBytes pairs a file path with its accounted size.
-type pathBytes struct {
-	path  string
+// keyBytes pairs a spill-directory key with its accounted size.
+type keyBytes struct {
+	key   string
 	bytes int64
 }
 
@@ -151,7 +144,9 @@ type flight struct {
 // leftovers.
 type Tiered struct {
 	mem *Memory
-	dir string
+	// local is the spill directory; every local read, write, delete and
+	// listing goes through it.
+	local *FSBlob
 
 	// blob, when set (WithBlobStore), is the shared tier the spill directory
 	// caches; see tieredblob.go.
@@ -183,10 +178,20 @@ type Tiered struct {
 	// compacting gates chain folds the same way. Guarded by mu.
 	blobPutting map[string]bool
 	compacting  map[string]bool
+	// deleting counts Deletes between dropping an id's resident copy and
+	// de-indexing its chain; the disk-budget evictor skips those ids, which
+	// would otherwise look disk-only and have their tenant ownership
+	// released a second time. Guarded by mu.
+	deleting map[string]int
+	// unlinking holds the keys of de-indexed files whose removeSpillFile has
+	// not run yet: the GC neither counts them as orphans nor removes them.
+	// Guarded by mu.
+	unlinking map[string]bool
 	// tombstones is the pending set of deletion tombstones (tombstone.go):
 	// ids of acknowledged deletes whose local unlinks or blob delete have
-	// not stuck yet. Read paths refuse tombstoned ids, boot replays the
-	// sidecar log, and the GC sweep retries until resolution. Guarded by mu.
+	// not stuck yet. Read paths refuse tombstoned ids, boot reads the
+	// persisted set, and the GC sweep retries until resolution. Guarded by
+	// mu.
 	tombstones map[string]*tombstone
 
 	// Write-behind queue state (lifecycle.go). pending holds the queued
@@ -203,11 +208,9 @@ type Tiered struct {
 	stopBG chan struct{}
 	wg     sync.WaitGroup
 
-	// tombMu serializes appends/rewrites of the tombstone sidecar log;
-	// tombRecords counts records appended since the last rewrite (the GC
-	// compacts the log when resolved records dominate). See tombstone.go.
-	tombMu      sync.Mutex
-	tombRecords int
+	// tombMu serializes tombstone-set changes with the writes that persist
+	// them (tombstone.go).
+	tombMu sync.Mutex
 
 	spills        atomic.Int64
 	deltaSpills   atomic.Int64
@@ -266,16 +269,36 @@ var faultPoints = []string{
 // occupies disk, so its bytes move to the orphan share — where the
 // age-based GC will reclaim them — instead of vanishing from the books.
 // Reports whether the file is actually gone. Callers must not hold t.mu.
-func (t *Tiered) removeSpillFile(path string, bytes int64, faultPoint string) bool {
-	if t.faultAt(faultPoint) == nil {
-		if err := os.Remove(path); err == nil || os.IsNotExist(err) {
-			return true
-		}
-	}
+func (t *Tiered) removeSpillFile(key string, bytes int64, faultPoint string) bool {
+	gone := t.faultAt(faultPoint) == nil && t.local.Delete(key) == nil
 	t.mu.Lock()
-	t.orphanBytes += bytes
+	delete(t.unlinking, key)
+	if !gone {
+		t.orphanBytes += bytes
+	}
 	t.mu.Unlock()
-	return false
+	return gone
+}
+
+// unlinkingLocked marks files a caller is about to remove with
+// removeSpillFile once it releases t.mu. Callers hold t.mu.
+func (t *Tiered) unlinkingLocked(files []keyBytes) []keyBytes {
+	for _, kb := range files {
+		t.unlinking[kb.key] = true
+	}
+	return files
+}
+
+// dropEntryLocked de-indexes id's entry, settles the disk gauge and marks
+// its local files unlinking. Callers hold t.mu.
+func (t *Tiered) dropEntryLocked(id string) (*spillEntry, bool) {
+	e, ok := t.index[id]
+	if ok {
+		delete(t.index, id)
+		t.diskBytes -= e.localBytes()
+		t.unlinkingLocked(e.localKeys())
+	}
+	return e, ok
 }
 
 // TieredOption configures NewTiered.
@@ -360,18 +383,21 @@ func WithSpillGC(age, interval time.Duration) TieredOption {
 // and, when configured, the GC sweep). mem must be freshly constructed and
 // not shared.
 func NewTiered(dir string, mem *Memory, opts ...TieredOption) (*Tiered, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("store: creating spill dir: %w", err)
+	local, err := NewFSBlob(dir)
+	if err != nil {
+		return nil, err
 	}
 	t := &Tiered{
 		mem:          mem,
-		dir:          dir,
+		local:        local,
 		index:        make(map[string]*spillEntry),
 		flights:      make(map[string]*flight),
 		pending:      make(map[*Session]bool),
 		debounce:     make(map[string]*debEntry),
 		blobPutting:  make(map[string]bool),
 		compacting:   make(map[string]bool),
+		deleting:     make(map[string]int),
+		unlinking:    make(map[string]bool),
 		tombstones:   make(map[string]*tombstone),
 		spillOnEvict: true,
 		queueLen:     256,
@@ -383,16 +409,14 @@ func NewTiered(dir string, mem *Memory, opts ...TieredOption) (*Tiered, error) {
 	for _, opt := range opts {
 		opt(t)
 	}
-	// Tombstones load before anything else reads the directory or the blob
-	// listing: reindex skips (and deletes) files of tombstoned sessions, and
-	// syncBlob refuses to re-adopt their objects.
+	// This process owns the spill directory, so every temp in it is a
+	// crashed write. Tombstones load before the listings are read: the boot
+	// scan deletes (never indexes) files and objects of tombstoned sessions.
+	t.local.sweepTemps(0)
 	if err := t.loadTombstones(); err != nil {
 		return nil, err
 	}
-	if err := t.reindex(); err != nil {
-		return nil, err
-	}
-	if err := t.syncBlob(); err != nil {
+	if err := t.boot(); err != nil {
 		return nil, err
 	}
 	// Seed the tenants' cross-tier ownership and spill-file usage with what
@@ -464,13 +488,7 @@ func NewTiered(dir string, mem *Memory, opts ...TieredOption) (*Tiered, error) {
 // tombstone before any unlink runs.
 func (t *Tiered) invalidate(id string) {
 	t.mu.Lock()
-	e, ok := t.index[id]
-	if ok {
-		delete(t.index, id)
-		if e.local {
-			t.diskBytes -= e.localBytes()
-		}
-	}
+	e, ok := t.dropEntryLocked(id)
 	t.mu.Unlock()
 	if ok {
 		t.dropEntryFiles(id, e, "invalidate.unlink")
@@ -487,8 +505,8 @@ func (t *Tiered) dropEntryFiles(id string, e *spillEntry, faultPoint string) {
 	t.tombstoneAdd(id)
 	if e.local {
 		clean := true
-		for _, pb := range e.localPaths() {
-			if !t.removeSpillFile(pb.path, pb.bytes, faultPoint) {
+		for _, kb := range e.localKeys() {
+			if !t.removeSpillFile(kb.key, kb.bytes, faultPoint) {
 				clean = false
 			}
 		}
@@ -531,7 +549,7 @@ func (t *Tiered) Put(sess *Session) error {
 		// clear the stale blob object, then retire the tombstone — the new
 		// session's state owns the ID from here.
 		t.blobRemove(sess.ID)
-		t.tombstoneForget(sess.ID)
+		t.tombstoneResolve(sess.ID, tombLocal|tombBlob)
 	}
 	t.armWriteBehind(sess)
 	if err := t.mem.Put(sess); err != nil {
@@ -545,8 +563,9 @@ func (t *Tiered) Put(sess *Session) error {
 func (t *Tiered) TenantUsage(tenant string) TenantUsage { return t.mem.TenantUsage(tenant) }
 
 // Get implements Store: a resident hit is lock-free beyond the shard RLock;
-// a cold session is restored from its spill file exactly once, no matter how
-// many goroutines touch it concurrently.
+// a cold session is restored exactly once, no matter how many goroutines
+// touch it concurrently — from its local chain, or (read-through) from the
+// shared blob tier when this node holds no local state for it at all.
 func (t *Tiered) Get(id string) (*Session, bool) {
 	if sess, ok := t.mem.Get(id); ok {
 		return sess, true
@@ -557,40 +576,22 @@ func (t *Tiered) Get(id string) (*Session, bool) {
 		<-f.done
 		return f.sess, f.ok
 	}
-	e, spilled := t.index[id]
-	if !spilled {
-		if t.blob == nil || t.tombstones[id] != nil {
-			t.mu.Unlock()
-			// The session may have become resident between the miss and the
-			// index check (a racing restore that just published). Tombstoned
-			// keys belong to acknowledged deletes — never readopt them.
-			return t.mem.Get(id)
-		}
-		// Read-through: the session has no local state at all, but the shared
-		// blob tier may hold it (created by another replica, or handed off).
-		// Same singleflight as a local restore.
-		f := &flight{done: make(chan struct{})}
-		t.flights[id] = f
+	e := t.index[id]
+	if e == nil && (t.blob == nil || t.tombstones[id] != nil) {
 		t.mu.Unlock()
-		if sess, ok := t.mem.Get(id); ok {
-			f.sess, f.ok = sess, true
-		} else if sess, err := t.adopt(id); err != nil {
-			t.restoreErrors.Add(1)
-		} else if sess != nil {
-			f.sess, f.ok = sess, true
-		}
-		t.mu.Lock()
-		delete(t.flights, id)
-		t.mu.Unlock()
-		close(f.done)
-		return f.sess, f.ok
+		// The session may have become resident between the miss and the
+		// index check (a racing restore that just published). Tombstoned
+		// keys belong to acknowledged deletes — never readopt them.
+		return t.mem.Get(id)
 	}
 	f := &flight{done: make(chan struct{})}
 	t.flights[id] = f
-	// The file is about to be read: bump its LRU clock so the disk-budget
-	// evictor (which also skips any id with an in-flight restore) treats it
-	// as hot, not as the coldest file on disk.
-	e.lastUsed = time.Now().UnixNano()
+	if e != nil {
+		// The chain is about to be read: bump its LRU clock so the
+		// disk-budget evictor (which also skips any id with an in-flight
+		// restore) treats it as hot, not as the coldest file on disk.
+		e.lastUsed = time.Now().UnixNano()
+	}
 	t.mu.Unlock()
 
 	// Leader path. Re-check residency first: a restore that completed
@@ -600,17 +601,8 @@ func (t *Tiered) Get(id string) (*Session, bool) {
 		f.sess, f.ok = sess, true
 	} else if sess, err := t.restore(id, e); err != nil {
 		t.restoreErrors.Add(1)
-	} else {
-		// A Delete (or disk-budget eviction) that raced the restore removed
-		// the index entry; honor it instead of resurrecting the session.
-		t.mu.Lock()
-		_, still := t.index[id]
-		t.mu.Unlock()
-		if still {
-			f.sess, f.ok = sess, true
-		} else {
-			t.mem.drop(id)
-		}
+	} else if sess != nil {
+		f.sess, f.ok = sess, true
 	}
 	t.mu.Lock()
 	delete(t.flights, id)
@@ -625,22 +617,22 @@ func (t *Tiered) Get(id string) (*Session, bool) {
 // session: boot replays pending tombstones, removing stray chain files and
 // retrying the blob delete until both stick.
 func (t *Tiered) Delete(id string) bool {
+	t.mu.Lock()
+	t.deleting[id]++
+	t.mu.Unlock()
 	resident := t.mem.Delete(id)
 	t.mu.Lock()
-	e, spilled := t.index[id]
-	if spilled {
-		delete(t.index, id)
-		if e.local {
-			t.diskBytes -= e.localBytes()
-		}
+	if t.deleting[id]--; t.deleting[id] == 0 {
+		delete(t.deleting, id)
 	}
+	e, spilled := t.dropEntryLocked(id)
 	t.mu.Unlock()
 	if spilled {
 		// Spill-file hygiene: an explicit DELETE forgets the session in
 		// every tier, including its on-disk chain and blob object — even
 		// when a resident copy also existed (the copies would otherwise
 		// outlive the session until the age-based GC or the next boot
-		// reindex, and a blob copy could resurrect through read-through).
+		// scan, and a blob copy could resurrect through read-through).
 		t.dropEntryFiles(id, e, "delete.unlink")
 		t.mem.adjustSpill(TenantOf(id), -e.spillCharged)
 		if !resident {
@@ -669,7 +661,7 @@ func (t *Tiered) Range(fn func(*Session) bool) { t.mem.Range(fn) }
 
 // Stats implements Store. SpillDirBytes is served from the lifecycle
 // manager's maintained counters (indexed files + scanned orphans) — no
-// per-request directory walk; the boot reindex seeds it and GC sweeps
+// per-request directory walk; the boot scan seeds it and GC sweeps
 // refresh the orphan share.
 func (t *Tiered) Stats() Stats {
 	st := t.mem.Stats()
@@ -747,7 +739,7 @@ func (t *Tiered) Close() error {
 		if needPush {
 			// Shutdown heal: the chain's blob upload is owed; push it now,
 			// off the lock (the lifecycle is stopped, so the background heal
-			// would be refused). Best-effort — boot's syncBlob heal pass is
+			// would be refused). Best-effort — the boot scan's heal pass is
 			// the backstop.
 			_ = t.blobPush(sess.ID)
 		}
@@ -852,11 +844,11 @@ func (t *Tiered) cutLocked(sess *Session) (cut *spillCut, needPush bool, err err
 		dirty: sess.Dirty(),
 	}
 	t.mu.Lock()
-	if e := t.index[sess.ID]; e != nil && e.local && e.logLen >= 0 && e.logLen <= cut.toLen {
-		// The chain covers a prefix of the current log (v1 bases report -1
-		// and force a base rewrite): spill only the suffix. The deletion
-		// log is append-only per session, so a prefix-length match means a
-		// content match — the publish guard re-checks the tip under t.mu.
+	if e := t.index[sess.ID]; e != nil && e.local && e.logLen <= cut.toLen {
+		// The chain covers a prefix of the current log: spill only the
+		// suffix. The deletion log is append-only per session, so a
+		// prefix-length match means a content match — the publish guard
+		// re-checks the tip under t.mu.
 		cut.isDelta = true
 		cut.fromLen = e.logLen
 		cut.fromUpdates = e.updates
@@ -915,10 +907,13 @@ func (cut *spillCut) serialize() error {
 	return nil
 }
 
-// publishCut writes a cut's payload to a temp file, fsyncs, and publishes it
-// with an atomic rename — all without holding the session's Mu (write-behind
-// workers call it after releasing the lock; synchronous callers may still
-// hold it). The rename happens under t.mu behind the chain guard: a delta
+// publishCut stages a cut's payload in the spill directory (temp file +
+// fsync) and commits it with an atomic rename — all without holding the
+// session's Mu (write-behind workers call it after releasing the lock;
+// synchronous callers may still hold it). The stage runs off t.mu; the
+// commit happens under t.mu behind the chain guard, so a cut never becomes
+// a visible key before its guard passes, and a stale cut, a gone
+// incarnation or a budget refusal aborts the temp instead. A delta
 // lands only if the entry's tip still names exactly the (logLen, updates)
 // the cut extends, and a base only if it is not older than the indexed tip —
 // so a stale publish is discarded (errStaleSpill), never installed.
@@ -942,56 +937,54 @@ func (t *Tiered) publishCut(cut *spillCut) (bool, error) {
 			return false, err
 		}
 	}
-	tmpName, err := t.writeTempPayload(cut.payload)
-	if err != nil {
+	if err := t.faultAt("spill.create-temp"); err != nil {
 		t.spillErrors.Add(1)
 		return false, err
 	}
-	size := int64(len(cut.payload))
+	tmp, err := t.local.stage(func(w io.Writer) error {
+		_, err := w.Write(cut.payload)
+		return err
+	})
+	if err != nil {
+		t.spillErrors.Add(1)
+		return false, fmt.Errorf("store: writing spill temp file: %w", err)
+	}
+	if m := t.metrics; m != nil {
+		m.FsyncSeconds.Observe(tmp.fsync.Seconds())
+	}
+	if err := t.faultAt("spill.after-temp"); err != nil {
+		// Simulated crash after the temp write: the file stays behind, as a
+		// real kill would leave it, for the boot sweep or GC to clean up.
+		t.spillErrors.Add(1)
+		return false, err
+	}
+	size := tmp.size
 	ext := spillExt
 	if cut.isDelta {
 		ext = deltaExt
 	}
-	final := filepath.Join(t.dir, hex.EncodeToString(cut.sum)[:32]+ext)
+	key := hex.EncodeToString(cut.sum)[:32] + ext
 	ten := TenantOf(cut.id)
 	t.mu.Lock()
 	e := t.index[cut.id]
-	if cut.sess.gone.Load() {
-		// The copy the cut came from has left the store — a Delete or lost
-		// eviction landed between the cut and this publish. Installing the
-		// cut now would resurrect state the caller was told is gone; worse,
-		// if the id was re-registered meanwhile, any entry under it belongs
-		// to the NEW session incarnation, whose chain tip can coincide with
-		// the old one (both at logLen=0/updates=0 for fresh sessions), so
-		// neither the delta chain guard nor the base version guard can tell
-		// the incarnations apart — only this flag can. (Every removal path —
-		// Delete, eviction, duplicate Put — marks the outgoing copy gone
-		// before releasing t.mu, so the flag is authoritative here.)
-		t.mu.Unlock()
-		_ = os.Remove(tmpName)
-		t.staleSpills.Add(1)
-		return false, errStaleSpill
-	}
-	if cut.covered() {
-		// Re-checked under t.mu, where every publish advances persistedGen:
-		// a racing publish of this generation landed while the payload was
-		// being written.
-		t.mu.Unlock()
-		_ = os.Remove(tmpName)
-		t.staleSpills.Add(1)
-		return false, errStaleSpill
-	}
+	// A cut is stale when the copy it came from has left the store (a
+	// Delete or lost eviction landed after the cut: installing it would
+	// resurrect state the caller was told is gone, and if the id was
+	// re-registered meanwhile the NEW incarnation's chain tip can coincide
+	// with the old one — both at logLen=0/updates=0 — so only this flag
+	// tells them apart; every removal path marks the outgoing copy gone
+	// before releasing t.mu), when a racing publish of its generation landed
+	// while the payload was written (covered, re-checked here where every
+	// publish advances persistedGen), or when the chain guard fails.
+	stale := cut.sess.gone.Load() || cut.covered()
 	if cut.isDelta {
-		if e == nil || !e.local || e.logLen != cut.fromLen || e.updates != cut.fromUpdates {
-			t.mu.Unlock()
-			_ = os.Remove(tmpName)
-			t.staleSpills.Add(1)
-			return false, errStaleSpill
-		}
-	} else if e != nil && (e.updates > cut.updates ||
-		(e.updates == cut.updates && e.logLen > cut.toLen)) {
+		stale = stale || e == nil || !e.local || e.logLen != cut.fromLen || e.updates != cut.fromUpdates
+	} else {
+		stale = stale || (e != nil && tipNewer(e.updates, e.logLen, cut.updates, cut.toLen))
+	}
+	if stale {
 		t.mu.Unlock()
-		_ = os.Remove(tmpName)
+		t.local.abort(tmp)
 		t.staleSpills.Add(1)
 		return false, errStaleSpill
 	}
@@ -1011,7 +1004,7 @@ func (t *Tiered) publishCut(cut *spillCut) (bool, error) {
 	}
 	if err := t.mem.reserveSpill(ten, newCharge-oldCharge); err != nil {
 		t.mu.Unlock()
-		_ = os.Remove(tmpName)
+		t.local.abort(tmp)
 		t.spillErrors.Add(1)
 		return false, err
 	}
@@ -1027,7 +1020,7 @@ func (t *Tiered) publishCut(cut *spillCut) (bool, error) {
 		budget := t.maxDiskBytes
 		t.mu.Unlock()
 		t.mem.adjustSpill(ten, oldCharge-newCharge)
-		_ = os.Remove(tmpName)
+		t.local.abort(tmp)
 		t.spillErrors.Add(1)
 		if pinned {
 			return false, fmt.Errorf("store: spilling %s: %d bytes cannot fit the %d-byte disk budget: %w",
@@ -1035,20 +1028,19 @@ func (t *Tiered) publishCut(cut *spillCut) (bool, error) {
 		}
 		return false, fmt.Errorf("store: spilling %s: %d bytes cannot fit the %d-byte disk budget", cut.id, size, budget)
 	}
-	if err := os.Rename(tmpName, final); err != nil {
+	if err := t.local.commit(tmp, key); err != nil {
 		t.diskBytes -= diskDelta
 		t.mu.Unlock()
 		t.mem.adjustSpill(ten, oldCharge-newCharge)
-		_ = os.Remove(tmpName)
 		t.spillErrors.Add(1)
-		return false, fmt.Errorf("store: publishing spill file: %w", err)
+		return false, err
 	}
 	now := time.Now().UnixNano()
-	var oldFiles []pathBytes
+	var oldFiles []keyBytes
 	chainLen := 0
 	if cut.isDelta {
 		e.deltas = append(e.deltas, deltaSeg{
-			path: final, bytes: size, fromLen: cut.fromLen, fromUpdates: cut.fromUpdates,
+			key: key, bytes: size, fromLen: cut.fromLen, fromUpdates: cut.fromUpdates,
 			entries: cut.toLen - cut.fromLen, updates: cut.updates, lastUpd: cut.lastUpd,
 		})
 		e.logLen = cut.toLen
@@ -1060,17 +1052,18 @@ func (t *Tiered) publishCut(cut *spillCut) (bool, error) {
 		e.lastUsed = now
 		chainLen = len(e.deltas)
 	} else {
-		if e != nil && e.local {
-			for _, pb := range e.localPaths() {
-				// When the content hash (and so the path) is identical the
+		if e != nil {
+			for _, kb := range e.localKeys() {
+				// When the content hash (and so the key) is identical the
 				// rename already overwrote the old base in place.
-				if pb.path != final {
-					oldFiles = append(oldFiles, pb)
+				if kb.key != key {
+					oldFiles = append(oldFiles, kb)
 				}
 			}
+			t.unlinkingLocked(oldFiles)
 		}
 		t.index[cut.id] = &spillEntry{
-			path: final, bytes: size, kind: cut.kind, createdAt: cut.createdAt,
+			key: key, bytes: size, kind: cut.kind, createdAt: cut.createdAt,
 			local: true, updates: cut.updates, logLen: cut.toLen,
 			charged: cut.footprint, spillCharged: newCharge, lastUsed: now,
 		}
@@ -1083,8 +1076,8 @@ func (t *Tiered) publishCut(cut *spillCut) (bool, error) {
 	// or restored meanwhile this is a no-op, never a regression.
 	cut.sess.persistUpTo(cut.gen)
 	t.mu.Unlock()
-	for _, pb := range oldFiles {
-		t.removeSpillFile(pb.path, pb.bytes, "spill.unlink-old")
+	for _, kb := range oldFiles {
+		t.removeSpillFile(kb.key, kb.bytes, "spill.unlink-old")
 	}
 	t.spills.Add(1)
 	if cut.isDelta {
@@ -1139,69 +1132,32 @@ func (t *Tiered) spillLocked(sess *Session) (wrote bool, needPush bool, err erro
 	return false, false, fmt.Errorf("store: spill of %s kept losing the publish race", sess.ID)
 }
 
-// writeTempPayload writes a serialized cut to a temp file in the spill
-// directory and fsyncs it. The caller owns the temp file (rename or remove).
-func (t *Tiered) writeTempPayload(payload []byte) (string, error) {
-	if err := t.faultAt("spill.create-temp"); err != nil {
-		return "", err
-	}
-	tmp, err := os.CreateTemp(t.dir, spillTmp+"*")
-	if err != nil {
-		return "", fmt.Errorf("store: creating spill temp file: %w", err)
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(payload); err != nil {
-		tmp.Close()
-		_ = os.Remove(tmpName)
-		return "", err
-	}
-	syncStart := time.Now()
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		_ = os.Remove(tmpName)
-		return "", err
-	}
-	if m := t.metrics; m != nil {
-		observeSince(m.FsyncSeconds, syncStart)
-	}
-	if err := t.faultAt("spill.after-temp"); err != nil {
-		// Simulated crash after the temp write: the file stays behind, as a
-		// real kill would leave it, for reindex/GC to clean up.
-		tmp.Close()
-		return "", err
-	}
-	if err := tmp.Close(); err != nil {
-		_ = os.Remove(tmpName)
-		return "", err
-	}
-	return tmpName, nil
+// tipNewer reports whether the chain tip (aUpd, aLen) is ahead of (bUpd,
+// bLen): the per-session update counter decides, then the deletion-log length
+// (a compacted base ties its source chain on updates but carries the longer
+// envelope log).
+func tipNewer(aUpd, aLen, bUpd, bLen int64) bool {
+	return aUpd > bUpd || (aUpd == bUpd && aLen > bLen)
 }
 
 // spillEnvelope is the decoded header of one spill file.
 type spillEnvelope struct {
-	version           int
 	id                string
 	kind              string
 	createdAt         time.Time
 	updates           int64
 	lastUpdateSeconds float64
-	// deleted is the full deletion log — v2 envelopes carry it here, ahead
-	// of the embedded snapshot, so compaction can splice logs without
-	// decoding the model. v1 files keep the log inside the snapshot and
-	// leave this nil.
+	// deleted is the full deletion log, carried ahead of the embedded
+	// snapshot so compaction can splice logs without decoding the model.
 	deleted []int
 }
 
-// logLen reports the envelope's deletion-log length for chain-tip purposes:
-// v1 envelopes are opaque (-1) because their log is buried in the snapshot.
-func (env *spillEnvelope) logLen() int64 {
-	if env.version < 2 {
-		return -1
-	}
-	return int64(len(env.deleted))
-}
+// errSpillVersion marks a spill envelope this build does not read. It fails
+// the boot instead of orphaning the file: a GC'd orphan would drop the
+// session from every tier unannounced.
+var errSpillVersion = errors.New("store: unsupported spill-file version")
 
-// readSpillEnvelope decodes a spill file's header (v1 or v2), returning the
+// readSpillEnvelope decodes a version-2 spill file's header, returning the
 // reader positioned at the embedded session snapshot.
 func readSpillEnvelope(r io.Reader) (*binio.Reader, spillEnvelope, error) {
 	br := binio.NewReader(r)
@@ -1209,27 +1165,23 @@ func readSpillEnvelope(r io.Reader) (*binio.Reader, spillEnvelope, error) {
 	if err := br.Magic(spillMagic); err != nil {
 		return nil, env, fmt.Errorf("store: %w", err)
 	}
-	v := br.U64()
-	if br.Err == nil && v != 1 && v != spillVersion {
-		return nil, env, fmt.Errorf("store: unsupported spill-file version %d", v)
+	if v := br.U64(); br.Err == nil && v != spillVersion {
+		return nil, env, fmt.Errorf("%w %d", errSpillVersion, v)
 	}
-	env.version = int(v)
 	env.id = br.Str(maxSpillName)
 	env.kind = br.Str(maxSpillName)
 	env.createdAt = time.Unix(0, br.I64())
 	env.updates = br.I64()
 	env.lastUpdateSeconds = br.F64()
-	if env.version >= 2 {
-		n := br.U64()
-		if br.Err == nil && n > uint64(binio.MaxElems) {
-			return nil, env, fmt.Errorf("store: spill deletion log claims %d entries", n)
-		}
-		// Grow incrementally so a torn length prefix can't force a huge
-		// allocation before the short read surfaces.
-		env.deleted = make([]int, 0, min(int(n), 4096))
-		for i := uint64(0); i < n && br.Err == nil; i++ {
-			env.deleted = append(env.deleted, int(br.I64()))
-		}
+	n := br.U64()
+	if br.Err == nil && n > uint64(binio.MaxElems) {
+		return nil, env, fmt.Errorf("store: spill deletion log claims %d entries", n)
+	}
+	// Grow incrementally so a torn length prefix can't force a huge
+	// allocation before the short read surfaces.
+	env.deleted = make([]int, 0, min(int(n), 4096))
+	for i := uint64(0); i < n && br.Err == nil; i++ {
+		env.deleted = append(env.deleted, int(br.I64()))
 	}
 	if br.Err != nil {
 		return nil, env, br.Err
@@ -1260,18 +1212,54 @@ func writeSpillEnvelope(w io.Writer, id, kind string, createdAt time.Time, updat
 }
 
 // chainTail carries the deletion-log suffix and tip counters accumulated
-// from a base's delta segments, to be replayed on top of it at restore.
+// from a base's delta segments, to be replayed (or spliced) on top of it.
 type chainTail struct {
-	entries []int
-	updates int64
-	lastUpd float64
+	// fromLen/fromUpdates name the base tip the first segment extends.
+	fromLen     int64
+	fromUpdates int64
+	entries     []int
+	updates     int64
+	lastUpd     float64
+}
+
+// readTail reads a chain's delta segments in order, verifying against the
+// file contents that each one extends the tip before it. A nil tail means
+// no segments.
+func (t *Tiered) readTail(id string, segs []deltaSeg) (*chainTail, error) {
+	if len(segs) == 0 {
+		return nil, nil
+	}
+	tail := &chainTail{fromLen: segs[0].fromLen, fromUpdates: segs[0].fromUpdates}
+	tipLen, tipUpd := tail.fromLen, tail.fromUpdates
+	for _, sg := range segs {
+		rc, _, err := t.local.Get(sg.key)
+		if err != nil {
+			return nil, fmt.Errorf("store: reading delta segment for %s: %w", id, err)
+		}
+		d, err := readDelta(rc)
+		rc.Close()
+		if err != nil {
+			return nil, fmt.Errorf("store: reading delta segment for %s: %w", id, err)
+		}
+		if d.id != id || d.fromLen != tipLen || d.fromUpdates != tipUpd {
+			return nil, fmt.Errorf("store: delta segment %s does not extend %s's chain", sg.key, id)
+		}
+		tail.entries = append(tail.entries, d.entries...)
+		tipLen, tipUpd = tipLen+int64(len(d.entries)), d.updates
+		tail.updates, tail.lastUpd = d.updates, d.lastUpd
+	}
+	return tail, nil
+}
+
+// extends reports whether the tail's first segment continues env's tip.
+func (tail *chainTail) extends(env *spillEnvelope) bool {
+	return tail.fromLen == int64(len(env.deleted)) && tail.fromUpdates == env.updates
 }
 
 // buildSession decodes a spill envelope and its embedded snapshot from r and
-// rebuilds the session, replaying the full deletion log — the base's own log
-// (envelope-carried for v2, snapshot-carried for v1) plus any delta-chain
-// tail — in one Update call, so every honored deletion stays deleted in the
-// restored model.
+// rebuilds the session, replaying the full deletion log — the envelope's
+// plus any delta-chain tail — in one Update call, so every honored deletion
+// stays deleted in the restored model.
 func (t *Tiered) buildSession(id string, r io.Reader, tail *chainTail) (*Session, spillEnvelope, error) {
 	br, env, err := readSpillEnvelope(r)
 	if err != nil {
@@ -1284,13 +1272,16 @@ func (t *Tiered) buildSession(id string, r io.Reader, tail *chainTail) (*Session
 	if err != nil {
 		return nil, env, fmt.Errorf("store: restoring session %s: %w", id, err)
 	}
-	deleted := env.deleted
 	if len(snapDeleted) > 0 {
-		deleted = append(deleted, snapDeleted...)
+		return nil, env, fmt.Errorf("store: spill data of %s carries a log inside its snapshot", id)
 	}
+	deleted := env.deleted
 	updates, lastUpd := env.updates, env.lastUpdateSeconds
-	if tail != nil && len(tail.entries) > 0 {
-		deleted = append(append([]int(nil), deleted...), tail.entries...)
+	if tail != nil {
+		if !tail.extends(&env) {
+			return nil, env, fmt.Errorf("store: delta chain of %s does not extend its base", id)
+		}
+		deleted = append(deleted, tail.entries...)
 		updates, lastUpd = tail.updates, tail.lastUpd
 	}
 	model := upd.Model()
@@ -1317,266 +1308,273 @@ func (t *Tiered) buildSession(id string, r io.Reader, tail *chainTail) (*Session
 	return sess, env, nil
 }
 
-// restore rebuilds a session from its spill entry — the local base + delta
-// chain when one exists, the shared blob tier otherwise — and publishes it
-// to the in-memory tier. The chain is snapshotted under t.mu so a racing
-// publish cannot change it mid-read; compaction defers while a restore
-// flight is registered, so the snapshotted files stay on disk.
+// restore rebuilds a session and publishes it to the in-memory tier — from
+// the entry's local base + delta chain when it has one, from the shared
+// blob tier otherwise. A nil entry is an adopt: the session has no local
+// state at all (created by another replica, or handed off), and it is
+// indexed remote-only once its envelope is read; a plain blob miss returns
+// (nil, nil). The chain is snapshotted under t.mu so a racing publish
+// cannot change it mid-read; compaction defers while a restore flight is
+// registered, so the snapshotted files stay on disk. Callers own the
+// singleflight for id.
 func (t *Tiered) restore(id string, e *spillEntry) (*Session, error) {
-	restoreStart := time.Now()
-	t.mu.Lock()
-	local := e.local
-	base := e.path
-	segs := append([]deltaSeg(nil), e.deltas...)
-	t.mu.Unlock()
-	var src io.ReadCloser
-	var tail *chainTail
-	if local {
-		f, err := os.Open(base)
-		if err != nil {
-			return nil, fmt.Errorf("store: opening spill file for %s: %w", id, err)
+	start := time.Now()
+	var (
+		base string
+		segs []deltaSeg
+	)
+	if e != nil {
+		t.mu.Lock()
+		if e.local {
+			base, segs = e.key, append([]deltaSeg(nil), e.deltas...)
 		}
-		src = f
-		if len(segs) > 0 {
-			tail = &chainTail{}
-			for _, sg := range segs {
-				d, err := readDeltaFile(sg.path)
-				if err != nil {
-					src.Close()
-					return nil, fmt.Errorf("store: reading delta segment for %s: %w", id, err)
-				}
-				if d.id != id || d.fromLen != sg.fromLen || d.fromUpdates != sg.fromUpdates {
-					src.Close()
-					return nil, fmt.Errorf("store: delta segment %s does not extend %s's chain", sg.path, id)
-				}
-				tail.entries = append(tail.entries, d.entries...)
-				tail.updates, tail.lastUpd = d.updates, d.lastUpd
-			}
+		t.mu.Unlock()
+	}
+	var (
+		src  io.ReadCloser
+		size int64
+		tail *chainTail
+		err  error
+	)
+	if base != "" {
+		if tail, err = t.readTail(id, segs); err != nil {
+			return nil, err
+		}
+		if src, _, err = t.local.Get(base); err != nil {
+			return nil, fmt.Errorf("store: opening spill file for %s: %w", id, err)
 		}
 	} else {
 		if err := t.faultAt("blob.get"); err != nil {
 			return nil, err
 		}
-		getStart := time.Now()
-		rc, _, err := t.blob.Get(id)
-		if err != nil {
+		if src, size, err = t.blob.Get(id); err != nil {
 			if err != ErrBlobNotFound {
 				t.blobErrors.Add(1)
+			} else if e == nil {
+				return nil, nil
 			}
 			return nil, fmt.Errorf("store: fetching %s from blob tier: %w", id, err)
 		}
 		t.blobGets.Add(1)
 		if m := t.metrics; m != nil {
-			observeSince(m.BlobGetSeconds, getStart)
+			observeSince(m.BlobGetSeconds, start)
 		}
-		src = rc
 	}
-	defer src.Close()
-	sess, _, err := t.buildSession(id, src, tail)
+	sess, env, err := t.buildSession(id, src, tail)
+	src.Close()
 	if err != nil {
 		return nil, err
+	}
+	ten := TenantOf(id)
+	t.mu.Lock()
+	if e == nil {
+		// Adopt: publish the remote-only entry and seed the tenant's
+		// cross-tier ownership — this node has never accounted for the
+		// session. A Delete or a concurrent publisher that got here first
+		// wins.
+		if t.tombstones[id] != nil {
+			t.mu.Unlock()
+			return nil, nil // an acknowledged delete owns this key
+		}
+		if t.index[id] != nil {
+			t.mu.Unlock()
+			return nil, fmt.Errorf("store: adoption of %s raced a local publish", id)
+		}
+		if size < 0 {
+			size = sess.footprint // streaming source of unknown length: approximate
+		}
+		t.index[id] = &spillEntry{
+			remote: true, bytes: size, kind: sess.Kind, createdAt: sess.CreatedAt,
+			charged: sess.footprint, spillCharged: size, updates: env.updates,
+			logLen: int64(len(env.deleted)), lastUsed: time.Now().UnixNano(),
+		}
+		t.mu.Unlock()
+		t.mem.adjustOwned(ten, 1, sess.footprint)
+		t.mem.adjustSpill(ten, size)
+	} else {
+		// No quota check on a restore: the session already counts against
+		// its tenant, only the resident-tier accounting moves. If the entry
+		// was seeded from a reboot (billed at file size), settle the
+		// ownership byte charge to the true resident footprint now.
+		if t.index[id] == e {
+			if e.charged != sess.footprint {
+				t.mem.adjustOwned(ten, 0, sess.footprint-e.charged)
+				e.charged = sess.footprint
+			}
+			e.lastUsed = time.Now().UnixNano()
+		}
+		t.mu.Unlock()
 	}
 	t.armWriteBehind(sess)
 	t.restores.Add(1)
 	if m := t.metrics; m != nil {
-		observeSince(m.RestoreSeconds, restoreStart)
+		observeSince(m.RestoreSeconds, start)
 	}
-	// No quota check on a restore: the session already counts against its
-	// tenant, only the resident-tier accounting moves. If the spill entry
-	// was seeded from a reboot (billed at file size), settle the ownership
-	// byte charge to the true resident footprint now that it is known.
-	t.mu.Lock()
-	if cur, ok := t.index[id]; ok && cur == e {
-		if e.charged != sess.footprint {
-			t.mem.adjustOwned(TenantOf(id), 0, sess.footprint-e.charged)
-			e.charged = sess.footprint
-		}
-		e.lastUsed = time.Now().UnixNano()
-	}
-	t.mu.Unlock()
 	t.mem.putRestored(sess)
+	// A Delete (or disk-budget eviction) that raced the restore removed the
+	// index entry; honor it instead of resurrecting the session.
+	t.mu.Lock()
+	_, still := t.index[id]
+	t.mu.Unlock()
+	if !still {
+		t.mem.drop(id)
+		return nil, nil
+	}
 	return sess, nil
 }
 
-// reindex scans the spill directory on boot: temp files from interrupted
-// spills are removed, base files are indexed by the envelope header, and
-// delta segments are re-attached to their base by (fromLen, fromUpdates)
-// continuity. When several bases claim the same session (a crash between
-// publishing a new base — spill or compaction — and unlinking the old
-// chain) the newest wins, decided by the envelope's monotonic per-session
-// update counter, then by deletion-log length (a just-compacted base ties
-// its source chain's tip on updates), then file mtime. Files of tombstoned
-// sessions are deleted, never indexed, so an acknowledged deletion cannot
-// resurrect through a leftover chain. Torn delta segments (unreadable
-// header or truncated entries) are dropped — the chain prefix before them
-// remains authoritative. The scan also seeds the maintained
-// spill_dir_bytes gauge (indexed files plus whatever unreadable leftovers
-// remain for GC).
-func (t *Tiered) reindex() error {
-	entries, err := os.ReadDir(t.dir)
+// spillObject is one classified object of a spill-directory or blob-tier
+// listing: a base envelope or a delta segment. id is empty for foreign or
+// unreadable bytes; torn marks a delta whose header decoded but whose
+// entries did not follow in full.
+type spillObject struct {
+	BlobInfo
+	id    string
+	base  bool
+	env   spillEnvelope
+	delta deltaData
+	torn  bool
+}
+
+// tip is the chain tip a base object or delta segment ends at.
+func (o *spillObject) tip() (updates, logLen int64) {
+	if o.base {
+		return o.env.updates, int64(len(o.env.deleted))
+	}
+	return o.delta.updates, o.delta.fromLen + int64(len(o.delta.entries))
+}
+
+// classify reads the header of one listed object — the one classifier the
+// boot scan and the GC share. A spill envelope of a version this build does
+// not read is the only error; anything else unreadable is an orphan.
+func classify(bs BlobStore, info BlobInfo) (spillObject, error) {
+	obj := spillObject{BlobInfo: info}
+	rc, _, err := bs.Get(info.Key)
+	if err != nil {
+		return obj, nil
+	}
+	defer rc.Close()
+	br := binio.NewReader(rc)
+	switch magic, _ := br.R.Peek(len(spillMagic)); string(magic) {
+	case spillMagic:
+		_, env, err := readSpillEnvelope(br.R)
+		if errors.Is(err, errSpillVersion) {
+			return obj, fmt.Errorf("store: spill file %s: %w", info.Key, err)
+		}
+		if err == nil {
+			obj.id, obj.base, obj.env = env.id, true, env
+		}
+	case deltaMagic:
+		d, err := readDelta(br.R)
+		obj.id, obj.delta, obj.torn = d.id, d, err != nil
+	}
+	return obj, nil
+}
+
+// boot builds the index from the listings — the spill directory's and, with
+// a blob tier, the shared tier's — in one pass with one newest-wins rule
+// (tipNewer, then file mtime between local bases). Local bases are
+// deduplicated (several claim one session after a crash between publishing
+// a new base — spill or compaction — and unlinking the old chain), delta
+// segments re-attach to the winner by (fromLen, fromUpdates) continuity, and
+// every loser, unchained or torn segment is removed, so the indexed chain
+// replays without gaps. Files and objects of tombstoned sessions are
+// deleted, never indexed. A blob object ahead of the local chain means
+// another replica advanced the session while this node was down: the local
+// chain is a stale cache and is dropped; a local chain ahead of (or absent
+// from) the blob tier is pushed up. Unreadable leftovers seed the orphan
+// share of the spill_dir_bytes gauge for the GC. An unreachable blob tier
+// fails the boot — a replica serving from a stale local cache would undo
+// deletions other replicas honored — and so does a spill envelope of a
+// version this build does not read.
+func (t *Tiered) boot() error {
+	infos, err := t.local.List("")
 	if err != nil {
 		return fmt.Errorf("store: reading spill dir: %w", err)
 	}
-	type baseFile struct {
-		path   string
-		size   int64
-		mtime  time.Time
-		env    spillEnvelope
-		logLen int64
-	}
-	type deltaFile struct {
-		path  string
-		size  int64
-		mtime time.Time
-		hdr   deltaHeader
-	}
-	bases := make(map[string][]baseFile)
-	deltas := make(map[string][]deltaFile)
-	var orphanBytes int64
+	bases := make(map[string][]spillObject)
+	deltas := make(map[string][]spillObject)
 	tombSwept := make(map[string]bool) // tombstoned ids whose files all unlinked cleanly
 	for id := range t.tombstones {
 		tombSwept[id] = true
 	}
-	tombDrop := func(id, path string) bool {
-		ts := t.tombstones[id]
-		if ts == nil || ts.localClean {
-			return false
-		}
-		if err := os.Remove(path); err != nil {
-			tombSwept[id] = false
-		}
-		return true
-	}
-	for _, de := range entries {
-		name := de.Name()
-		path := filepath.Join(t.dir, name)
-		if strings.HasPrefix(name, spillTmp) {
-			_ = os.Remove(path)
+	for _, info := range infos {
+		if info.Key == tombstoneFile {
 			continue
 		}
-		if de.IsDir() || name == tombstoneFile {
-			continue
-		}
-		info, err := de.Info()
-		if err != nil {
-			continue
-		}
+		obj, err := classify(t.local, info)
 		switch {
-		case strings.HasSuffix(name, spillExt):
-			f, err := os.Open(path)
-			if err != nil {
-				orphanBytes += info.Size()
-				continue
+		case err != nil:
+			return err
+		case obj.id == "":
+			t.orphanBytes += info.Size
+		case t.tombstones[obj.id] != nil:
+			if t.local.Delete(info.Key) != nil {
+				tombSwept[obj.id] = false
 			}
-			_, env, err := readSpillEnvelope(f)
-			f.Close()
-			if err != nil {
-				// Unreadable header: not one of ours (or torn by something
-				// other than our atomic writes); don't index it — the
-				// age-based GC will sweep it once it is old enough.
-				orphanBytes += info.Size()
-				continue
-			}
-			if tombDrop(env.id, path) {
-				continue
-			}
-			bases[env.id] = append(bases[env.id], baseFile{
-				path: path, size: info.Size(), mtime: info.ModTime(),
-				env: env, logLen: env.logLen(),
-			})
-		case strings.HasSuffix(name, deltaExt):
-			hdr, err := readDeltaHeaderFile(path)
-			if err != nil {
-				if hdr.id != "" {
-					// The header decoded but the entries are torn: this is
-					// one of our segments with a truncated body, and no
-					// restore can ever replay it — remove it now so the
-					// intact chain prefix serves without a poisoned tail.
-					_ = os.Remove(path)
-				} else {
-					orphanBytes += info.Size()
-				}
-				continue
-			}
-			if tombDrop(hdr.id, path) {
-				continue
-			}
-			deltas[hdr.id] = append(deltas[hdr.id], deltaFile{
-				path: path, size: info.Size(), mtime: info.ModTime(), hdr: hdr,
-			})
+		case obj.torn:
+			// One of our segments with a truncated body: no restore can
+			// replay it, so the intact chain prefix serves without it.
+			_ = t.local.Delete(info.Key)
+		case obj.base:
+			bases[obj.id] = append(bases[obj.id], obj)
 		default:
-			orphanBytes += info.Size()
+			deltas[obj.id] = append(deltas[obj.id], obj)
 		}
 	}
 	for id, cands := range bases {
-		best := 0
-		for i := 1; i < len(cands); i++ {
-			b, p := cands[i], cands[best]
-			if b.env.updates > p.env.updates ||
-				(b.env.updates == p.env.updates && b.logLen > p.logLen) ||
-				(b.env.updates == p.env.updates && b.logLen == p.logLen && b.mtime.After(p.mtime)) {
-				best = i
+		best := cands[0]
+		for _, b := range cands[1:] {
+			bu, bl := b.tip()
+			pu, pl := best.tip()
+			if tipNewer(bu, bl, pu, pl) || (!tipNewer(pu, pl, bu, bl) && b.ModTime.After(best.ModTime)) {
+				best = b
 			}
 		}
-		for i, b := range cands {
-			if i != best {
-				_ = os.Remove(b.path)
+		for _, b := range cands {
+			if b.Key != best.Key {
+				_ = t.local.Delete(b.Key)
 			}
 		}
-		b := cands[best]
 		e := &spillEntry{
-			path: b.path, bytes: b.size, kind: b.env.kind, createdAt: b.env.createdAt,
-			local: true, updates: b.env.updates, logLen: b.logLen,
-			lastUsed: b.mtime.UnixNano(),
+			key: best.Key, bytes: best.Size, kind: best.env.kind, createdAt: best.env.createdAt,
+			local: true, lastUsed: best.ModTime.UnixNano(),
 		}
-		// Re-attach the delta chain by tip continuity. v1 bases (-1) are
-		// opaque — no deltas can extend them. Segments that don't chain
-		// (superseded by a compaction, or following a torn segment) are
-		// unlinked: the indexed chain must replay without gaps.
+		e.updates, e.logLen = best.tip()
 		rest := deltas[id]
-		delete(deltas, id)
-		if e.logLen >= 0 {
-			for {
-				found := -1
-				for i, d := range rest {
-					if d.hdr.fromLen == e.logLen && d.hdr.fromUpdates == e.updates {
-						found = i
-						break
-					}
-				}
-				if found < 0 {
+		for {
+			found := -1
+			for i, d := range rest {
+				if d.delta.fromLen == e.logLen && d.delta.fromUpdates == e.updates {
+					found = i
 					break
 				}
-				d := rest[found]
-				rest = append(rest[:found], rest[found+1:]...)
-				e.deltas = append(e.deltas, deltaSeg{
-					path: d.path, bytes: d.size, fromLen: d.hdr.fromLen,
-					fromUpdates: d.hdr.fromUpdates, entries: d.hdr.entries,
-					updates: d.hdr.updates, lastUpd: d.hdr.lastUpd,
-				})
-				e.logLen = d.hdr.fromLen + d.hdr.entries
-				e.updates = d.hdr.updates
-				if ts := d.mtime.UnixNano(); ts > e.lastUsed {
-					e.lastUsed = ts
-				}
 			}
+			if found < 0 {
+				break
+			}
+			d := rest[found]
+			rest = append(rest[:found], rest[found+1:]...)
+			e.deltas = append(e.deltas, deltaSeg{
+				key: d.Key, bytes: d.Size, fromLen: d.delta.fromLen,
+				fromUpdates: d.delta.fromUpdates, entries: int64(len(d.delta.entries)),
+				updates: d.delta.updates, lastUpd: d.delta.lastUpd,
+			})
+			e.updates, e.logLen = d.tip()
+			e.lastUsed = max(e.lastUsed, d.ModTime.UnixNano())
 		}
-		for _, d := range rest {
-			_ = os.Remove(d.path)
-		}
+		deltas[id] = rest // unchained: superseded by a compaction, or past a torn segment
 		// The resident footprint isn't known without restoring; bill the
 		// chain size until the first restore settles the difference.
-		total := e.localBytes()
-		e.charged = total
-		e.spillCharged = total
+		e.charged = e.localBytes()
+		e.spillCharged = e.charged
 		t.index[id] = e
-		t.diskBytes += total
+		t.diskBytes += e.charged
 	}
-	// Delta segments with no base at all (their base's publish never landed,
-	// or it was superseded and swept): unusable, remove.
+	// Segments that chain to no indexed base are unusable.
 	for _, ds := range deltas {
 		for _, d := range ds {
-			_ = os.Remove(d.path)
+			_ = t.local.Delete(d.Key)
 		}
 	}
 	// Every local file of a tombstoned session has now been unlinked (or
@@ -1586,6 +1584,55 @@ func (t *Tiered) reindex() error {
 			t.tombstoneResolve(id, tombLocal)
 		}
 	}
-	t.orphanBytes = orphanBytes
+	if t.blob == nil {
+		return nil
+	}
+	remote, err := t.blob.List("")
+	if err != nil {
+		return fmt.Errorf("store: listing blob tier: %w", err)
+	}
+	for _, info := range remote {
+		id := info.Key
+		if t.tombstones[id] != nil {
+			t.blobRemove(id) // an acknowledged delete whose blob removal had not stuck
+			continue
+		}
+		if t.faultAt("blob.get") != nil {
+			continue
+		}
+		obj, err := classify(t.blob, info)
+		if err != nil {
+			return err
+		}
+		if !obj.base || obj.id != id {
+			continue // unreadable object: never certify it as anything
+		}
+		ru, rl := obj.tip()
+		e := t.index[id]
+		switch {
+		case e == nil:
+			t.index[id] = &spillEntry{
+				remote: true, bytes: info.Size, kind: obj.env.kind, createdAt: obj.env.createdAt,
+				charged: info.Size, spillCharged: info.Size,
+				updates: ru, logLen: rl, lastUsed: info.ModTime.UnixNano(),
+			}
+		case tipNewer(ru, rl, e.updates, e.logLen):
+			for _, kb := range e.localKeys() {
+				_ = t.local.Delete(kb.key)
+			}
+			t.diskBytes -= e.localBytes()
+			e.key, e.local, e.deltas, e.remote = "", false, nil, true
+			e.bytes, e.charged, e.spillCharged = info.Size, info.Size, info.Size
+			e.kind, e.createdAt = obj.env.kind, obj.env.createdAt
+			e.updates, e.logLen = ru, rl
+		case !tipNewer(e.updates, e.logLen, ru, rl):
+			e.remote = true // same tip: the local chain caches the blob object
+		}
+	}
+	for id, e := range t.index {
+		if e.local && !e.remote {
+			_ = t.blobPush(id)
+		}
+	}
 	return nil
 }

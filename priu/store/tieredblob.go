@@ -3,7 +3,7 @@ package store
 import (
 	"bytes"
 	"fmt"
-	"os"
+	"io"
 	"time"
 )
 
@@ -12,11 +12,12 @@ import (
 // spill lands in the blob tier as ONE spliced v2 object (blobPush folds the
 // local base + delta chain on the way up — remote replicas never need our
 // segment files), cold misses with no local file fall through to the blob
-// tier (adopt), the boot scan reconciles the local cache against the shared
-// tier newest-wins (syncBlob), and explicit deletes tombstone the blob key
-// — durably, via the tombstone sidecar log (tombstone.go) — until its
-// removal sticks, so an acknowledged deletion can never resurrect through
-// the read-through path, even across a crash and reboot. ReleaseUnowned is
+// tier (restore of a nil entry), the boot scan reconciles the local cache
+// against the shared tier newest-wins (boot), and explicit deletes
+// tombstone the blob key — durably, via the persisted tombstone set
+// (tombstone.go) — until its removal sticks, so an acknowledged deletion can
+// never resurrect through the read-through path, even across a crash and
+// reboot. ReleaseUnowned is
 // the fleet handoff: it drains sessions this node no longer owns to the
 // blob tier and forgets them locally, for the new owner to adopt lazily.
 
@@ -60,7 +61,7 @@ func (t *Tiered) blobPush(id string) error {
 		return fmt.Errorf("store: blob push of %s already in flight", id)
 	}
 	t.blobPutting[id] = true
-	path := e.path
+	base := e.key
 	segs := append([]deltaSeg(nil), e.deltas...)
 	tipUpdates, tipLen := e.updates, e.logLen
 	t.mu.Unlock()
@@ -69,16 +70,16 @@ func (t *Tiered) blobPush(id string) error {
 	err := t.faultAt("blob.put")
 	if err == nil {
 		if len(segs) == 0 {
-			var f *os.File
-			if f, err = os.Open(path); err == nil {
-				err = t.blob.Put(id, f)
-				f.Close()
+			var rc io.ReadCloser
+			if rc, _, err = t.local.Get(base); err == nil {
+				err = t.blob.Put(id, rc)
+				rc.Close()
 			}
 		} else {
 			// Fold the chain into one object on the way up: remote readers
 			// get a self-contained v2 file, never our segment layout.
 			var buf bytes.Buffer
-			if err = spliceChain(&buf, id, path, segs); err == nil {
+			if err = t.spliceChain(&buf, id, base, segs); err == nil {
 				err = t.blob.Put(id, &buf)
 			}
 		}
@@ -115,7 +116,7 @@ func (t *Tiered) blobPush(id string) error {
 // Session.Mu (the evictor's hook runs under the victim's lock and a shard
 // lock) and so must not upload inline. blobPush's single-flight gate dedupes
 // concurrent heals; when the lifecycle is already shutting down the push is
-// skipped and the GC sweep / boot syncBlob heal pass remain the backstop.
+// skipped and the GC sweep / boot heal pass remain the backstop.
 func (t *Tiered) scheduleHealPush(id string) {
 	if t.blob == nil {
 		return
@@ -162,172 +163,6 @@ func (t *Tiered) blobRemove(id string) {
 	t.tombstoneResolve(id, tombBlob)
 }
 
-// adopt is the read-through miss path: the session has no local state at all
-// (typically created by another replica, or handed off), so fetch its spill
-// envelope from the blob tier, rebuild it, and account for it as if it had
-// been spilled here. Returns (nil, nil) on a plain blob miss. Callers own the
-// singleflight for id.
-func (t *Tiered) adopt(id string) (*Session, error) {
-	if err := t.faultAt("blob.get"); err != nil {
-		return nil, err
-	}
-	getStart := time.Now()
-	rc, size, err := t.blob.Get(id)
-	if err == ErrBlobNotFound {
-		return nil, nil
-	}
-	if err != nil {
-		t.blobErrors.Add(1)
-		return nil, err
-	}
-	defer rc.Close()
-	t.blobGets.Add(1)
-	if m := t.metrics; m != nil {
-		observeSince(m.BlobGetSeconds, getStart)
-	}
-	sess, env, err := t.buildSession(id, rc, nil)
-	if err != nil {
-		return nil, err
-	}
-	if size < 0 {
-		size = sess.footprint // streaming source of unknown length: approximate
-	}
-	// Publish the (remote-only) index entry and seed the tenant's cross-tier
-	// ownership: this node has never accounted for the session. A Delete or a
-	// concurrent publisher that got here first wins.
-	t.mu.Lock()
-	if t.tombstones[id] != nil {
-		t.mu.Unlock()
-		return nil, nil // an acknowledged delete owns this key
-	}
-	if _, dup := t.index[id]; dup {
-		t.mu.Unlock()
-		return nil, fmt.Errorf("store: adoption of %s raced a local publish", id)
-	}
-	t.index[id] = &spillEntry{
-		remote: true, bytes: size, kind: sess.Kind, createdAt: sess.CreatedAt,
-		charged: sess.footprint, spillCharged: size,
-		updates: env.updates, logLen: env.logLen(), lastUsed: time.Now().UnixNano(),
-	}
-	t.mu.Unlock()
-	ten := TenantOf(id)
-	t.mem.adjustOwned(ten, 1, sess.footprint)
-	t.mem.adjustSpill(ten, size)
-	t.armWriteBehind(sess)
-	t.restores.Add(1)
-	t.mem.putRestored(sess)
-	// Honor a Delete that raced the adoption (same discipline as restore).
-	t.mu.Lock()
-	_, still := t.index[id]
-	t.mu.Unlock()
-	if !still {
-		t.mem.drop(id)
-		return nil, nil
-	}
-	return sess, nil
-}
-
-// blobEnvelope reads just the spill-envelope header of a blob object.
-func (t *Tiered) blobEnvelope(id string) (spillEnvelope, error) {
-	var env spillEnvelope
-	if err := t.faultAt("blob.get"); err != nil {
-		return env, err
-	}
-	rc, _, err := t.blob.Get(id)
-	if err != nil {
-		return env, err
-	}
-	defer rc.Close()
-	_, env, err = readSpillEnvelope(rc)
-	return env, err
-}
-
-// syncBlob reconciles the freshly re-indexed local cache against the shared
-// blob tier at boot, before the lifecycle manager starts (single-threaded;
-// index access needs no locks — the tombstone helpers take their own).
-// Newest wins, decided by the envelope's monotonic per-session update
-// counter — the same dedupe rule the local reindex applies between
-// duplicate files:
-//
-//   - objects of tombstoned sessions are DELETED, never adopted: the
-//     tombstone records an acknowledged delete whose blob removal had not
-//     stuck when this node went down;
-//   - blob-only sessions become remote-only index entries (adopted lazily on
-//     first touch);
-//   - a blob version newer than the local chain means another replica
-//     advanced the session while this node was down: the local chain is a
-//     stale cache and is dropped;
-//   - a local chain newer than (or absent from) the blob means this node
-//     crashed before pushing: it is healed upward immediately.
-//
-// An unreachable blob tier fails the boot — a replica serving from a stale
-// local cache would undo deletions other replicas honored.
-func (t *Tiered) syncBlob() error {
-	if t.blob == nil {
-		return nil
-	}
-	infos, err := t.blob.List("")
-	if err != nil {
-		return fmt.Errorf("store: listing blob tier: %w", err)
-	}
-	for _, info := range infos {
-		id := info.Key
-		if t.tombstones[id] != nil {
-			err := t.faultAt("blob.delete")
-			if err == nil {
-				err = t.blob.Delete(id)
-			}
-			if err == nil || err == ErrBlobNotFound {
-				t.blobDeletes.Add(1)
-				t.tombstoneResolve(id, tombBlob)
-			} else {
-				t.blobErrors.Add(1) // stays pending; the GC sweep retries
-			}
-			continue
-		}
-		env, err := t.blobEnvelope(id)
-		if err != nil {
-			continue // unreadable object: never certify it as anything
-		}
-		e := t.index[id]
-		switch {
-		case e == nil:
-			t.index[id] = &spillEntry{
-				remote: true, bytes: info.Size, kind: env.kind, createdAt: env.createdAt,
-				charged: info.Size, spillCharged: info.Size,
-				updates: env.updates, logLen: env.logLen(), lastUsed: info.ModTime.UnixNano(),
-			}
-		case env.updates > e.updates:
-			// Another replica advanced the session past our local chain.
-			for _, pb := range e.localPaths() {
-				_ = os.Remove(pb.path)
-			}
-			t.diskBytes -= e.localBytes()
-			e.path, e.local, e.deltas = "", false, nil
-			e.remote = true
-			e.bytes, e.charged, e.spillCharged = info.Size, info.Size, info.Size
-			e.kind, e.createdAt = env.kind, env.createdAt
-			e.updates, e.logLen = env.updates, env.logLen()
-		default:
-			// Local chain is the same version or newer; it stays
-			// authoritative. Same version: the blob copy is current, keep the
-			// cache marked. Newer: the heal pass below pushes it up.
-			if env.updates == e.updates {
-				e.remote = true
-			}
-		}
-	}
-	// Heal pass: local chains the blob tier has never seen (or holds an older
-	// version of) push up now, so a node that crashed between publishing a
-	// spill and pushing it never strands the only copy on its own disk.
-	for id, e := range t.index {
-		if e.local && !e.remote {
-			_ = t.blobPush(id)
-		}
-	}
-	return nil
-}
-
 // blobMaintain is the GC sweep's blob pass: retry the blob side of pending
 // tombstones until the deletes stick, and re-push local spill chains whose
 // upload previously failed.
@@ -350,16 +185,7 @@ func (t *Tiered) blobMaintain() {
 	}
 	t.mu.Unlock()
 	for _, id := range dels {
-		err := t.faultAt("blob.delete")
-		if err == nil {
-			err = t.blob.Delete(id)
-		}
-		if err != nil && err != ErrBlobNotFound {
-			t.blobErrors.Add(1)
-			continue
-		}
-		t.blobDeletes.Add(1)
-		t.tombstoneResolve(id, tombBlob)
+		t.blobRemove(id)
 	}
 	for _, id := range heal {
 		_ = t.blobPush(id)
@@ -472,22 +298,17 @@ func (t *Tiered) ReleaseUnowned(owns func(id string) bool) (int, error) {
 // removed.
 func (t *Tiered) forgetLocal(id string) bool {
 	t.mu.Lock()
-	e, ok := t.index[id]
-	if !ok {
-		t.mu.Unlock()
-		return false
-	}
 	if _, restoring := t.flights[id]; restoring {
 		t.mu.Unlock()
 		return false // a reader is mid-restore; next ring change retries
 	}
-	delete(t.index, id)
-	if e.local {
-		t.diskBytes -= e.localBytes()
-	}
+	e, ok := t.dropEntryLocked(id)
 	t.mu.Unlock()
-	for _, pb := range e.localPaths() {
-		t.removeSpillFile(pb.path, pb.bytes, "release.unlink")
+	if !ok {
+		return false
+	}
+	for _, kb := range e.localKeys() {
+		t.removeSpillFile(kb.key, kb.bytes, "release.unlink")
 	}
 	ten := TenantOf(id)
 	t.mem.adjustSpill(ten, -e.spillCharged)

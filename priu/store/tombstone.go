@@ -1,10 +1,9 @@
 package store
 
 import (
+	"errors"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 
 	"repro/internal/binio"
 )
@@ -14,20 +13,26 @@ import (
 // When a session is forgotten (explicit Delete, or invalidation after a
 // lossy eviction) the store must guarantee it can never resurrect — not
 // from a leftover chain file the unlink missed, and not from the shared
-// blob tier re-adopted by syncBlob after a reboot. The in-memory pending
-// set alone cannot promise that: a crash between the DELETE ack and the
-// blob delete sticking used to let the object come back on the next boot.
+// blob tier re-adopted by the boot scan after a reboot. The in-memory
+// pending set alone cannot promise that: a crash between the DELETE ack and
+// the blob delete sticking would let the object come back on the next boot.
 //
-// So every forget appends a record to a durable sidecar log
-// ("tombstones.log" in the spill directory, fsynced) BEFORE any unlink or
-// blob delete runs, and appends a matching resolved record once both the
-// local chain and the blob object are verifiably gone. Boot replays the
-// log in order: ids whose last record is unresolved re-enter the pending
-// set — reindex deletes their stray files instead of indexing them, read
-// paths refuse the id, syncBlob deletes (never adopts) their objects, and
-// the GC sweep keeps retrying until both sides stick. The log tolerates a
-// torn tail (a crash mid-append truncates to the last whole record) and is
-// compacted by the GC once resolved records dominate.
+// So the pending set is persisted as ONE object, "tombstones.log" in the
+// spill directory: every add and every retirement rewrites the whole set
+// through the directory's writer (temp + fsync + rename) and then fsyncs
+// the directory; an empty set deletes the object. The durability order:
+//
+//   - an add is durable before any unlink or blob delete of the id starts
+//     (tombstoneAdd returns only after the write);
+//   - a retirement is durable before a re-registered id publishes anything
+//     (Put retires the tombstone before the new session enters the store).
+//
+// Boot reads the object with the record loop below: ids whose last record
+// is unresolved re-enter the pending set — the boot scan deletes their
+// stray files and blob objects instead of indexing them, read paths refuse
+// the id, and the GC sweep keeps retrying until both sides stick. Logs
+// written by earlier builds, which appended add and resolved records and
+// may end in a torn record, replay the same way.
 const (
 	tombstoneFile = "tombstones.log"
 	tombMagic     = "PRTS"
@@ -41,8 +46,8 @@ const (
 type tombSide int
 
 const (
-	tombLocal tombSide = iota // every local chain file unlinked
-	tombBlob                  // blob object deleted (or no blob tier)
+	tombLocal tombSide = 1 << iota // every local chain file unlinked
+	tombBlob                       // blob object deleted (or no blob tier)
 )
 
 // tombstone is one pending deletion: the id stays poisoned until both
@@ -53,12 +58,10 @@ type tombstone struct {
 }
 
 // tombstoneAdd records id as deleted, durably, before the caller starts
-// removing state. It returns only after the record is appended and fsynced
-// (or the append failed — the in-memory tombstone still poisons the id for
-// this process's lifetime; a crash after a failed append re-exposes only
-// the pre-existing unlink/blob-delete race this log exists to close, never
-// a new one). Idempotent: a second add for a pending id is a no-op that
-// still waits for the first append's fsync.
+// removing state. It returns only after the set is written (or the write
+// failed — the in-memory tombstone still poisons the id for this process's
+// lifetime, and the next write carries it). Idempotent: a second add for a
+// pending id is a no-op that still waits for the first add's write.
 func (t *Tiered) tombstoneAdd(id string) {
 	t.tombMu.Lock()
 	defer t.tombMu.Unlock()
@@ -69,20 +72,15 @@ func (t *Tiered) tombstoneAdd(id string) {
 	}
 	t.tombstones[id] = &tombstone{blobClean: t.blob == nil}
 	t.mu.Unlock()
-	_ = t.appendTombRecord(id, 0)
+	t.writeTombstones()
 }
 
-// tombstoneResolve marks one side of id's tombstone clean; when both sides
-// are, the tombstone retires with a durable resolved record. A crash before
-// the resolved record lands just replays the tombstone pending — every
-// retry path is idempotent.
-//
-// The map transition and the resolved append happen under one tombMu hold
-// (same tombMu→mu order as tombstoneAdd): boot replay takes the LAST record
-// per id, so a concurrent add for a re-registered-and-deleted-again id must
-// never slot its pending record between this retirement's map delete and
-// its resolved append — that interleaving would durably drop the NEW
-// tombstone.
+// tombstoneResolve marks sides of id's tombstone clean; when both are, the
+// tombstone retires and the shrunken set is written. Resolving both sides
+// at once retires the tombstone outright — the re-registration path, where
+// the tombstone guarded the OLD state and replaying it at the next boot
+// would destroy the NEW session's files. A crash before the write just
+// replays the tombstone pending — every retry path is idempotent.
 func (t *Tiered) tombstoneResolve(id string, side tombSide) {
 	t.tombMu.Lock()
 	defer t.tombMu.Unlock()
@@ -92,194 +90,86 @@ func (t *Tiered) tombstoneResolve(id string, side tombSide) {
 		t.mu.Unlock()
 		return
 	}
-	switch side {
-	case tombLocal:
-		ts.localClean = true
-	case tombBlob:
-		ts.blobClean = true
-	}
+	ts.localClean = ts.localClean || side&tombLocal != 0
+	ts.blobClean = ts.blobClean || side&tombBlob != 0
 	done := ts.localClean && ts.blobClean
 	if done {
 		delete(t.tombstones, id)
 	}
 	t.mu.Unlock()
 	if done {
-		_ = t.appendTombRecord(id, tombFlagResolved)
-		t.maybeClearTombLog()
+		t.writeTombstones()
 	}
 }
 
-// tombstoneForget retires id's tombstone because the id has been legitimately
-// re-registered (Put under a previously deleted id): the tombstone guarded
-// the OLD state, and replaying it pending at the next boot would destroy the
-// NEW session's files. The resolved record is therefore written durably —
-// under one tombMu hold spanning the map delete, like tombstoneResolve, so
-// a racing re-add's pending record can never be masked by this retirement.
-func (t *Tiered) tombstoneForget(id string) {
-	t.tombMu.Lock()
-	defer t.tombMu.Unlock()
+// writeTombstones persists the whole pending set and fsyncs the directory.
+// The caller holds tombMu across its map change and this write, so writes
+// land in the order of the changes they carry.
+func (t *Tiered) writeTombstones() {
 	t.mu.Lock()
-	if t.tombstones[id] == nil {
-		t.mu.Unlock()
-		return
+	ids := make([]string, 0, len(t.tombstones))
+	for id := range t.tombstones {
+		ids = append(ids, id)
 	}
-	delete(t.tombstones, id)
 	t.mu.Unlock()
-	_ = t.appendTombRecord(id, tombFlagResolved)
-	t.maybeClearTombLog()
+	if len(ids) == 0 {
+		if t.local.Delete(tombstoneFile) != nil {
+			return
+		}
+	} else {
+		tmp, err := t.local.stage(func(w io.Writer) error {
+			bw := binio.NewWriter(w)
+			bw.Bytes([]byte(tombMagic))
+			bw.U64(tombVersion)
+			for _, id := range ids {
+				bw.Str(id)
+				bw.U64(0)
+			}
+			return bw.Flush()
+		})
+		if err != nil || t.local.commit(tmp, tombstoneFile) != nil {
+			return
+		}
+	}
+	_ = t.local.syncDir()
 }
 
-// maybeClearTombLog removes the sidecar log outright when no tombstone is
-// pending — the quiescent state leaves the spill directory holding exactly
-// the chain files, nothing else. Safe because the resolved record that got
-// us here was already fsynced (removal strictly follows it), and tombMu
-// (held by the caller) serializes against a concurrent tombstoneAdd, which
-// would recreate the file with a fresh header.
-func (t *Tiered) maybeClearTombLog() {
-	t.mu.Lock()
-	pending := len(t.tombstones)
-	t.mu.Unlock()
-	if pending > 0 {
-		return
-	}
-	if err := os.Remove(filepath.Join(t.dir, tombstoneFile)); err == nil || os.IsNotExist(err) {
-		t.tombRecords = 0
-	}
-}
-
-// appendTombRecord appends one record (id, flags) to the sidecar log and
-// fsyncs it. Caller holds tombMu.
-func (t *Tiered) appendTombRecord(id string, flags uint64) error {
-	path := filepath.Join(t.dir, tombstoneFile)
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	bw := binio.NewWriter(f)
-	if info, err := f.Stat(); err == nil && info.Size() == 0 {
-		bw.Bytes([]byte(tombMagic))
-		bw.U64(tombVersion)
-	}
-	bw.Str(id)
-	bw.U64(flags)
-	if err := bw.Flush(); err != nil {
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		return err
-	}
-	t.tombRecords++
-	return nil
-}
-
-// loadTombstones replays the sidecar log at boot, seeding the pending set
-// with every id whose last record is unresolved. A torn tail (crash
-// mid-append) ends the replay at the last whole record — the half-written
-// add it loses was for a forget whose removals had not started — and is
-// then TRUNCATED away: appendTombRecord reopens with O_APPEND, so garbage
-// left at the tail would swallow every record this process appends (the
-// next boot's replay stops at the garbage), silently dropping pending
-// tombstones for acknowledged DELETEs. Runs before reindex and syncBlob,
+// loadTombstones replays the persisted set at boot, seeding the pending set
+// with every id whose last record is unresolved. A torn tail ends the
+// replay at the last whole record — the half-written add it loses was for a
+// forget whose removals had not started. Runs before the boot scan,
 // single-threaded, from NewTiered.
 func (t *Tiered) loadTombstones() error {
-	path := filepath.Join(t.dir, tombstoneFile)
-	f, err := os.OpenFile(path, os.O_RDWR, 0)
-	if os.IsNotExist(err) {
+	rc, _, err := t.local.Get(tombstoneFile)
+	if err == ErrBlobNotFound {
 		return nil
 	}
 	if err != nil {
 		return fmt.Errorf("store: opening tombstone log: %w", err)
 	}
-	defer f.Close()
-	br := binio.NewReader(f)
-	// good tracks the byte offset just past the last whole record — the
-	// replay horizon, and the truncation point for anything after it.
-	var good int64
-	records := 0
+	defer rc.Close()
+	br := binio.NewReader(rc)
 	if err := br.Magic(tombMagic); err != nil {
-		if err != io.EOF && err != io.ErrUnexpectedEOF {
-			return fmt.Errorf("store: tombstone log: %w", err)
+		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+			return nil // empty or torn header: no record landed
 		}
-		// Empty or torn header: no records landed; truncate to empty below
-		// so the next append rewrites a whole header.
-	} else if v := br.U64(); br.Err != nil {
-		// Torn between magic and version: same as a torn header.
-	} else if v != tombVersion {
+		return fmt.Errorf("store: tombstone log: %w", err)
+	}
+	if v := br.U64(); br.Err == nil && v != tombVersion {
 		return fmt.Errorf("store: unsupported tombstone-log version %d", v)
-	} else {
-		good = int64(len(tombMagic)) + 8
-		for {
-			id := br.Str(maxSpillName)
-			flags := br.U64()
-			if br.Err != nil {
-				break
-			}
-			records++
-			good += 8 + int64(len(id)) + 8
-			if flags&tombFlagResolved != 0 {
-				delete(t.tombstones, id)
-			} else {
-				// localClean is settled by reindex (which deletes any stray
-				// files it finds for the id); blobClean by syncBlob/GC.
-				t.tombstones[id] = &tombstone{blobClean: t.blob == nil}
-			}
+	}
+	for {
+		id := br.Str(maxSpillName)
+		flags := br.U64()
+		if br.Err != nil {
+			return nil // the end, or a torn tail
+		}
+		if flags&tombFlagResolved != 0 {
+			delete(t.tombstones, id)
+		} else {
+			// localClean is settled by the boot scan (which deletes any
+			// stray files it finds for the id); blobClean by it or the GC.
+			t.tombstones[id] = &tombstone{blobClean: t.blob == nil}
 		}
 	}
-	t.tombRecords = records
-	if info, err := f.Stat(); err == nil && info.Size() > good {
-		if err := f.Truncate(good); err != nil {
-			return fmt.Errorf("store: truncating torn tombstone-log tail: %w", err)
-		}
-		if err := f.Sync(); err != nil {
-			return fmt.Errorf("store: truncating torn tombstone-log tail: %w", err)
-		}
-	}
-	return nil
-}
-
-// compactTombLog rewrites the sidecar log to just the currently pending
-// tombstones, called from the GC sweep once retired records dominate. Uses
-// the same temp + fsync + rename discipline as spill publishes.
-func (t *Tiered) compactTombLog() {
-	t.tombMu.Lock()
-	defer t.tombMu.Unlock()
-	t.mu.Lock()
-	pending := make([]string, 0, len(t.tombstones))
-	for id := range t.tombstones {
-		pending = append(pending, id)
-	}
-	t.mu.Unlock()
-	if t.tombRecords <= 4*len(pending)+16 {
-		return // mostly live records; not worth a rewrite
-	}
-	path := filepath.Join(t.dir, tombstoneFile)
-	if len(pending) == 0 {
-		if err := os.Remove(path); err == nil || os.IsNotExist(err) {
-			t.tombRecords = 0
-		}
-		return
-	}
-	tmp, err := os.CreateTemp(t.dir, spillTmp+"*")
-	if err != nil {
-		return
-	}
-	tmpName := tmp.Name()
-	bw := binio.NewWriter(tmp)
-	bw.Bytes([]byte(tombMagic))
-	bw.U64(tombVersion)
-	for _, id := range pending {
-		bw.Str(id)
-		bw.U64(0)
-	}
-	if bw.Flush() != nil || tmp.Sync() != nil || tmp.Close() != nil {
-		tmp.Close()
-		_ = os.Remove(tmpName)
-		return
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		_ = os.Remove(tmpName)
-		return
-	}
-	t.tombRecords = len(pending)
 }
