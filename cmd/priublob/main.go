@@ -15,8 +15,10 @@
 //	GET    /healthz        liveness probe
 //
 // Objects are written temp-file + rename, so concurrent readers (and a crash
-// mid-put) never observe a torn object. Keys are opaque strings — priuserve
-// replicas use session storage IDs — escaped into flat file names.
+// mid-put) never observe a torn object; at start the server removes temp
+// files at least a minute old, the partial uploads a killed server left.
+// Keys are opaque strings — priuserve replicas use session storage IDs —
+// escaped into flat file names.
 //
 // Point every replica's -blob flag at this server and the local spill
 // directories become read-through/write-behind caches of it: any replica can

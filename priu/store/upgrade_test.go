@@ -198,3 +198,23 @@ func TestFSBlobSweepsOnlyAgedTemps(t *testing.T) {
 		t.Fatalf("fresh temp was swept: %v", err)
 	}
 }
+
+// TestTombstoneLogEmptyOrTornHeaderBoots: a tombstones.log cut short before
+// its header was whole (an earlier release created it, then crashed before
+// the first append landed) holds no record, so the boot must proceed.
+func TestTombstoneLogEmptyOrTornHeaderBoots(t *testing.T) {
+	for _, body := range [][]byte{{}, []byte(tombMagic[:2]), []byte(tombMagic)} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, tombstoneFile), body, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		ti, err := NewTiered(dir, NewMemory())
+		if err != nil {
+			t.Fatalf("boot with a %d-byte tombstone log: %v", len(body), err)
+		}
+		if st := ti.Stats(); st.PendingTombstones != 0 {
+			t.Fatalf("%d tombstones pending from a header-only log", st.PendingTombstones)
+		}
+		ti.stopLifecycle()
+	}
+}
