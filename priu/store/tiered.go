@@ -169,7 +169,7 @@ type Tiered struct {
 	// diskBytes is the total size of indexed spill files (bases + delta
 	// chains); orphanBytes is what else the boot scan / GC sweeps found in
 	// the directory (crash leftovers — in-flight temp files and the
-	// tombstone sidecar are excluded). Their sum is the served
+	// tombstone object are excluded). Their sum is the served
 	// spill_dir_bytes gauge, and the disk budget bounds it. Both are
 	// guarded by mu.
 	diskBytes   int64
