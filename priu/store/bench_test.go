@@ -217,3 +217,42 @@ func BenchmarkDeltaSpill(b *testing.B) {
 		b.ReportMetric(float64(baseBytes)/perSpill, "speedup")
 	}
 }
+
+// BenchmarkDeleteBlobDeleteFailing times session Deletes while every blob
+// delete fails, so each Delete leaves its tombstone pending and the
+// persisted set holds b.N ids by the end. Each tombstone add rewrites the
+// whole set, so ns/op grows with b.N: compare runs at one -benchtime (for
+// example -benchtime=3200x).
+func BenchmarkDeleteBlobDeleteFailing(b *testing.B) {
+	bs, err := NewFSBlob(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	ti := newTestTiered(b, b.TempDir(), NewMemory(), WithBlobStore(bs))
+	id := func(i int) string { return fmt.Sprintf("acme/burst-%06d", i) }
+	for i := 0; i < b.N; i++ {
+		if err := ti.Put(trainSession(b, id(i), int64(i+1))); err != nil {
+			b.Fatal(err)
+		}
+		if i%100 == 99 {
+			ti.Flush() // keep the write-behind queue from shedding spills
+		}
+	}
+	ti.Flush()
+	ti.fault = func(p string) error {
+		if p == "blob.delete" {
+			return errFault
+		}
+		return nil
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !ti.Delete(id(i)) {
+			b.Fatalf("%s: delete reported the session missing", id(i))
+		}
+	}
+	b.StopTimer()
+	if got := ti.Stats().PendingTombstones; got != b.N {
+		b.Fatalf("%d tombstones pending, want %d", got, b.N)
+	}
+}

@@ -33,6 +33,15 @@ import (
 //   - after a GC sweep, Stats().SpillDirBytes equals the bytes the listing
 //     holds.
 
+// faultPoints names every crash point the fault hook can see: each faultAt
+// literal and each unlink point handed to removeSpillFile or dropEntryFiles.
+var faultPoints = []string{
+	"blob.delete", "blob.get", "blob.put",
+	"compact.after-temp", "compact.create-temp", "compact.publish", "compact.unlink-old",
+	"delete.unlink", "drain.session", "gc.unlink", "invalidate.unlink", "release.unlink",
+	"spill.after-temp", "spill.create-temp", "spill.serialize", "spill.unlink-old",
+}
+
 // TestFaultPointRegistry fails when a fault-point literal handed to faultAt,
 // removeSpillFile or dropEntryFiles is missing from faultPoints, or when the
 // registry names a point no call site uses.

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -26,8 +27,9 @@ import (
 // content-addressed keys — named by the SHA-256 of their bytes — written
 // through its stage/commit writer (temp file + fsync + rename), so a crash
 // mid-spill leaves at worst an ignorable temp file, never a torn session or
-// delta. Only version 2 is read: a version-1 base (log inside the snapshot,
-// written before the log-structured tier) fails NewTiered by name.
+// delta. Only version 2 is read: a local version-1 base (log inside the
+// snapshot, written before the log-structured tier) fails NewTiered by
+// name; a version-1 blob object is logged by key and left unserved.
 const (
 	spillMagic   = "PRSP"
 	spillVersion = 2
@@ -209,8 +211,11 @@ type Tiered struct {
 	wg     sync.WaitGroup
 
 	// tombMu serializes tombstone-set changes with the writes that persist
-	// them (tombstone.go).
-	tombMu sync.Mutex
+	// them (tombstone.go). tombUnsynced holds the retired ids whose
+	// retirement no directory fsync has made durable yet; changed under
+	// tombMu and mu, read under either.
+	tombMu       sync.Mutex
+	tombUnsynced map[string]bool
 
 	spills        atomic.Int64
 	deltaSpills   atomic.Int64
@@ -255,15 +260,6 @@ func (t *Tiered) faultAt(point string) error {
 	return t.fault(point)
 }
 
-// faultPoints names every crash point the fault hook can see: each faultAt
-// literal and each unlink point handed to removeSpillFile.
-var faultPoints = []string{
-	"blob.delete", "blob.get", "blob.put",
-	"compact.after-temp", "compact.create-temp", "compact.publish", "compact.unlink-old",
-	"delete.unlink", "drain.session", "gc.unlink", "invalidate.unlink", "release.unlink",
-	"spill.after-temp", "spill.create-temp", "spill.serialize", "spill.unlink-old",
-}
-
 // removeSpillFile unlinks a de-indexed spill file, keeping the disk gauge
 // honest when the unlink fails (or a fault skips it): the file still
 // occupies disk, so its bytes move to the orphan share — where the
@@ -282,11 +278,10 @@ func (t *Tiered) removeSpillFile(key string, bytes int64, faultPoint string) boo
 
 // unlinkingLocked marks files a caller is about to remove with
 // removeSpillFile once it releases t.mu. Callers hold t.mu.
-func (t *Tiered) unlinkingLocked(files []keyBytes) []keyBytes {
+func (t *Tiered) unlinkingLocked(files []keyBytes) {
 	for _, kb := range files {
 		t.unlinking[kb.key] = true
 	}
-	return files
 }
 
 // dropEntryLocked de-indexes id's entry, settles the disk gauge and marks
@@ -399,6 +394,7 @@ func NewTiered(dir string, mem *Memory, opts ...TieredOption) (*Tiered, error) {
 		deleting:     make(map[string]int),
 		unlinking:    make(map[string]bool),
 		tombstones:   make(map[string]*tombstone),
+		tombUnsynced: make(map[string]bool),
 		spillOnEvict: true,
 		queueLen:     256,
 		workers:      1,
@@ -541,6 +537,7 @@ func Spillable(kind string, upd priu.Updater) bool {
 func (t *Tiered) Put(sess *Session) error {
 	t.mu.Lock()
 	_, tombstoned := t.tombstones[sess.ID]
+	unsynced := t.tombUnsynced[sess.ID]
 	t.mu.Unlock()
 	if tombstoned {
 		// A re-registration under a tombstoned ID (the service seeds IDs to
@@ -550,6 +547,9 @@ func (t *Tiered) Put(sess *Session) error {
 		// session's state owns the ID from here.
 		t.blobRemove(sess.ID)
 		t.tombstoneResolve(sess.ID, tombLocal|tombBlob)
+	}
+	if tombstoned || unsynced {
+		t.tombstoneSettle(sess.ID)
 	}
 	t.armWriteBehind(sess)
 	if err := t.mem.Put(sess); err != nil {
@@ -612,7 +612,7 @@ func (t *Tiered) Get(id string) (*Session, bool) {
 }
 
 // Delete implements Store: the session is forgotten in every tier. A
-// durable tombstone is appended BEFORE any unlink or blob delete, so once
+// durable tombstone is written BEFORE any unlink or blob delete, so once
 // this returns (and the service acks the DELETE) no crash can resurrect the
 // session: boot replays pending tombstones, removing stray chain files and
 // retrying the blob delete until both stick.
@@ -1152,9 +1152,11 @@ type spillEnvelope struct {
 	deleted []int
 }
 
-// errSpillVersion marks a spill envelope this build does not read. It fails
-// the boot instead of orphaning the file: a GC'd orphan would drop the
-// session from every tier unannounced.
+// errSpillVersion marks a spill envelope this build does not read. A local
+// base of another version fails the boot instead of being orphaned: the GC
+// would delete it and drop the session from every tier unannounced. A blob
+// object of another version is left in place and not served (the GC never
+// deletes remote objects).
 var errSpillVersion = errors.New("store: unsupported spill-file version")
 
 // readSpillEnvelope decodes a version-2 spill file's header, returning the
@@ -1166,6 +1168,9 @@ func readSpillEnvelope(r io.Reader) (*binio.Reader, spillEnvelope, error) {
 		return nil, env, fmt.Errorf("store: %w", err)
 	}
 	if v := br.U64(); br.Err == nil && v != spillVersion {
+		// Every version so far starts with the session ID: name it, so the
+		// boot can tell a deleted session's leftover from a live base.
+		env.id = br.Str(maxSpillName)
 		return nil, env, fmt.Errorf("%w %d", errSpillVersion, v)
 	}
 	env.id = br.Str(maxSpillName)
@@ -1344,9 +1349,13 @@ func (t *Tiered) restore(id string, e *spillEntry) (*Session, error) {
 			return nil, fmt.Errorf("store: opening spill file for %s: %w", id, err)
 		}
 	} else {
+		if e == nil {
+			t.tombstoneSettle(id) // an adopt may follow a retirement of id
+		}
 		if err := t.faultAt("blob.get"); err != nil {
 			return nil, err
 		}
+		getStart := time.Now()
 		if src, size, err = t.blob.Get(id); err != nil {
 			if err != ErrBlobNotFound {
 				t.blobErrors.Add(1)
@@ -1357,7 +1366,7 @@ func (t *Tiered) restore(id string, e *spillEntry) (*Session, error) {
 		}
 		t.blobGets.Add(1)
 		if m := t.metrics; m != nil {
-			observeSince(m.BlobGetSeconds, start)
+			observeSince(m.BlobGetSeconds, getStart)
 		}
 	}
 	sess, env, err := t.buildSession(id, src, tail)
@@ -1407,8 +1416,8 @@ func (t *Tiered) restore(id string, e *spillEntry) (*Session, error) {
 	}
 	t.armWriteBehind(sess)
 	t.restores.Add(1)
-	if m := t.metrics; m != nil {
-		observeSince(m.RestoreSeconds, start)
+	if m := t.metrics; m != nil && e != nil {
+		observeSince(m.RestoreSeconds, start) // adopts are not timed as restores
 	}
 	t.mem.putRestored(sess)
 	// A Delete (or disk-budget eviction) that raced the restore removed the
@@ -1446,7 +1455,8 @@ func (o *spillObject) tip() (updates, logLen int64) {
 
 // classify reads the header of one listed object — the one classifier the
 // boot scan and the GC share. A spill envelope of a version this build does
-// not read is the only error; anything else unreadable is an orphan.
+// not read is the only error, returned with the object's id; anything else
+// unreadable is an orphan.
 func classify(bs BlobStore, info BlobInfo) (spillObject, error) {
 	obj := spillObject{BlobInfo: info}
 	rc, _, err := bs.Get(info.Key)
@@ -1459,6 +1469,7 @@ func classify(bs BlobStore, info BlobInfo) (spillObject, error) {
 	case spillMagic:
 		_, env, err := readSpillEnvelope(br.R)
 		if errors.Is(err, errSpillVersion) {
+			obj.id = env.id
 			return obj, fmt.Errorf("store: spill file %s: %w", info.Key, err)
 		}
 		if err == nil {
@@ -1479,14 +1490,15 @@ func classify(bs BlobStore, info BlobInfo) (spillObject, error) {
 // segments re-attach to the winner by (fromLen, fromUpdates) continuity, and
 // every loser, unchained or torn segment is removed, so the indexed chain
 // replays without gaps. Files and objects of tombstoned sessions are
-// deleted, never indexed. A blob object ahead of the local chain means
+// deleted, never indexed, whatever their version. A blob object ahead of the local chain means
 // another replica advanced the session while this node was down: the local
 // chain is a stale cache and is dropped; a local chain ahead of (or absent
 // from) the blob tier is pushed up. Unreadable leftovers seed the orphan
 // share of the spill_dir_bytes gauge for the GC. An unreachable blob tier
 // fails the boot — a replica serving from a stale local cache would undo
-// deletions other replicas honored — and so does a spill envelope of a
-// version this build does not read.
+// deletions other replicas honored — and so does a local base of a version
+// this build does not read. A blob object of such a version is logged by
+// key and left out of the index.
 func (t *Tiered) boot() error {
 	infos, err := t.local.List("")
 	if err != nil {
@@ -1504,14 +1516,14 @@ func (t *Tiered) boot() error {
 		}
 		obj, err := classify(t.local, info)
 		switch {
+		case obj.id != "" && t.tombstones[obj.id] != nil:
+			if t.local.Delete(info.Key) != nil {
+				tombSwept[obj.id] = false
+			}
 		case err != nil:
 			return err
 		case obj.id == "":
 			t.orphanBytes += info.Size
-		case t.tombstones[obj.id] != nil:
-			if t.local.Delete(info.Key) != nil {
-				tombSwept[obj.id] = false
-			}
 		case obj.torn:
 			// One of our segments with a truncated body: no restore can
 			// replay it, so the intact chain prefix serves without it.
@@ -1602,7 +1614,10 @@ func (t *Tiered) boot() error {
 		}
 		obj, err := classify(t.blob, info)
 		if err != nil {
-			return err
+			// Written by an older release: left in place and not indexed.
+			// A read of the id fails; a local chain of the id replaces it.
+			log.Printf("%v (left in the blob tier, not served)", err)
+			continue
 		}
 		if !obj.base || obj.id != id {
 			continue // unreadable object: never certify it as anything

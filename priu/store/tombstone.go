@@ -19,13 +19,17 @@ import (
 //
 // So the pending set is persisted as ONE object, "tombstones.log" in the
 // spill directory: every add and every retirement rewrites the whole set
-// through the directory's writer (temp + fsync + rename) and then fsyncs
-// the directory; an empty set deletes the object. The durability order:
+// through the directory's writer (temp + fsync + rename); an empty set
+// deletes the object. The durability order:
 //
 //   - an add is durable before any unlink or blob delete of the id starts
-//     (tombstoneAdd returns only after the write);
+//     (tombstoneAdd returns only after the write and a directory fsync);
 //   - a retirement is durable before a re-registered id publishes anything
-//     (Put retires the tombstone before the new session enters the store).
+//     (Put) and before an adopted id is indexed (restore): both call
+//     tombstoneSettle, which rewrites the set and fsyncs the directory
+//     unless a later add's fsync covered the retirement. Other retirements
+//     skip the directory fsync: one a crash loses replays pending, and its
+//     replay repeats deletes whose targets are already gone.
 //
 // Boot reads the object with the record loop below: ids whose last record
 // is unresolved re-enter the pending set — the boot scan deletes their
@@ -72,15 +76,13 @@ func (t *Tiered) tombstoneAdd(id string) {
 	}
 	t.tombstones[id] = &tombstone{blobClean: t.blob == nil}
 	t.mu.Unlock()
-	t.writeTombstones()
+	t.writeTombstones(true)
 }
 
 // tombstoneResolve marks sides of id's tombstone clean; when both are, the
-// tombstone retires and the shrunken set is written. Resolving both sides
-// at once retires the tombstone outright — the re-registration path, where
-// the tombstone guarded the OLD state and replaying it at the next boot
-// would destroy the NEW session's files. A crash before the write just
-// replays the tombstone pending — every retry path is idempotent.
+// tombstone retires and the shrunken set is written, without a directory
+// fsync. Resolving both sides at once retires the tombstone outright — the
+// re-registration path, which then calls tombstoneSettle.
 func (t *Tiered) tombstoneResolve(id string, side tombSide) {
 	t.tombMu.Lock()
 	defer t.tombMu.Unlock()
@@ -95,17 +97,29 @@ func (t *Tiered) tombstoneResolve(id string, side tombSide) {
 	done := ts.localClean && ts.blobClean
 	if done {
 		delete(t.tombstones, id)
+		t.tombUnsynced[id] = true
 	}
 	t.mu.Unlock()
 	if done {
-		t.writeTombstones()
+		t.writeTombstones(false)
 	}
 }
 
-// writeTombstones persists the whole pending set and fsyncs the directory.
-// The caller holds tombMu across its map change and this write, so writes
-// land in the order of the changes they carry.
-func (t *Tiered) writeTombstones() {
+// tombstoneSettle makes id's retirement durable before a session of id
+// publishes: replaying the retired tombstone at the next boot would destroy
+// the new session's files.
+func (t *Tiered) tombstoneSettle(id string) {
+	t.tombMu.Lock()
+	defer t.tombMu.Unlock()
+	if t.tombUnsynced[id] {
+		t.writeTombstones(true)
+	}
+}
+
+// writeTombstones persists the whole pending set and, when durable, fsyncs
+// the directory. The caller holds tombMu across its map change and this
+// write, so writes land in the order of the changes they carry.
+func (t *Tiered) writeTombstones(durable bool) {
 	t.mu.Lock()
 	ids := make([]string, 0, len(t.tombstones))
 	for id := range t.tombstones {
@@ -131,7 +145,11 @@ func (t *Tiered) writeTombstones() {
 			return
 		}
 	}
-	_ = t.local.syncDir()
+	if durable && t.local.syncDir() == nil {
+		t.mu.Lock()
+		clear(t.tombUnsynced)
+		t.mu.Unlock()
+	}
 }
 
 // loadTombstones replays the persisted set at boot, seeding the pending set

@@ -1,10 +1,12 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -133,6 +135,111 @@ func TestUpgradeV1BaseFailsBoot(t *testing.T) {
 	}
 }
 
+// v1Fixture returns the version-1 base's file name, bytes and session ID.
+func v1Fixture(t *testing.T) (name string, data []byte, id string) {
+	t.Helper()
+	src := filepath.Join("testdata", "upgrade", "v1")
+	ents, err := os.ReadDir(src)
+	if err != nil || len(ents) != 1 {
+		t.Fatalf("fixture: %v, %d files", err, len(ents))
+	}
+	name = ents[0].Name()
+	if data, err = os.ReadFile(filepath.Join(src, name)); err != nil {
+		t.Fatal(err)
+	}
+	_, env, err := readSpillEnvelope(bytes.NewReader(data))
+	if !errors.Is(err, errSpillVersion) || env.id == "" {
+		t.Fatalf("fixture decodes as %q, %v; want a named version-1 base", env.id, err)
+	}
+	return name, data, env.id
+}
+
+// TestUpgradeV1BaseOfDeletedSessionRemoved: a version-1 base whose session
+// has a pending tombstone is a deleted session's leftover — the boot removes
+// it instead of failing.
+func TestUpgradeV1BaseOfDeletedSessionRemoved(t *testing.T) {
+	name, _, id := v1Fixture(t)
+	dir := copyDir(t, filepath.Join("testdata", "upgrade", "v1"))
+	local, err := NewFSBlob(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	(&Tiered{local: local, tombstones: map[string]*tombstone{id: {}}}).writeTombstones(true)
+
+	ti := newTestTiered(t, dir, NewMemory())
+	if _, ok := ti.Get(id); ok {
+		t.Fatalf("%s: a tombstoned version-1 base was served", id)
+	}
+	if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
+		t.Fatalf("boot left the deleted session's version-1 base behind (stat err=%v)", err)
+	}
+	if st := ti.Stats(); st.PendingTombstones != 0 {
+		t.Fatalf("%d tombstones pending after the boot removed the only file", st.PendingTombstones)
+	}
+}
+
+// TestUpgradeV1BlobObjectLeftInPlace: a version-1 object in the shared blob
+// tier must not fail the boot of every replica. It is left untouched and
+// unindexed, a read of its id misses, the other objects serve, and a
+// re-registered session of the id replaces it.
+func TestUpgradeV1BlobObjectLeftInPlace(t *testing.T) {
+	_, data, id := v1Fixture(t)
+	blob, err := NewFSBlob(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := blob.Put(id, bytes.NewReader(data)); err != nil {
+		t.Fatal(err)
+	}
+	first := newTestTiered(t, t.TempDir(), NewMemory(), WithBlobStore(blob))
+	if err := first.Put(trainSession(t, "acme/v2", 2)); err != nil {
+		t.Fatal(err)
+	}
+	if err := first.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	ti, err := NewTiered(t.TempDir(), NewMemory(), WithBlobStore(blob))
+	if err != nil {
+		t.Fatalf("a version-1 blob object failed the boot: %v", err)
+	}
+	t.Cleanup(ti.stopLifecycle)
+	if _, ok := ti.Get("acme/v2"); !ok {
+		t.Fatal("a version-2 blob object next to the version-1 one does not serve")
+	}
+	if _, ok := ti.Get(id); ok {
+		t.Fatalf("%s: the version-1 blob object was served", id)
+	}
+	if ti.restoreErrors.Load() == 0 {
+		t.Fatalf("%s: reading the version-1 object reported no restore error", id)
+	}
+	rc, _, err := blob.Get(id)
+	if err != nil {
+		t.Fatalf("the version-1 blob object is gone: %v", err)
+	}
+	got, err := io.ReadAll(rc)
+	rc.Close()
+	if err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("the version-1 blob object changed (err=%v)", err)
+	}
+
+	if err := ti.Put(trainSession(t, id, 3)); err != nil {
+		t.Fatal(err)
+	}
+	if err := ti.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rc, _, err = blob.Get(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = readSpillEnvelope(rc)
+	rc.Close()
+	if err != nil {
+		t.Fatalf("the re-registered session did not replace the version-1 object: %v", err)
+	}
+}
+
 // TestTombstoneDurableBeforeFirstUnlink crashes a Delete at its first unlink
 // and checks the order the tombstone set promises: the id is already in the
 // persisted set when the unlink would run, and after a reboot the session
@@ -170,6 +277,37 @@ func TestTombstoneDurableBeforeFirstUnlink(t *testing.T) {
 	}
 	if spillIDsOnDisk(t, dir)["acme/s1"] {
 		t.Fatal("boot left the deleted session's files behind")
+	}
+}
+
+// TestTombstoneRetirementSettledBeforeReregistration: a Delete's
+// retirement is written without a directory fsync; a Put of the same id
+// must make it durable before the new session publishes, or a crash could
+// replay the retired tombstone and delete the new session's files.
+func TestTombstoneRetirementSettledBeforeReregistration(t *testing.T) {
+	dir := t.TempDir()
+	ti := newTestTiered(t, dir, NewMemory())
+	if err := ti.Put(trainSession(t, "acme/s1", 1)); err != nil {
+		t.Fatal(err)
+	}
+	ti.Flush()
+	if !ti.Delete("acme/s1") {
+		t.Fatal("delete reported the session missing")
+	}
+	ti.tombMu.Lock()
+	unsynced := ti.tombUnsynced["acme/s1"]
+	ti.tombMu.Unlock()
+	if !unsynced {
+		t.Fatal("the Delete's retirement was fsynced; want it left to the re-registration")
+	}
+	if err := ti.Put(trainSession(t, "acme/s1", 2)); err != nil {
+		t.Fatal(err)
+	}
+	ti.tombMu.Lock()
+	unsynced = ti.tombUnsynced["acme/s1"]
+	ti.tombMu.Unlock()
+	if unsynced {
+		t.Fatal("the re-registration published before its retirement was durable")
 	}
 }
 
