@@ -78,6 +78,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSpillEnvelope$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./priu/store
 	$(GO) test -run '^$$' -fuzz '^FuzzDeltaSegment$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./priu/store
 	$(GO) test -run '^$$' -fuzz '^FuzzCSRUpload$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./priu/service
+	$(GO) test -run '^$$' -fuzz '^FuzzCreateSessionDecode$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./priu/service
 
 # Coverage gate: the storage and service layers must stay above their
 # watermarks (cmd/covergate computes statement coverage from the profiles).

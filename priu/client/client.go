@@ -325,16 +325,19 @@ func (c *Client) doJSON(req *http.Request, out any) error {
 
 // CreateSession trains a new session (dense features or a CSR triple; see
 // service.CreateSessionRequest) and returns its metadata and initial
-// parameters.
+// parameters. The body is the bytes json.Marshal(req) writes; a NaN or ±Inf
+// anywhere in req fails here, before anything is sent.
 func (c *Client) CreateSession(ctx context.Context, req service.CreateSessionRequest) (*service.SessionResponse, error) {
-	buf, err := json.Marshal(req)
+	pieces, err := encodeCreate(&req)
 	if err != nil {
 		return nil, err
 	}
-	hreq, err := c.newRequest(ctx, http.MethodPost, "/v2/sessions", strings.NewReader(string(buf)))
+	hreq, err := c.newRequest(ctx, http.MethodPost, "/v2/sessions", nil)
 	if err != nil {
 		return nil, err
 	}
+	hreq.GetBody, hreq.ContentLength = piecesBody(pieces)
+	hreq.Body, _ = hreq.GetBody() // it cannot fail
 	hreq.Header.Set("Content-Type", "application/json")
 	var sr service.SessionResponse
 	if err := c.doJSON(hreq, &sr); err != nil {

@@ -169,8 +169,13 @@ func TestObsSmoke(t *testing.T) {
 		t.FailNow()
 	}
 
-	// Workload: train, stream two deletion batches, preview what-if sets with
-	// an overlapping prefix (cache hits > 0).
+	// Workload: train a large session (a 3 MB body: its decode and capture
+	// alone take well over the 1 ms slow-op threshold) and a small one,
+	// stream two deletion batches, preview what-if sets with an overlapping
+	// prefix (cache hits > 0).
+	if _, err := cl.CreateSession(ctx, denseRequest(t, 5000, 32, 12)); err != nil {
+		t.Fatal(err)
+	}
 	sr, err := cl.CreateSession(ctx, denseRequest(t, 200, 6, 11))
 	if err != nil {
 		t.Fatal(err)
@@ -212,7 +217,7 @@ func TestObsSmoke(t *testing.T) {
 
 	// Trace plane: list recent traces, fetch one by ID, and check the span
 	// tree is non-empty.
-	lresp, err := http.Get(adminBase + "/v2/debug/traces")
+	lresp, err := http.Get(adminBase + "/v2/debug/traces?limit=1000")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,6 +276,24 @@ func TestObsSmoke(t *testing.T) {
 			t.Fatalf("no slow-op line in the server log:\n%s", srvLog.String())
 		}
 		time.Sleep(50 * time.Millisecond)
+	}
+	// Every listed trace at or over the threshold logged its own line.
+	var slow []string
+	for _, tr := range listing.Traces {
+		if tr.DurationUs >= 1000 {
+			slow = append(slow, tr.TraceID)
+		}
+	}
+	if len(slow) == 0 {
+		t.Fatalf("no listed trace took 1 ms, not even the large create: %+v", listing.Traces)
+	}
+	for _, id := range slow {
+		for !strings.Contains(srvLog.String(), "slow-op trace="+id+" ") {
+			if time.Now().After(slowDeadline) {
+				t.Fatalf("trace %s took over 1 ms but logged no slow-op line:\n%s", id, srvLog.String())
+			}
+			time.Sleep(50 * time.Millisecond)
+		}
 	}
 	fmt.Println("obs-smoke: metric families, trace plane, pprof, admin isolation and slow-op log all verified")
 }

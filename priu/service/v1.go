@@ -225,7 +225,11 @@ func (s *Server) handleTrain(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req TrainRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	b, err := readBody(r)
+	if err == nil {
+		err = decodeTrain(b, &req)
+	}
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
 		return
 	}

@@ -263,7 +263,11 @@ func (s *Server) handleV2CreateSession(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req CreateSessionRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	b, err := readBody(r)
+	if err == nil {
+		err = decodeCreate(b, &req)
+	}
+	if err != nil {
 		writeV2Error(w, http.StatusBadRequest, ErrCodeBadRequest, "decoding request: %v", err)
 		return
 	}

@@ -315,12 +315,14 @@ func TestChaosTombstoneSurvivesRebootBeforeBlobDeleteSticks(t *testing.T) {
 	}
 }
 
-// TestChaosTornTombstoneLogTailTruncatedAtBoot pins the torn-tail repair:
-// a crash mid-append leaves garbage at the end of tombstones.log, and boot
-// must TRUNCATE it away — appendTombRecord reopens with O_APPEND, so
-// records appended by the rebooted process would otherwise land after the
-// garbage, unreadable at the following boot, silently losing pending
-// tombstones for acknowledged DELETEs.
+// TestChaosTornTombstoneLogTailTruncatedAtBoot pins how boot reads a
+// tombstone set whose object ends in garbage (a torn record, as a crash
+// mid-append by an earlier build that appended records could leave): the
+// whole records before the garbage replay pending, and the rebooted
+// process's next add rewrites the whole set as one object (tombstoneAdd
+// through the directory's stage/commit writer), so a DELETE it
+// acknowledges is readable at the following boot — never lost behind the
+// garbage.
 func TestChaosTornTombstoneLogTailTruncatedAtBoot(t *testing.T) {
 	bs := sharedBlob(t)
 	dir := t.TempDir()
@@ -343,8 +345,8 @@ func TestChaosTornTombstoneLogTailTruncatedAtBoot(t *testing.T) {
 	}
 	hardKill(ti) // s1's tombstone pending: its blob delete never stuck
 
-	// Crash mid-append at the filesystem level: garbage after the last
-	// whole record.
+	// A torn tail at the filesystem level: garbage after the last whole
+	// record.
 	logPath := filepath.Join(dir, tombstoneFile)
 	f, err := os.OpenFile(logPath, os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
@@ -356,8 +358,8 @@ func TestChaosTornTombstoneLogTailTruncatedAtBoot(t *testing.T) {
 	f.Close()
 
 	// Reboot with the blob tier still refusing deletes, so s1 stays pending
-	// and the log keeps accumulating. The DELETE this process acknowledges
-	// must land where the NEXT boot can replay it — not after the garbage.
+	// and the next add rewrites the set. The DELETE this process
+	// acknowledges must land where the NEXT boot can replay it.
 	var armed2 atomic.Bool
 	armed2.Store(true)
 	ti2 := newTestTiered(t, dir, NewMemory(), WithBlobStore(bs), func(ti *Tiered) {
@@ -545,11 +547,13 @@ func TestTieredEvictHealPushRunsInBackground(t *testing.T) {
 	}
 }
 
-// TestTieredReputUnderPendingTombstoneRetiresItDurably pins tombstoneForget:
-// a Put under an id whose tombstone is still pending (its blob delete never
-// stuck) must retire the tombstone durably — the tombstone guarded the OLD
-// state, and replaying it pending at the next boot would destroy the NEW
-// session's files.
+// TestTieredReputUnderPendingTombstoneRetiresItDurably pins re-registration
+// under a pending tombstone: a Put under an id whose tombstone is still
+// pending (its blob delete never stuck) retires it — tombstoneResolve on
+// both sides, then tombstoneSettle makes the shrunken set durable before
+// the new session publishes. The tombstone guarded the OLD state, and
+// replaying it pending at the next boot would destroy the NEW session's
+// files.
 func TestTieredReputUnderPendingTombstoneRetiresItDurably(t *testing.T) {
 	bs := sharedBlob(t)
 	dir := t.TempDir()
@@ -579,7 +583,7 @@ func TestTieredReputUnderPendingTombstoneRetiresItDurably(t *testing.T) {
 	if st := ti.Stats(); st.PendingTombstones != 0 {
 		t.Fatalf("%d tombstones pending after the re-registration, want 0", st.PendingTombstones)
 	}
-	// The last tombstone retired, so the sidecar log is gone entirely.
+	// The last tombstone retired, so the set object is deleted.
 	if _, err := os.Stat(filepath.Join(dir, tombstoneFile)); !os.IsNotExist(err) {
 		t.Fatalf("tombstone log still present after the last tombstone retired (stat err=%v)", err)
 	}
