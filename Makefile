@@ -59,14 +59,17 @@ bench-baseline:
 # Spill smoke: the tiered-store durability suite against a tmpdir store-dir —
 # kill/restart round trip (all seven families, bitwise-identical models,
 # deletion logs intact), the evict→touch→restore races, and the LSM chaos
-# suite: kill/restart through a full base→delta→compaction cycle (bitwise-
-# identical restores), torn delta segments, mid-compaction crashes,
-# tombstone persistence across reboot, and the off-lock publish/stale-cut
-# generation guards. Under -race.
+# suite: kill/restart through a full base→delta→fold cycle (bitwise-
+# identical restores), torn delta segments, mid-fold crashes, folds racing
+# deletes, evictions and newer spills, tombstone persistence across reboot,
+# and the off-lock publish/stale-cut generation guards. Under -race. The
+# store's two searches then run again at GOMAXPROCS 1, 2 and 4, because
+# base writes happen on the cut paths of every caller.
 spill-smoke:
 	$(GO) test -race -count=1 \
 		-run 'TestCrashRestartDurability|TestEvictTouchRestoreUnderLoad|TestTiered|TestChaos|TestCrashEnumeration|TestFaultPointRegistry|RunsOffSessionLock|TestSyncSpillFallbackUsesCurrentGeneration|TestDeltaPublishDiscardedAfterDeleteAndReput|TestStorePropertyOracle' \
 		./priu/service ./priu/store
+	$(GO) test -race -count=1 -cpu 1,2,4 -run 'TestStorePropertyOracle|TestCrashEnumeration' ./priu/store
 
 # Fuzz smoke: each native fuzz target runs its committed seed corpus plus a
 # short random budget. One `go test -fuzz` invocation per target (the flag

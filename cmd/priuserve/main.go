@@ -65,8 +65,9 @@
 //     LRU evictions usually just drop the resident copy instead of paying
 //     snapshot IO on the evicting request's goroutine. A full queue falls
 //     back to the synchronous spill — never a lost session.
-//   - compaction: a session's delta chain folds into a new base snapshot
-//     once it holds 8 segments.
+//   - compaction: a delta chain never holds more than 8 segments; the next
+//     cut of a full chain folds it into a new base by copying the old base's
+//     snapshot bytes under the session's full deletion log.
 //   - disk budget: -spill-max-bytes bounds the spill directory; when a new
 //     spill would exceed it, least-recently-used spill files are evicted
 //     (warm backups of dirty resident sessions first, then cold sessions —

@@ -91,11 +91,13 @@
 // eviction usually finds its victim clean-with-current-disk-copy and just
 // drops the resident copy — no spill IO under the victim's lock on the
 // evicting request (backpressure falls back to the synchronous spill;
-// BenchmarkEvictLatency gates the win). A delta chain folds into a new base
-// once it holds 8 segments. priuserve -spill-max-bytes bounds the spill
-// directory with LRU file eviction (dirty residents' warm backups first,
-// then cold sessions — whose drop is a counted disk_eviction), a GC sweep
-// every minute removes orphaned files older than an hour, and the
+// BenchmarkEvictLatency gates the win). A delta chain never holds more than
+// 8 segments: the next cut of a full chain folds it into a new base by
+// copying the old base's snapshot bytes under the session's full deletion
+// log, so no background compactor runs. priuserve -spill-max-bytes bounds
+// the spill directory with LRU file eviction (dirty residents' warm backups
+// first, then cold sessions — whose drop is a counted disk_eviction), a GC
+// sweep every minute removes orphaned files older than an hour, and the
 // spill_dir_bytes gauge is maintained incrementally from a boot-time seed
 // scan. These settings are fixed in priuserve (the store package's
 // defaults), so the server runs what the end-to-end benchmark measures. Resident-tier evictions are fair-share across tenants (the

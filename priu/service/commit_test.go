@@ -346,3 +346,31 @@ func TestV2RejectionsLeaveSessionUntouched(t *testing.T) {
 	}
 	rejectAll("after a v1 commit with repeats", 80)
 }
+
+// TestWhatIfOnLogWithV1Repeats: v1 repeats join the log as sent, so the log
+// holds an id more than once. What-if validates against the log's
+// membership bits and evaluates the distinct union, bitwise equal to
+// committing that union as one batch on a clone.
+func TestWhatIfOnLogWithV1Repeats(t *testing.T) {
+	ts := newTestServerOpts(t)
+	body := v2CreateBody(t, "linear-opt", 100, 4, 9)
+	sr := v2Create(t, ts.URL, body)
+	v1Delete(t, ts.URL, sr.SessionID, []int{0, 1, 1})
+	v1Delete(t, ts.URL, sr.SessionID, []int{0, 2})
+
+	results, _ := whatifBatch(t, ts.URL, sr.SessionID, WhatIfRequest{Sets: [][]int{{7, 30}, {1, 8}}})
+	if results[0].Error != nil {
+		t.Fatalf("whatif error: %+v", results[0].Error)
+	}
+	if results[0].TotalDeleted != 5 {
+		t.Fatalf("total_deleted = %d, want 5 (3 distinct committed + 2 candidate)", results[0].TotalDeleted)
+	}
+	if e := results[1].Error; e == nil || e.Message != "removal index 1 is duplicated or already deleted" {
+		t.Fatalf("set with a committed id: error %+v, want already deleted", e)
+	}
+	clone := v2Create(t, ts.URL, body)
+	committed := v1Delete(t, ts.URL, clone.SessionID, []int{0, 1, 2, 7, 30})
+	if got := ParamDigest(committed); got != results[0].Digest {
+		t.Fatalf("committed-union digest %s != what-if digest %s", got, results[0].Digest)
+	}
+}

@@ -5,14 +5,15 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"mime"
 	"net/http"
-	"sort"
 	"time"
 
 	"repro/internal/metrics"
 	"repro/priu"
 	"repro/priu/obs"
+	"repro/priu/store"
 )
 
 // The what-if query plane: POST /v2/sessions/{id}/whatif evaluates candidate
@@ -119,16 +120,20 @@ type WhatIfSummary struct {
 // session state snapshotted at stream open. Later committed deletions do not
 // shift the baseline mid-stream.
 type whatifEvaluator struct {
-	planner   *priu.WhatIfPlanner
-	committed []int        // sorted committed deletion log at open
-	live      *priu.Model  // live model at open (delta baseline)
-	inSet     map[int]bool // committed membership for validation
-	n         int          // training-set rows
-	maxRem    int
+	planner *priu.WhatIfPlanner
+	live    *priu.Model // live model at open (delta baseline)
+	// logged is a copy of the committed log's membership set at open — the
+	// bitset the commit path validates against. validate adds a candidate's
+	// ids while it checks them and removes them before returning.
+	logged store.RowSet
+	n      int // training-set rows
+	maxRem int
 }
 
 // validate checks one candidate set and returns its sorted union with the
 // committed log (the id path the planner walks), or the typed error line.
+// The union is read off the membership bits, so it comes out ascending and
+// distinct with no sort.
 func (e *whatifEvaluator) validate(candidate []int) ([]int, *APIError) {
 	if len(candidate) == 0 {
 		return nil, &APIError{Code: ErrCodeInvalidRemovals, Message: "empty what-if set"}
@@ -139,26 +144,38 @@ func (e *whatifEvaluator) validate(candidate []int) ([]int, *APIError) {
 			Message: fmt.Sprintf("what-if set of %d removals exceeds the limit of %d", len(candidate), e.maxRem),
 		}
 	}
-	seen := make(map[int]bool, len(candidate))
-	for _, i := range candidate {
+	k := 0
+	defer func() {
+		for _, i := range candidate[:k] {
+			e.logged.Remove(i)
+		}
+	}()
+	for ; k < len(candidate); k++ {
+		i := candidate[k]
 		if i < 0 || i >= e.n {
 			return nil, &APIError{
 				Code:    ErrCodeInvalidRemovals,
 				Message: fmt.Sprintf("removal index %d out of range [0,%d)", i, e.n),
 			}
 		}
-		if seen[i] || e.inSet[i] {
+		if e.logged.Has(i) {
 			return nil, &APIError{
 				Code:    ErrCodeInvalidRemovals,
 				Message: fmt.Sprintf("removal index %d is duplicated or already deleted", i),
 			}
 		}
-		seen[i] = true
+		e.logged.Add(i)
 	}
-	union := make([]int, 0, len(e.committed)+len(candidate))
-	union = append(union, e.committed...)
-	union = append(union, candidate...)
-	sort.Ints(union)
+	size := 0
+	for _, word := range e.logged {
+		size += bits.OnesCount64(word)
+	}
+	union := make([]int, 0, size)
+	for w, word := range e.logged {
+		for ; word != 0; word &= word - 1 {
+			union = append(union, w<<6|bits.TrailingZeros64(word))
+		}
+	}
 	return union, nil
 }
 
@@ -251,11 +268,10 @@ func (s *Server) handleV2WhatIf(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sess.Touch()
-	committed := append([]int(nil), sess.Deleted...)
+	logged := append(store.RowSet(nil), sess.LoggedLocked()...)
 	upd, live := sess.Upd, sess.Model
 	rows := sess.DS.N()
 	sess.Mu.Unlock()
-	sort.Ints(committed)
 
 	planStart := time.Now()
 	_, planSpan := obs.StartSpan(r.Context(), "whatif.plan")
@@ -268,15 +284,11 @@ func (s *Server) handleV2WhatIf(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ev := &whatifEvaluator{
-		planner:   planner,
-		committed: committed,
-		live:      live,
-		inSet:     make(map[int]bool, len(committed)),
-		n:         rows,
-		maxRem:    s.maxRemovals,
-	}
-	for _, i := range committed {
-		ev.inSet[i] = true
+		planner: planner,
+		live:    live,
+		logged:  logged,
+		n:       rows,
+		maxRem:  s.maxRemovals,
 	}
 
 	s.whatifs.Add(1)

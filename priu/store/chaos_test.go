@@ -85,23 +85,27 @@ func TestChaosCrashMidSpillLeavesPriorStateServable(t *testing.T) {
 
 func TestChaosCrashBetweenPublishAndUnlinkPicksNewest(t *testing.T) {
 	dir := t.TempDir()
-	ti := newTestTiered(t, dir, NewMemory())
+	ti := newTestTiered(t, dir, NewMemory(), WithCompaction(1))
 	a := trainSession(t, "sess-1", 2)
 	if err := ti.Put(a); err != nil {
 		t.Fatal(err)
 	}
 	ti.Flush()
-	wantVec := applyDeletion(t, a, []int{3, 11, 19})
-	ti.Flush() // appends a delta segment on the base
+	applyDeletion(t, a, []int{3, 11})
+	ti.Flush() // appends a delta segment on the base: the chain is full
 	var armed atomic.Bool
-	ti.fault = faultOn("compact.unlink-old", &armed)
+	ti.fault = faultOn("spill.unlink-old", &armed)
 
-	// Compact with the old-file unlink suppressed: the folded base publishes
-	// but the pre-compaction base AND the folded delta stay in the
-	// directory — exactly the crash window between rename and unlink.
+	// Fold with the old-file unlink suppressed: the folded base publishes
+	// but the pre-fold base AND the folded delta stay in the directory —
+	// exactly the crash window between rename and unlink.
 	armed.Store(true)
-	ti.compactOnce("sess-1")
+	wantVec := applyDeletion(t, a, []int{19})
+	ti.Flush() // the cut folds the chain
 	armed.Store(false)
+	if ti.compactions.Load() != 1 {
+		t.Fatalf("compactions = %d, want the fold published", ti.compactions.Load())
+	}
 	files, _ := filepath.Glob(filepath.Join(dir, "*"+spillExt))
 	if len(files) != 2 {
 		t.Fatalf("%d base files on disk, want both generations", len(files))
@@ -111,7 +115,7 @@ func TestChaosCrashBetweenPublishAndUnlinkPicksNewest(t *testing.T) {
 	}
 	hardKill(ti)
 
-	// Reboot: newest-wins dedupe (same update counter, longer envelope log)
+	// Reboot: newest-wins dedupe (the fold carries the higher update counter)
 	// must restore the folded generation with the deletions and remove both
 	// the stale base and the now-baseless delta segment.
 	ti2 := newTestTiered(t, dir, NewMemory())

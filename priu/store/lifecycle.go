@@ -238,9 +238,9 @@ func (t *Tiered) flushQuiet(now time.Time) {
 }
 
 // Flush blocks until the write-behind queue has drained and no background
-// snapshot is in flight — a quiescence point for tests and for callers that
-// want eager durability without closing the store (Close flushes
-// implicitly). Debounced sessions are promoted first so a flush cannot wait
+// snapshot or fold is in flight — a quiescence point for tests and for
+// callers that want eager durability without closing the store (Close
+// flushes implicitly). Debounced sessions are promoted first so a flush cannot wait
 // on a quiet timer.
 func (t *Tiered) Flush() {
 	t.qmu.Lock()
@@ -261,7 +261,7 @@ func (t *Tiered) Flush() {
 // file fits. It reports false — charging nothing — when the directory
 // cannot be shrunk enough; the second result distinguishes WHY: true means
 // every remaining candidate is pinned (clean residents' only copies,
-// in-flight restores or compactions) — transient pressure the caller can
+// in-flight restores or Deletes) — transient pressure the caller can
 // surface as a typed 503 — false means an unlink genuinely failed or only
 // unreclaimable orphans remain. Callers hold t.mu.
 func (t *Tiered) reserveDiskLocked(size int64, keepID string) (bool, bool) {
@@ -291,11 +291,12 @@ func (t *Tiered) reserveDiskLocked(size int64, keepID string) (bool, bool) {
 // eviction may at any moment decide "clean and spilled → drop the resident
 // copy" on the strength of that chain, so reclaiming it could strand the
 // session in zero tiers (with blob backing the entry survives the demotion,
-// so the same decision stays safe). Ids with an in-flight restore or
-// compaction are skipped for the same reason. The second result reports
-// whether the failure to find a victim was pinning (every candidate
-// skipped) as opposed to an empty index or a failed unlink. Callers hold
-// t.mu.
+// so the same decision stays safe). Ids with an in-flight restore or Delete
+// are skipped for the same reason. A chain a fold cut is copying from needs
+// no pin: the fold of a vanished base is discarded as stale. The second
+// result reports whether the failure to find a victim was pinning (every
+// candidate skipped) as opposed to an empty index or a failed unlink.
+// Callers hold t.mu.
 func (t *Tiered) evictSpillFileLocked(keepID string) (bool, bool) {
 	const (
 		classDemote = iota // blob-backed: free cache drop
@@ -316,8 +317,8 @@ func (t *Tiered) evictSpillFileLocked(keepID string) (bool, bool) {
 			skipped++ // a restore is reading this chain right now
 			continue
 		}
-		if t.compacting[id] || t.deleting[id] > 0 {
-			skipped++ // a compaction is splicing it, or a Delete owns it; transient
+		if t.deleting[id] > 0 {
+			skipped++ // a Delete owns it; transient
 			continue
 		}
 		class := classLoss

@@ -9,15 +9,15 @@ import (
 	"time"
 )
 
-// LSM spill-tier suite: delta segments, chain compaction, the off-lock
+// LSM spill-tier suite: delta segments, folds of full chains, the off-lock
 // cut/serialize/publish split, the stale-cut generation guard, persistent
 // tombstones across reboot, and the pinned-disk-budget refusal path.
 
 // TestTieredDeltaChainCompactsAndSurvivesReboot is the end-to-end LSM
-// lifecycle: a base spill, O(batch) delta spills on top, background
-// compaction folding the chain into a new base once it crosses the
-// threshold, and a kill/restart that restores the bitwise-identical model
-// and deletion log from the folded file.
+// lifecycle: a base spill, O(batch) delta spills on top until the chain is
+// full, the next cut folding the chain into a new base, and a kill/restart
+// that restores the bitwise-identical model and deletion log from the
+// folded file.
 func TestTieredDeltaChainCompactsAndSurvivesReboot(t *testing.T) {
 	dir := t.TempDir()
 	ti := newTestTiered(t, dir, NewMemory(), WithCompaction(2))
@@ -28,36 +28,31 @@ func TestTieredDeltaChainCompactsAndSurvivesReboot(t *testing.T) {
 	ti.Flush() // base
 	applyDeletion(t, a, []int{3})
 	ti.Flush() // delta 1
-	wantVec := applyDeletion(t, a, []int{11})
-	ti.Flush() // delta 2 -> chain hits the compaction threshold
+	applyDeletion(t, a, []int{11})
+	ti.Flush() // delta 2: the chain is full
+	wantVec := applyDeletion(t, a, []int{19})
+	ti.Flush() // the cut folds the chain
 
-	deadline := time.Now().Add(5 * time.Second)
-	for ti.compactions.Load() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("compaction never ran on a chain at the threshold")
-		}
-		time.Sleep(time.Millisecond)
-	}
 	st := ti.Stats()
 	if st.DeltaSpills != 2 {
 		t.Fatalf("DeltaSpills = %d, want 2 (mutation spills must be deltas)", st.DeltaSpills)
 	}
-	if st.Compactions == 0 || st.DeltaSegments != 0 {
-		t.Fatalf("compaction left %d segments (Compactions=%d), want a folded chain", st.DeltaSegments, st.Compactions)
+	if st.Compactions != 1 || st.DeltaSegments != 0 {
+		t.Fatalf("fold left %d segments (Compactions=%d), want a folded chain", st.DeltaSegments, st.Compactions)
 	}
 	if deltas, _ := filepath.Glob(filepath.Join(dir, "*"+deltaExt)); len(deltas) != 0 {
-		t.Fatalf("%d delta files on disk after compaction, want 0", len(deltas))
+		t.Fatalf("%d delta files on disk after the fold, want 0", len(deltas))
 	}
 	hardKill(ti)
 
 	ti2 := newTestTiered(t, dir, NewMemory())
 	got, ok := ti2.Get("sess-1")
 	if !ok {
-		t.Fatal("session lost across the compaction reboot")
+		t.Fatal("session lost across the fold reboot")
 	}
 	vec, nDel, _ := sessionState(t, got)
-	if nDel != 2 {
-		t.Fatalf("restored %d deletions, want 2", nDel)
+	if nDel != 3 {
+		t.Fatalf("restored %d deletions, want 3", nDel)
 	}
 	for i := range vec {
 		if vec[i] != wantVec[i] {
@@ -221,34 +216,39 @@ func TestChaosTornDeltaSegmentDropped(t *testing.T) {
 	}
 }
 
-// TestChaosCrashMidCompactionOldChainAuthoritative crashes compaction after
+// TestChaosCrashMidCompactionOldChainAuthoritative crashes a fold cut after
 // the folded temp file is written but before the rename: the old base +
 // delta chain must stay authoritative across the reboot, the temp swept.
 func TestChaosCrashMidCompactionOldChainAuthoritative(t *testing.T) {
 	dir := t.TempDir()
-	ti := newTestTiered(t, dir, NewMemory())
+	ti := newTestTiered(t, dir, NewMemory(), WithCompaction(1))
 	a := trainSession(t, "sess-1", 1)
 	if err := ti.Put(a); err != nil {
 		t.Fatal(err)
 	}
 	ti.Flush()
 	wantVec := applyDeletion(t, a, []int{7})
-	ti.Flush()
+	ti.Flush() // one delta: the chain is full
 
 	var armed atomic.Bool
-	ti.fault = faultOn("compact.after-temp", &armed)
+	ti.fault = faultOn("spill.after-temp", &armed)
 	armed.Store(true)
-	ti.compactOnce("sess-1")
+	applyDeletion(t, a, []int{13})
+	ti.Flush() // the fold cut crashes after its temp write
 	armed.Store(false)
+	if ti.spillErrors.Load() != 1 || ti.compactions.Load() != 0 {
+		t.Fatalf("spillErrors = %d, compactions = %d: the fold cut must crash, not publish",
+			ti.spillErrors.Load(), ti.compactions.Load())
+	}
 	if tmps, _ := filepath.Glob(filepath.Join(dir, blobTmp+"*")); len(tmps) != 1 {
-		t.Fatalf("%d temp files after the mid-compaction crash, want the torn fold left behind", len(tmps))
+		t.Fatalf("%d temp files after the mid-fold crash, want the torn fold left behind", len(tmps))
 	}
 	hardKill(ti)
 
 	ti2 := newTestTiered(t, dir, NewMemory())
 	got, ok := ti2.Get("sess-1")
 	if !ok {
-		t.Fatal("session lost after mid-compaction crash")
+		t.Fatal("session lost after mid-fold crash")
 	}
 	vec, nDel, _ := sessionState(t, got)
 	if nDel != 1 {
@@ -260,7 +260,7 @@ func TestChaosCrashMidCompactionOldChainAuthoritative(t *testing.T) {
 		}
 	}
 	if tmps, _ := filepath.Glob(filepath.Join(dir, blobTmp+"*")); len(tmps) != 0 {
-		t.Fatalf("reboot left torn compaction temps: %v", tmps)
+		t.Fatalf("reboot left torn fold temps: %v", tmps)
 	}
 }
 
@@ -650,5 +650,200 @@ func TestTieredPinnedDiskBudgetRefusesInsteadOfDropping(t *testing.T) {
 	}
 	if !b.Dirty() {
 		t.Fatal("b should still be dirty — no spill could have landed")
+	}
+}
+
+// TestTieredFoldCutRacesDeleteEvictionAndNewerSpill blocks a fold cut inside
+// its publish, before it opens the chain's base, and lands a Delete, a warm
+// disk-budget eviction of the same chain, or a newer synchronous spill in
+// that window. In each case the fold is discarded as stale, no file of an
+// outdated state remains, SpillDirBytes matches the listing after a GC, and
+// a reboot serves exactly what the store acknowledged.
+func TestTieredFoldCutRacesDeleteEvictionAndNewerSpill(t *testing.T) {
+	for _, race := range []string{"delete", "warm-eviction", "newer-spill"} {
+		t.Run(race, func(t *testing.T) {
+			dir := t.TempDir()
+			// No write-behind: every cut below is driven by the test.
+			ti := newTestTiered(t, dir, NewMemory(), WithWriteBehind(0, 0), WithCompaction(1))
+			s := trainSession(t, "sess-1", 1)
+			if err := ti.Put(s); err != nil {
+				t.Fatal(err)
+			}
+			spill := func() {
+				t.Helper()
+				s.Mu.Lock()
+				_, _, err := ti.spillLocked(s)
+				s.Mu.Unlock()
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			spill() // base
+			applyDeletion(t, s, []int{3})
+			spill() // one delta: the chain is full
+			applyDeletion(t, s, []int{11})
+			s.Mu.Lock()
+			cut, _, err := ti.cutLocked(s)
+			s.Mu.Unlock()
+			if err != nil || cut == nil || cut.fold == "" {
+				t.Fatalf("cut = %+v, err = %v: want a fold cut of the full chain", cut, err)
+			}
+
+			var armed atomic.Bool
+			armed.Store(true)
+			entered, release := make(chan struct{}), make(chan struct{})
+			ti.fault = func(p string) error {
+				if p == "spill.create-temp" && armed.CompareAndSwap(true, false) {
+					close(entered)
+					<-release
+				}
+				return nil
+			}
+			errc := make(chan error, 1)
+			go func() {
+				_, err := ti.publishCut(cut)
+				errc <- err
+			}()
+			<-entered
+			switch race {
+			case "delete":
+				if !ti.Delete("sess-1") {
+					t.Fatal("Delete missed the session")
+				}
+			case "warm-eviction":
+				ti.mu.Lock()
+				ok, _ := ti.evictSpillFileLocked("")
+				_, indexed := ti.index["sess-1"]
+				ti.mu.Unlock()
+				if !ok || indexed {
+					t.Fatalf("warm eviction ok=%v, chain still indexed=%v", ok, indexed)
+				}
+			case "newer-spill":
+				applyDeletion(t, s, []int{19})
+				spill() // a fold of its own, published first
+			}
+			close(release)
+			if err := <-errc; !errors.Is(err, errStaleSpill) {
+				t.Fatalf("fold publish after the %s returned %v, want errStaleSpill", race, err)
+			}
+			if race == "warm-eviction" {
+				spill() // the dirty session re-spills as a fresh base
+			}
+
+			ti.mu.Lock()
+			want := map[string]bool{}
+			if e := ti.index["sess-1"]; e != nil {
+				for _, kb := range e.localKeys() {
+					want[kb.key] = true
+				}
+			}
+			ti.mu.Unlock()
+			ents, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, de := range ents {
+				if name := de.Name(); name != tombstoneFile && !want[name] {
+					t.Errorf("%s left %s in the spill directory, outside the indexed chain", race, name)
+				}
+			}
+			ti.gcOnce()
+			if got, listed := ti.Stats().SpillDirBytes, spillListingBytes(t, dir); got != listed {
+				t.Errorf("SpillDirBytes = %d after a GC, the listing holds %d", got, listed)
+			}
+			hardKill(ti)
+
+			ti2 := newTestTiered(t, dir, NewMemory())
+			got, ok := ti2.Get("sess-1")
+			if race == "delete" {
+				if ok {
+					t.Fatal("deleted session served after reboot")
+				}
+				return
+			}
+			if !ok {
+				t.Fatal("session lost after reboot")
+			}
+			s.Mu.Lock()
+			wantLog := append([]int(nil), s.Deleted...)
+			s.Mu.Unlock()
+			vec, nDel, _ := sessionState(t, got)
+			if nDel != len(wantLog) {
+				t.Fatalf("restored %d deletions, want %d", nDel, len(wantLog))
+			}
+			m, err := s.Upd.Update(wantLog)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, w := range m.Vec() {
+				if vec[i] != w {
+					t.Fatalf("restored model differs at %d from Update of the log", i)
+				}
+			}
+		})
+	}
+}
+
+// TestTieredSyncSpillsKeepChainsBounded disables write-behind, so every
+// spill is an eviction's synchronous fallback under the victim's lock: over
+// 3×n mutations the chain never holds more than n segments, the cut after a
+// full chain folds it, and a reboot restores the bits of Update of the log.
+func TestTieredSyncSpillsKeepChainsBounded(t *testing.T) {
+	const n = 3
+	dir := t.TempDir()
+	ti := newTestTiered(t, dir, NewMemory(WithMaxSessions(1)), WithWriteBehind(0, 0), WithCompaction(n))
+	a := trainSession(t, "sess-a", 1)
+	for _, s := range []*Session{a, trainSession(t, "sess-b", 2)} {
+		if err := ti.Put(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var log []int
+	for i := 0; i < 3*n; i++ {
+		s, ok := ti.Get("sess-a") // restores a, evicting b
+		if !ok {
+			t.Fatalf("mutation %d: sess-a lost", i)
+		}
+		applyDeletion(t, s, []int{i})
+		log = append(log, i)
+		if _, ok := ti.Get("sess-b"); !ok { // evicts a: its synchronous spill
+			t.Fatalf("mutation %d: sess-b lost", i)
+		}
+		ti.mu.Lock()
+		segs := -1
+		if e := ti.index["sess-a"]; e != nil && e.local {
+			segs = len(e.deltas)
+		}
+		ti.mu.Unlock()
+		if segs < 0 || segs > n {
+			t.Fatalf("mutation %d: sess-a's chain holds %d segments, want 0..%d", i, segs, n)
+		}
+	}
+	// Deltas 1..n, a fold, deltas 1..n, a fold, one delta.
+	if st := ti.Stats(); st.Compactions != 2 || st.DeltaSpills != 3*n-2 {
+		t.Fatalf("Compactions = %d, DeltaSpills = %d, want 2 and %d", st.Compactions, st.DeltaSpills, 3*n-2)
+	}
+	hardKill(ti)
+
+	ti2 := newTestTiered(t, dir, NewMemory())
+	got, ok := ti2.Get("sess-a")
+	if !ok {
+		t.Fatal("sess-a lost across the reboot")
+	}
+	got.Mu.Lock()
+	gotLog := append([]int(nil), got.Deleted...)
+	vec := append([]float64(nil), got.Model.Vec()...)
+	got.Mu.Unlock()
+	if !equalInts(gotLog, log) {
+		t.Fatalf("restored log %v, want %v", gotLog, log)
+	}
+	m, err := a.Upd.Update(log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, w := range m.Vec() {
+		if vec[i] != w {
+			t.Fatalf("restored model differs at %d from Update of the log", i)
+		}
 	}
 }

@@ -13,10 +13,10 @@ import (
 // blob round-trips. All fields are optional; the server registers them and
 // hands the struct in via WithMetrics.
 type TierMetrics struct {
-	SpillSeconds      *obs.Histogram // full spill publish: temp write + fsync + rename
+	SpillSeconds      *obs.Histogram // delta or base spill publish: serialize + temp write + fsync + rename
 	FsyncSeconds      *obs.Histogram // the fsync inside the spill temp write
 	RestoreSeconds    *obs.Histogram // full restore: read + rebuild + publish
-	CompactionSeconds *obs.Histogram // chain fold: splice + fsync + publish
+	CompactionSeconds *obs.Histogram // fold spill publish: snapshot copy + fsync + rename
 	BlobPutSeconds    *obs.Histogram // blob upload round-trip
 	BlobGetSeconds    *obs.Histogram // blob fetch round-trip (restore + adopt)
 }
@@ -31,7 +31,7 @@ func NewTierMetrics(reg *obs.Registry) *TierMetrics {
 		SpillSeconds:      reg.Histogram("priu_store_spill_seconds", "Full spill publish duration: temp write, fsync and rename.", nil),
 		FsyncSeconds:      reg.Histogram("priu_store_fsync_seconds", "Fsync duration inside the spill temp-file write.", nil),
 		RestoreSeconds:    reg.Histogram("priu_store_restore_seconds", "Full restore duration: read, rebuild and publish.", nil),
-		CompactionSeconds: reg.Histogram("priu_store_compaction_seconds", "Delta-chain compaction duration: splice, fsync and publish.", nil),
+		CompactionSeconds: reg.Histogram("priu_store_compaction_seconds", "Fold duration: a full delta chain's new base, its snapshot bytes copied, fsynced and published.", nil),
 		BlobPutSeconds:    reg.Histogram("priu_blob_put_seconds", "Blob upload round-trip duration.", blobBuckets),
 		BlobGetSeconds:    reg.Histogram("priu_blob_get_seconds", "Blob fetch round-trip duration (restore and adopt).", blobBuckets),
 	}

@@ -11,9 +11,10 @@
 //   - Tiered: wraps Memory with a log-structured disk tier. A session's
 //     disk copy is a chain: one self-contained base snapshot plus ordered
 //     delta segments, each carrying only the deletion-log suffix one spill
-//     appended — so a mutation-heavy stream pays O(batch) bytes per spill,
-//     and background compaction folds chains back into a single base by
-//     byte splice. The spill directory is an FSBlob: every file lands
+//     appended — so a mutation-heavy stream pays O(batch) bytes per spill.
+//     A cut that finds its chain full folds it into a new base by copying
+//     the old base's snapshot bytes under the session's full log, so a
+//     chain stays bounded. The spill directory is an FSBlob: every file lands
 //     content-addressed through its one writer (temp file + fsync +
 //     atomic rename); restore replays base + deltas in one update call
 //     — so honored deletions stay deleted — with singleflight so concurrent
@@ -430,9 +431,10 @@ type Stats struct {
 	Restores     int64
 	Unspillable  int64
 	// DeltaSpills counts spills written as delta segments (a subset of
-	// Spills; the rest were full base snapshots). Compactions counts
-	// background folds of a delta chain into a new base. DeltaSegments is
-	// the current number of live delta files across all chains.
+	// Spills; the rest were full base snapshots). Compactions counts folds:
+	// base spills cut from a full delta chain, whose snapshot bytes were
+	// copied from the chain's base (also a subset of Spills). DeltaSegments
+	// is the current number of live delta files across all chains.
 	DeltaSpills   int64
 	Compactions   int64
 	DeltaSegments int

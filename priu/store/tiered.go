@@ -21,15 +21,16 @@ import (
 // snapshot (family + dataset + provenance, with an empty log section).
 // Keeping the log in the envelope makes the disk tier log-structured: a
 // spill of a mutated session appends a small delta segment carrying only the
-// log suffix since the base, and compaction folds a chain into a new base by
-// splicing — merged envelope plus the base's snapshot bytes copied verbatim,
-// no model decode. The spill directory is an FSBlob: files are
-// content-addressed keys — named by the SHA-256 of their bytes — written
-// through its stage/commit writer (temp file + fsync + rename), so a crash
-// mid-spill leaves at worst an ignorable temp file, never a torn session or
-// delta. Only version 2 is read: a local version-1 base (log inside the
-// snapshot, written before the log-structured tier) fails NewTiered by
-// name; a version-1 blob object is logged by key and left unserved.
+// log suffix since the base, and a cut that finds the chain full folds it
+// into a new base instead — the session's full log in the envelope, the old
+// base's snapshot bytes copied verbatim, no model encode or decode. The
+// spill directory is an FSBlob: files are content-addressed keys — named by
+// the SHA-256 of their bytes — written through its stage/commit writer (temp
+// file + fsync + rename), so a crash mid-spill leaves at worst an ignorable
+// temp file, never a torn session or delta. Only version 2 is read: a local
+// version-1 base (log inside the snapshot, written before the log-structured
+// tier) fails NewTiered by name; a version-1 blob object is logged by key
+// and left unserved.
 const (
 	spillMagic   = "PRSP"
 	spillVersion = 2
@@ -163,7 +164,7 @@ type Tiered struct {
 	gcInterval    time.Duration
 	coalesceN     int           // spill after this many updates (1 = every)
 	coalesceQuiet time.Duration // ... or after this long with no new mutation (n > 1 only)
-	compactAfter  int           // fold a chain once it holds this many deltas (0 = never)
+	compactAfter  int           // the next cut folds a chain holding this many deltas (0 = never)
 
 	mu      sync.Mutex
 	index   map[string]*spillEntry
@@ -176,10 +177,9 @@ type Tiered struct {
 	// guarded by mu.
 	diskBytes   int64
 	orphanBytes int64
-	// blobPutting gates blob uploads (one in flight per session);
-	// compacting gates chain folds the same way. Guarded by mu.
+	// blobPutting gates blob uploads (one in flight per session). Guarded
+	// by mu.
 	blobPutting map[string]bool
-	compacting  map[string]bool
 	// deleting counts Deletes between dropping an id's resident copy and
 	// de-indexing its chain; the disk-budget evictor skips those ids, which
 	// would otherwise look disk-only and have their tenant ownership
@@ -348,12 +348,15 @@ func WithSpillCoalesce(n int, quiet time.Duration) TieredOption {
 	}
 }
 
-// WithCompaction folds a session's delta chain into a new base snapshot in
-// the background once it holds maxDeltas segments (default 8; <= 0 disables
-// folding). Compaction is a byte splice — merged envelope plus the base's
-// snapshot bytes copied verbatim — published with the same temp + fsync +
-// rename discipline as spills: a crash at any point leaves either the old
-// chain or the new base authoritative, never a mix.
+// WithCompaction bounds a session's delta chain at maxDeltas segments
+// (default 8; <= 0 never folds): the next cut of a chain that holds
+// maxDeltas segments folds it into a new base. The fold is a base spill
+// whose envelope carries the session's full deletion log and whose snapshot
+// bytes are copied verbatim from the chain's base — the snapshot section
+// never changes after capture — so it costs a file copy, not a model
+// encode. It publishes through the same path as every base: a crash at any
+// point leaves either the old chain or the new base authoritative, never a
+// mix.
 func WithCompaction(maxDeltas int) TieredOption {
 	return func(t *Tiered) { t.compactAfter = maxDeltas }
 }
@@ -390,7 +393,6 @@ func NewTiered(dir string, mem *Memory, opts ...TieredOption) (*Tiered, error) {
 		pending:      make(map[*Session]bool),
 		debounce:     make(map[string]*debEntry),
 		blobPutting:  make(map[string]bool),
-		compacting:   make(map[string]bool),
 		deleting:     make(map[string]int),
 		unlinking:    make(map[string]bool),
 		tombstones:   make(map[string]*tombstone),
@@ -772,7 +774,8 @@ var (
 // its own scratch), so the expensive snapshot serialization reads them
 // safely off-lock. payload holds the complete file bytes once serialized:
 // a small delta segment carrying only the deletion-log suffix when the cut
-// extends an existing chain, a full v2 base snapshot otherwise.
+// extends an existing chain, a full v2 base snapshot otherwise. A fold cut
+// has no payload: it streams its base from the chain's old base file.
 type spillCut struct {
 	sess      *Session
 	id        string
@@ -785,6 +788,9 @@ type spillCut struct {
 	upd     priu.Updater
 	deleted []int
 	entries []int
+	// fold, when set, names the base file a fold cut copies its snapshot
+	// section from (the cut is then a base, not a delta).
+	fold string
 	// gen is sess.gen at the cut; a successful publish advances
 	// persistedGen to it (CAS-max, so a stale publish cannot mask a newer
 	// mutation's dirtiness).
@@ -793,7 +799,6 @@ type spillCut struct {
 	lastUpd   float64
 	footprint int64
 	payload   []byte
-	sum       []byte
 	isDelta   bool
 	// dirty records that gen was not yet persisted at the cut. Only then
 	// can a racing publish make the cut redundant (covered); a cut of a
@@ -817,7 +822,9 @@ type spillCut struct {
 // (blobPush) after releasing sess.Mu — a network upload must never run
 // under the session lock. When the indexed chain covers a prefix of the
 // current deletion log, the cut is a delta segment — O(batch) bytes, not
-// O(session) — otherwise a full v2 base.
+// O(session) — unless the chain already holds compactAfter segments: then
+// the cut folds it into a new base (O(log) under the lock, the snapshot
+// bytes copied from the old base off-lock). Otherwise it is a full v2 base.
 func (t *Tiered) cutLocked(sess *Session) (cut *spillCut, needPush bool, err error) {
 	if !sess.Dirty() {
 		t.mu.Lock()
@@ -843,6 +850,7 @@ func (t *Tiered) cutLocked(sess *Session) (cut *spillCut, needPush bool, err err
 		footprint: sess.footprint, toLen: int64(len(sess.Deleted)),
 		dirty: sess.Dirty(),
 	}
+	var base string
 	t.mu.Lock()
 	if e := t.index[sess.ID]; e != nil && e.local && e.logLen <= cut.toLen {
 		// The chain covers a prefix of the current log: spill only the
@@ -852,6 +860,9 @@ func (t *Tiered) cutLocked(sess *Session) (cut *spillCut, needPush bool, err err
 		cut.isDelta = true
 		cut.fromLen = e.logLen
 		cut.fromUpdates = e.updates
+		if t.compactAfter > 0 && len(e.deltas) >= t.compactAfter {
+			base = e.key
+		}
 	}
 	t.mu.Unlock()
 	if cut.isDelta && cut.fromLen == cut.toLen && cut.fromUpdates == cut.updates {
@@ -861,9 +872,17 @@ func (t *Tiered) cutLocked(sess *Session) (cut *spillCut, needPush bool, err err
 		sess.persistUpTo(cut.gen)
 		return nil, false, nil
 	}
-	if cut.isDelta {
+	switch {
+	case base != "":
+		// The chain is full: this cut is a base that replaces it. Its
+		// snapshot section is the old base's, which never changes after
+		// capture (deletions only grow the envelope's log), so only the log
+		// is copied here.
+		cut.isDelta, cut.fold = false, base
+		cut.deleted = append([]int(nil), sess.Deleted...)
+	case cut.isDelta:
 		cut.entries = append([]int(nil), sess.Deleted[cut.fromLen:cut.toLen]...)
-	} else {
+	default:
 		cut.ds, cut.upd = sess.DS, sess.Upd
 		cut.deleted = append([]int(nil), sess.Deleted...)
 	}
@@ -878,33 +897,44 @@ func (cut *spillCut) covered() bool {
 	return cut.dirty && cut.gen <= cut.sess.persistedGen.Load()
 }
 
-// serialize renders the cut's file bytes into the payload buffer. Called
-// from publishCut, which write-behind workers reach after releasing the
-// session lock — the capture copied every mutable input, and the training
-// set and updater never mutate after capture, so even the O(session) base
-// snapshot serializes without blocking readers.
+// serialize renders a delta or base cut's file bytes into the payload
+// buffer. Called from publishCut, which write-behind workers reach after
+// releasing the session lock — the capture copied every mutable input, and
+// the training set and updater never mutate after capture, so even the
+// O(session) base snapshot serializes without blocking readers.
 func (cut *spillCut) serialize() error {
 	var buf bytes.Buffer
-	h := sha256.New()
-	w := io.MultiWriter(&buf, h)
 	if cut.isDelta {
-		if err := writeDeltaSegment(w, cut, cut.entries); err != nil {
+		if err := writeDeltaSegment(&buf, cut, cut.entries); err != nil {
 			return fmt.Errorf("store: cutting delta for %s: %w", cut.id, err)
 		}
 	} else {
 		// v2 base: the deletion log lives in the envelope; the embedded
-		// snapshot's own log section is written empty, which is what makes
-		// compaction a byte splice.
-		if err := writeSpillEnvelope(w, cut.id, cut.kind, cut.createdAt, cut.updates, cut.lastUpd, cut.deleted); err != nil {
+		// snapshot's own log section is written empty, which is what lets a
+		// fold or a blob push copy it byte for byte.
+		if err := writeSpillEnvelope(&buf, cut.id, cut.kind, cut.createdAt, cut.updates, cut.lastUpd, cut.deleted); err != nil {
 			return err
 		}
-		if err := priu.WriteSessionSnapshot(w, cut.kind, cut.ds, cut.upd, nil); err != nil {
+		if err := priu.WriteSessionSnapshot(&buf, cut.kind, cut.ds, cut.upd, nil); err != nil {
 			return fmt.Errorf("store: snapshotting session %s: %w", cut.id, err)
 		}
 	}
 	cut.payload = buf.Bytes()
-	cut.sum = h.Sum(nil)
 	return nil
+}
+
+// writeCut streams the cut's file bytes to w: the serialized payload, or for a
+// fold the new envelope followed by the old base's snapshot section, which
+// is never held whole in memory.
+func (t *Tiered) writeCut(w io.Writer, cut *spillCut) error {
+	if cut.fold == "" {
+		_, err := w.Write(cut.payload)
+		return err
+	}
+	return t.spliceBase(w, cut.id, cut.fold, func(env *spillEnvelope) error {
+		env.updates, env.lastUpdateSeconds, env.deleted = cut.updates, cut.lastUpd, cut.deleted
+		return nil
+	})
 }
 
 // publishCut stages a cut's payload in the spill directory (temp file +
@@ -921,13 +951,18 @@ func (cut *spillCut) serialize() error {
 // Publishing enforces the storage bounds in order: the tenant's spill-byte
 // cap (a *QuotaError rejection drops the write), then the global disk
 // budget (evicting LRU spill files to make room), then the rename.
+//
+// A fold is a base like any other, and these guards are its whole guard: it
+// reads nothing from the chain but the base's immutable snapshot section. If
+// that base is gone by the time the fold opens it — a newer publish, a
+// Delete or a disk eviction replaced the chain — the fold is stale.
 func (t *Tiered) publishCut(cut *spillCut) (bool, error) {
-	spillStart := time.Now()
+	start := time.Now()
 	if cut.covered() {
 		t.staleSpills.Add(1)
 		return false, errStaleSpill
 	}
-	if cut.payload == nil {
+	if cut.fold == "" {
 		if err := t.faultAt("spill.serialize"); err != nil {
 			t.spillErrors.Add(1)
 			return false, err
@@ -941,11 +976,15 @@ func (t *Tiered) publishCut(cut *spillCut) (bool, error) {
 		t.spillErrors.Add(1)
 		return false, err
 	}
+	h := sha256.New()
 	tmp, err := t.local.stage(func(w io.Writer) error {
-		_, err := w.Write(cut.payload)
-		return err
+		return t.writeCut(io.MultiWriter(w, h), cut)
 	})
 	if err != nil {
+		if cut.fold != "" && errors.Is(err, ErrBlobNotFound) {
+			t.staleSpills.Add(1)
+			return false, errStaleSpill
+		}
 		t.spillErrors.Add(1)
 		return false, fmt.Errorf("store: writing spill temp file: %w", err)
 	}
@@ -963,7 +1002,7 @@ func (t *Tiered) publishCut(cut *spillCut) (bool, error) {
 	if cut.isDelta {
 		ext = deltaExt
 	}
-	key := hex.EncodeToString(cut.sum)[:32] + ext
+	key := hex.EncodeToString(h.Sum(nil))[:32] + ext
 	ten := TenantOf(cut.id)
 	t.mu.Lock()
 	e := t.index[cut.id]
@@ -1037,7 +1076,6 @@ func (t *Tiered) publishCut(cut *spillCut) (bool, error) {
 	}
 	now := time.Now().UnixNano()
 	var oldFiles []keyBytes
-	chainLen := 0
 	if cut.isDelta {
 		e.deltas = append(e.deltas, deltaSeg{
 			key: key, bytes: size, fromLen: cut.fromLen, fromUpdates: cut.fromUpdates,
@@ -1050,7 +1088,6 @@ func (t *Tiered) publishCut(cut *spillCut) (bool, error) {
 		// (or the GC heal pass) re-certifies it from the spliced chain.
 		e.remote = false
 		e.lastUsed = now
-		chainLen = len(e.deltas)
 	} else {
 		if e != nil {
 			for _, kb := range e.localKeys() {
@@ -1080,20 +1117,24 @@ func (t *Tiered) publishCut(cut *spillCut) (bool, error) {
 		t.removeSpillFile(kb.key, kb.bytes, "spill.unlink-old")
 	}
 	t.spills.Add(1)
-	if cut.isDelta {
+	switch {
+	case cut.isDelta:
 		t.deltaSpills.Add(1)
+	case cut.fold != "":
+		t.compactions.Add(1)
 	}
 	if m := t.metrics; m != nil {
-		observeSince(m.SpillSeconds, spillStart)
+		hist := m.SpillSeconds
+		if cut.fold != "" {
+			hist = m.CompactionSeconds
+		}
+		observeSince(hist, start)
 	}
 	// Write-behind to the shared tier: push the just-published tip up. A
 	// failure leaves the entry local-only — restorable here, healed upward by
 	// the GC sweep — and never fails the spill (local durability landed).
 	if t.blob != nil {
 		_ = t.blobPush(cut.id)
-	}
-	if cut.isDelta && t.compactAfter > 0 && chainLen >= t.compactAfter {
-		t.scheduleCompact(cut.id)
 	}
 	return true, nil
 }
@@ -1133,9 +1174,8 @@ func (t *Tiered) spillLocked(sess *Session) (wrote bool, needPush bool, err erro
 }
 
 // tipNewer reports whether the chain tip (aUpd, aLen) is ahead of (bUpd,
-// bLen): the per-session update counter decides, then the deletion-log length
-// (a compacted base ties its source chain on updates but carries the longer
-// envelope log).
+// bLen): the per-session update counter decides, then the deletion-log
+// length.
 func tipNewer(aUpd, aLen, bUpd, bLen int64) bool {
 	return aUpd > bUpd || (aUpd == bUpd && aLen > bLen)
 }
@@ -1148,7 +1188,8 @@ type spillEnvelope struct {
 	updates           int64
 	lastUpdateSeconds float64
 	// deleted is the full deletion log, carried ahead of the embedded
-	// snapshot so compaction can splice logs without decoding the model.
+	// snapshot so a fold or a blob push can splice logs without decoding the
+	// model.
 	deleted []int
 }
 
@@ -1319,9 +1360,9 @@ func (t *Tiered) buildSession(id string, r io.Reader, tail *chainTail) (*Session
 // state at all (created by another replica, or handed off), and it is
 // indexed remote-only once its envelope is read; a plain blob miss returns
 // (nil, nil). The chain is snapshotted under t.mu so a racing publish
-// cannot change it mid-read; compaction defers while a restore flight is
-// registered, so the snapshotted files stay on disk. Callers own the
-// singleflight for id.
+// cannot change it mid-read; only cuts of a resident session replace a
+// chain, and the disk-budget evictor skips ids with a restore flight, so the
+// snapshotted files stay on disk. Callers own the singleflight for id.
 func (t *Tiered) restore(id string, e *spillEntry) (*Session, error) {
 	start := time.Now()
 	var (
@@ -1486,7 +1527,7 @@ func classify(bs BlobStore, info BlobInfo) (spillObject, error) {
 // a blob tier, the shared tier's — in one pass with one newest-wins rule
 // (tipNewer, then file mtime between local bases). Local bases are
 // deduplicated (several claim one session after a crash between publishing
-// a new base — spill or compaction — and unlinking the old chain), delta
+// a new base — a base spill or a fold — and unlinking the old chain), delta
 // segments re-attach to the winner by (fromLen, fromUpdates) continuity, and
 // every loser, unchained or torn segment is removed, so the indexed chain
 // replays without gaps. Files and objects of tombstoned sessions are
@@ -1575,7 +1616,7 @@ func (t *Tiered) boot() error {
 			e.updates, e.logLen = d.tip()
 			e.lastUsed = max(e.lastUsed, d.ModTime.UnixNano())
 		}
-		deltas[id] = rest // unchained: superseded by a compaction, or past a torn segment
+		deltas[id] = rest // unchained: superseded by a base or fold, or past a torn segment
 		// The resident footprint isn't known without restoring; bill the
 		// chain size until the first restore settles the difference.
 		e.charged = e.localBytes()

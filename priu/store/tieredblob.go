@@ -89,8 +89,8 @@ func (t *Tiered) blobPush(id string) error {
 	if err == nil {
 		if cur := t.index[id]; cur != nil && cur.local &&
 			cur.updates == tipUpdates && cur.logLen == tipLen {
-			// Same logical tip (compaction preserves it) → the object we
-			// wrote is current, even if the file layout changed meanwhile.
+			// Same logical tip → the object we wrote is current, even if
+			// the file layout changed meanwhile.
 			cur.remote = true
 		}
 		// A Delete that raced this push left a tombstone: the object we just
