@@ -74,7 +74,9 @@
 //     whose drop is counted as a disk_eviction in /v1/stats).
 //   - GC: every minute, orphaned session files and stale temp files older
 //     than an hour are removed and the spill_dir_bytes gauge is refreshed
-//     from the directory.
+//     from the directory. With -blob, the same sweep retries blob pushes
+//     and blob deletes that failed (so does a restart; a session's next
+//     spill pushes its chain anyway).
 //
 // Per-tenant "max_spill_bytes" caps in the -auth-keys file bound each
 // tenant's share of the spill volume: spills over the cap are rejected (the

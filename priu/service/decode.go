@@ -37,7 +37,8 @@ import (
 //
 // Features decode into one flat row-major backing array with one row view
 // per row. The array is cut at row starts and the pieces parse on par
-// workers.
+// workers. The first row's capacity runs to the end of the array, so the
+// dataset can take the array whole instead of copying it (denseData).
 
 // bodyField maps one JSON key to the field it decodes into. ptr is
 // *[][]float64, *[]float64 or *[]int for the bulk arrays; anything else is
@@ -103,6 +104,11 @@ func decodeBody(b []byte, typ reflect.Type, fields []bodyField) error {
 	if i < len(b) && b[i] == '}' {
 		return nil
 	}
+	// spans is the features while their first row's capacity spans the
+	// whole array rowsFresh cut them from. A repeated features key reuses
+	// the rows in place, so that row is first capped at its length, which
+	// is where rowsFresh would have capped it.
+	var spans *[][]float64
 	for {
 		if i >= len(b) {
 			return io.ErrUnexpectedEOF
@@ -127,7 +133,16 @@ func decodeBody(b []byte, typ reflect.Type, fields []bodyField) error {
 		if f == nil {
 			i, err = skipValue(b, i, 1)
 		} else {
+			rows, _ := f.ptr.(*[][]float64)
+			if rows != nil && rows == spans {
+				r := (*rows)[0]
+				(*rows)[0], spans = r[:len(r):len(r)], nil
+			}
+			fresh := rows != nil && *rows == nil
 			i, err = f.decode(b, i, typ)
+			if fresh && len(*rows) > 0 && (*rows)[0] != nil {
+				spans = rows
+			}
 		}
 		if err != nil {
 			return err
@@ -310,7 +325,8 @@ type rowPiece struct {
 const minRowPiece = 256 << 10
 
 // rowsFresh decodes a features array at b[i] == '[' into a new value: one
-// flat backing array, each row a view of it with its length as capacity.
+// flat backing array, each row a view of it with its length as capacity —
+// except the first, whose capacity is the rest of the array.
 // The bytes from i on are cut at row starts ('[') into pieces parsed on par
 // workers; each piece is cut before any parse, so a piece's rows lie
 // between its cut and the next, and it stops when it reaches the next cut
@@ -381,6 +397,9 @@ func rowsFresh(b []byte, i, n int) ([][]float64, int, error) {
 				rows[r] = flat[off : off+l : off+l]
 				off += l
 			}
+		}
+		if tr > 0 && rows[0] != nil {
+			rows[0] = flat[:len(rows[0]):tv]
 		}
 		return rows, p.end, nil
 	}

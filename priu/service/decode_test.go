@@ -13,6 +13,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"repro/internal/dataset"
 	"repro/internal/par"
 	"repro/priu"
 )
@@ -224,7 +225,8 @@ func TestCreateDecodeParallelPieces(t *testing.T) {
 }
 
 // TestCreateDecodeRowsShareOneArray checks the decoded features are views
-// of one row-major array, each capped at its own length.
+// of one row-major array, each capped at its own length except the first,
+// whose capacity is the whole array.
 func TestCreateDecodeRowsShareOneArray(t *testing.T) {
 	defer par.SetWorkers(par.SetWorkers(4))
 	req := CreateSessionRequest{Features: make([][]float64, 20000), Labels: make([]float64, 20000)}
@@ -241,8 +243,62 @@ func TestCreateDecodeRowsShareOneArray(t *testing.T) {
 	}
 	base := &got.Features[0][0]
 	for i, row := range got.Features {
-		if len(row) != 3 || cap(row) != 3 || &row[0] != &unsafe.Slice(base, 3*len(got.Features))[3*i] {
+		wantCap := 3
+		if i == 0 {
+			wantCap = 3 * len(got.Features)
+		}
+		if len(row) != 3 || cap(row) != wantCap || &row[0] != &unsafe.Slice(base, 3*len(got.Features))[3*i] {
 			t.Fatalf("row %d is not the flat array's view at %d", i, 3*i)
+		}
+	}
+}
+
+// TestCreateDenseDataTakesDecodedArray checks a dense create keeps the
+// decoder's row-major array as the design matrix, and copies every other
+// shape of rows: a repeated features key (reused in place, or outgrowing
+// its slots) and rows encoding/json decoded. Either way the matrix holds
+// the bits encoding/json decodes.
+func TestCreateDenseDataTakesDecodedArray(t *testing.T) {
+	defer par.SetWorkers(par.SetWorkers(4))
+	hot := hotCreateRequest(t, 2000, 8)
+	hotBody, err := json.Marshal(hot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		body   []byte
+		shared bool
+	}{
+		{"fresh", hotBody, true},
+		{"repeated key, same shape", []byte(`{"features":[[1,2],[3,4]],"features":[[5,6],[7,8.5]],"labels":[0,1]}`), false},
+		{"repeated key, longer rows", []byte(`{"features":[[1,2],[3,4]],"features":[[5,6,7],[8,9,10.5]],"labels":[0,1]}`), false},
+		{"repeated key, more rows", []byte(`{"features":[[1,2]],"features":[[5,6],[7,8],[9,10]],"labels":[0,1,0]}`), false},
+	} {
+		var got, want CreateSessionRequest
+		if err := decodeCreate(tc.body, &got); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if err := json.Unmarshal(tc.body, &want); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		gotD, err := datasetFromRequest(dataset.Regression, got.Features, got.Labels, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		wantD, err := datasetFromRequest(dataset.Regression, want.Features, want.Labels, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		gotX, wantX := gotD.X.Data(), wantD.X.Data()
+		if d := sameBits(reflect.ValueOf(gotX), reflect.ValueOf(wantX), "data"); d != "" {
+			t.Fatalf("%s: %s", tc.name, d)
+		}
+		if shared := &gotX[0] == &got.Features[0][0]; shared != tc.shared {
+			t.Fatalf("%s: matrix shares the decoded rows = %v, want %v", tc.name, shared, tc.shared)
+		}
+		if &wantX[0] == &want.Features[0][0] {
+			t.Fatalf("%s: rows encoding/json decoded were not copied", tc.name)
 		}
 	}
 }

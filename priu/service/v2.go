@@ -348,12 +348,10 @@ func datasetFromRequest(task dataset.Task, features [][]float64, labels []float6
 	if len(labels) != n {
 		return nil, fmt.Errorf("%d labels for %d rows", len(labels), n)
 	}
-	x := make([]float64, 0, n*m)
 	for i, row := range features {
 		if len(row) != m {
 			return nil, fmt.Errorf("row %d has %d features, want %d", i, len(row), m)
 		}
-		x = append(x, row...)
 	}
 	switch task {
 	case dataset.Regression:
@@ -365,13 +363,40 @@ func datasetFromRequest(task dataset.Task, features [][]float64, labels []float6
 		Name:    "api",
 		Task:    task,
 		Classes: classes,
-		X:       mat.NewDenseData(n, m, x),
+		X:       mat.NewDenseData(n, m, denseData(features, m)),
 		Y:       labels,
 	}
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
 	return d, nil
+}
+
+// denseData returns the n×m features as one row-major array. When the rows
+// are consecutive views of one array that the first row's capacity spans,
+// as the decoder cuts them (rowsFresh), that array is the result; any other
+// rows — a repeated features key, or rows encoding/json decoded — are
+// copied. Every row holds m values.
+func denseData(features [][]float64, m int) []float64 {
+	n := len(features)
+	if x := features[0]; cap(x) >= n*m {
+		x = x[: n*m : n*m]
+		views := true
+		for i, row := range features {
+			if &row[0] != &x[i*m] {
+				views = false
+				break
+			}
+		}
+		if views {
+			return x
+		}
+	}
+	x := make([]float64, 0, n*m)
+	for _, row := range features {
+		x = append(x, row...)
+	}
+	return x
 }
 
 // sparseDatasetFromRequest builds the CSR dataset for a sparse-family

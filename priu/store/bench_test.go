@@ -53,7 +53,7 @@ func BenchmarkSpillRestore(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sess.Mu.Lock()
 		sess.MarkDirtyLocked() // force a real rewrite each iteration
-		_, _, err := ti.spillLocked(sess)
+		_, err := ti.spillLocked(sess)
 		sess.Mu.Unlock()
 		if err != nil {
 			b.Fatal(err)
@@ -180,7 +180,7 @@ func BenchmarkDeltaSpill(b *testing.B) {
 		b.Fatal(err)
 	}
 	sess.Mu.Lock()
-	_, _, err = ti.spillLocked(sess)
+	_, err = ti.spillLocked(sess)
 	sess.Mu.Unlock()
 	if err != nil {
 		b.Fatal(err)
@@ -199,7 +199,7 @@ func BenchmarkDeltaSpill(b *testing.B) {
 		sess.Deleted = append(sess.Deleted, i)
 		sess.Updates++
 		sess.MarkDirtyLocked()
-		wrote, _, err := ti.spillLocked(sess)
+		wrote, err := ti.spillLocked(sess)
 		sess.Mu.Unlock()
 		if err != nil || !wrote {
 			b.Fatalf("spill %d = (%v, %v)", i, wrote, err)

@@ -225,11 +225,11 @@ func crashRun(t *testing.T, point string, k int) bool {
 			// newer base replaces the older one's file.
 			s := trainSession(t, "acme/r1", 4)
 			s.Mu.Lock()
-			c1, _, err1 := ti.cutLocked(s)
+			c1, err1 := ti.cutLocked(s)
 			s.Mu.Unlock()
 			applyDeletion(t, s, pick(s, 2))
 			s.Mu.Lock()
-			c2, _, err2 := ti.cutLocked(s)
+			c2, err2 := ti.cutLocked(s)
 			log := append([]int(nil), s.Deleted...)
 			s.Mu.Unlock()
 			if err1 != nil || err2 != nil || c1 == nil || c2 == nil {

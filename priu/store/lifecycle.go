@@ -8,24 +8,15 @@ import (
 
 // The spill-tier lifecycle manager: the write-behind queue that snapshots
 // dirty sessions eagerly (so evictions drop resident copies instead of
-// paying file IO under the victim's lock), the coalescing debounce that
-// batches a dense mutation stream into one delta per N updates or quiet
-// period, the disk-budget evictor that keeps the spill directory under
-// -spill-max-bytes, and the age-based GC that sweeps orphaned leftovers.
-// All state lives on Tiered; this file owns the background machinery.
+// paying file IO under the victim's lock), the disk-budget evictor that
+// keeps the spill directory under -spill-max-bytes, and the age-based GC
+// that sweeps orphaned leftovers and retries the blob tier's failed pushes
+// and deletes. All state lives on Tiered; this file owns the background
+// machinery: the write-behind workers and, when configured, the GC loop.
 
 // tmpFloor is the minimum age before the GC may touch a temp file: temps
 // younger than this may be an in-flight spill.
 const tmpFloor = time.Minute
-
-// debEntry tracks one session sitting in the coalescing debounce: how many
-// updates have accumulated since its last scheduled spill and when the most
-// recent one arrived. Guarded by qmu.
-type debEntry struct {
-	sess  *Session
-	count int
-	last  time.Time
-}
 
 // armWriteBehind installs the dirty-notification hook on a session before it
 // is published, so every mutation (MarkDirtyLocked) schedules an eager
@@ -41,103 +32,54 @@ func (t *Tiered) armWriteBehind(sess *Session) {
 // is dropped and counted — backpressure — and the eviction path's
 // synchronous fallback keeps the session safe (it always cuts from the
 // CURRENT generation, so a dropped enqueue can never surface stale state).
-// With coalescing configured (n > 1), a mutation parks in the debounce until
-// n updates accumulate (the quiet sweep handles the time axis); otherwise it
-// goes straight to the queue. Duplicate requests for a session already
-// queued coalesce for free, because the worker cuts whatever the session
-// holds at dequeue time.
+// Requests for a session already queued merge for free, because the worker
+// cuts whatever the session holds at dequeue time; a worker whose publish
+// lost the chain race re-enqueues through here too.
 func (t *Tiered) enqueueSpill(sess *Session) {
 	if t.queue == nil {
 		return
 	}
 	t.qmu.Lock()
-	if t.qClosed || t.pending[sess] {
-		t.qmu.Unlock()
-		return
-	}
-	if t.coalesceN > 1 {
-		d := t.debounce[sess.ID]
-		if d == nil {
-			d = &debEntry{}
-			t.debounce[sess.ID] = d
-		}
-		d.sess = sess
-		d.count++
-		d.last = time.Now()
-		if d.count < t.coalesceN {
-			t.qmu.Unlock()
-			return
-		}
-		delete(t.debounce, sess.ID)
-	}
-	t.offerLocked(sess)
-	t.qmu.Unlock()
-}
-
-// offerLocked makes the non-blocking queue send. Caller holds qmu and has
-// already checked qClosed and pending.
-func (t *Tiered) offerLocked(sess *Session) {
-	select {
-	case t.queue <- sess:
-		t.pending[sess] = true
-	default:
-		t.queueFull.Add(1)
-	}
-}
-
-// requeue re-schedules a session whose background publish lost the chain
-// race, bypassing the debounce (the batch already waited its turn once).
-// Called under Session.Mu like enqueueSpill.
-func (t *Tiered) requeue(sess *Session) {
-	if t.queue == nil {
-		return
-	}
-	t.qmu.Lock()
 	if !t.qClosed && !t.pending[sess] {
-		t.offerLocked(sess)
+		select {
+		case t.queue <- sess:
+			t.pending[sess] = true
+		default:
+			t.queueFull.Add(1)
+		}
 	}
 	t.qmu.Unlock()
 }
 
-// queueDepth reports the write-behind backlog (debounced + queued +
-// in-flight).
+// queueDepth reports the write-behind backlog (queued + in-flight).
 func (t *Tiered) queueDepth() int {
 	t.qmu.Lock()
-	n := len(t.pending) + len(t.debounce)
+	n := len(t.pending)
 	t.qmu.Unlock()
 	return n + int(t.inflight.Load())
 }
 
 // startLifecycle launches the write-behind workers and, when configured, the
-// coalescing quiet sweep (only with n > 1: at n = 1 nothing is ever
-// debounced) and the GC sweep.
+// GC sweep.
 func (t *Tiered) startLifecycle() {
-	needQuiet := t.spillOnEvict && t.queueLen > 0 && t.coalesceN > 1 && t.coalesceQuiet > 0
-	if t.gcInterval > 0 || needQuiet {
-		t.stopBG = make(chan struct{})
-	}
 	if t.spillOnEvict && t.queueLen > 0 {
 		t.queue = make(chan *Session, t.queueLen)
 		for i := 0; i < t.workers; i++ {
 			t.wg.Add(1)
 			go t.spillWorker()
 		}
-		if needQuiet {
-			t.wg.Add(1)
-			go t.coalesceLoop(t.stopBG)
-		}
 	}
 	if t.gcInterval > 0 {
+		t.stopBG = make(chan struct{})
 		t.wg.Add(1)
 		go t.gcLoop(t.stopBG)
 	}
 }
 
-// stopLifecycle stops the background loops and closes the queue, then waits
-// for the workers to flush the remaining backlog — the drain ordering:
-// everything the queue accepted is on disk before Close snapshots
-// stragglers (sessions still parked in the debounce are among those
-// stragglers; Close's synchronous drain covers them). Idempotent.
+// stopLifecycle stops the GC loop and closes the queue, then waits for the
+// workers to flush the remaining backlog — the drain ordering: everything
+// the queue accepted is on disk before Close snapshots stragglers.
+// Idempotent.
 func (t *Tiered) stopLifecycle() {
 	t.qmu.Lock()
 	if !t.qClosed {
@@ -155,15 +97,16 @@ func (t *Tiered) stopLifecycle() {
 
 // spillWorker drains the write-behind queue. Each dequeued session is CUT —
 // counters and the O(batch) deletion-log copy — under its own lock, but
-// serialized and published (temp write, fsync, rename) strictly after the
-// lock is released: a mutation-heavy session never blocks its readers and
-// writers on snapshot serialization or disk IO. The generation
-// captured at the cut makes the split safe — a publish that loses the chain
-// race to a newer synchronous spill is discarded by the guard and the
-// session is re-queued, so the background copy converges on the latest
-// state without ever masking it. Sessions that left the store (evicted with
-// a synchronous spill, or deleted) are skipped via the gone flag; clean
-// sessions whose chain is current are a no-op inside cutLocked.
+// serialized and published (temp write, fsync, rename, blob push) strictly
+// after the lock is released: a mutation-heavy session never blocks its
+// readers and writers on snapshot serialization, disk or network IO. The
+// generation captured at the cut makes the split safe — a publish that
+// loses the chain race to a newer synchronous spill is discarded by the
+// guard and the session is re-queued, so the background copy converges on
+// the latest state without ever masking it. Sessions that left the store
+// (evicted with a synchronous spill, or deleted) are skipped via the gone
+// flag; clean sessions whose chain is current are a no-op inside cutLocked.
+// A clean chain whose blob push failed is left to the GC sweep's blob pass.
 func (t *Tiered) spillWorker() {
 	defer t.wg.Done()
 	for sess := range t.queue {
@@ -172,19 +115,12 @@ func (t *Tiered) spillWorker() {
 		delete(t.pending, sess)
 		t.qmu.Unlock()
 		var cut *spillCut
-		var needPush bool
 		var err error
 		sess.Mu.Lock()
 		if !sess.gone.Load() {
-			cut, needPush, err = t.cutLocked(sess)
+			cut, err = t.cutLocked(sess)
 		}
 		sess.Mu.Unlock()
-		if needPush {
-			// Clean chain whose blob upload previously failed: heal it here,
-			// strictly after releasing Session.Mu — the upload never runs
-			// under the session lock.
-			_ = t.blobPush(sess.ID)
-		}
 		if err == nil && cut != nil {
 			wrote, perr := t.publishCut(cut)
 			if perr == nil && wrote {
@@ -192,7 +128,7 @@ func (t *Tiered) spillWorker() {
 			} else if errors.Is(perr, errStaleSpill) {
 				sess.Mu.Lock()
 				if !sess.gone.Load() && sess.Dirty() {
-					t.requeue(sess)
+					t.enqueueSpill(sess)
 				}
 				sess.Mu.Unlock()
 			}
@@ -201,56 +137,11 @@ func (t *Tiered) spillWorker() {
 	}
 }
 
-// coalesceLoop periodically flushes debounced sessions whose quiet period
-// elapsed without reaching the update threshold.
-func (t *Tiered) coalesceLoop(stop <-chan struct{}) {
-	defer t.wg.Done()
-	period := t.coalesceQuiet / 2
-	if period < 5*time.Millisecond {
-		period = 5 * time.Millisecond
-	}
-	tick := time.NewTicker(period)
-	defer tick.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case now := <-tick.C:
-			t.flushQuiet(now)
-		}
-	}
-}
-
-// flushQuiet promotes every debounced session that has been quiet for the
-// configured period onto the spill queue.
-func (t *Tiered) flushQuiet(now time.Time) {
-	t.qmu.Lock()
-	for id, d := range t.debounce {
-		if now.Sub(d.last) < t.coalesceQuiet {
-			continue
-		}
-		delete(t.debounce, id)
-		if !t.qClosed && !t.pending[d.sess] {
-			t.offerLocked(d.sess)
-		}
-	}
-	t.qmu.Unlock()
-}
-
 // Flush blocks until the write-behind queue has drained and no background
 // snapshot or fold is in flight — a quiescence point for tests and for
 // callers that want eager durability without closing the store (Close
-// flushes implicitly). Debounced sessions are promoted first so a flush cannot wait
-// on a quiet timer.
+// flushes implicitly).
 func (t *Tiered) Flush() {
-	t.qmu.Lock()
-	for id, d := range t.debounce {
-		delete(t.debounce, id)
-		if !t.qClosed && !t.pending[d.sess] {
-			t.offerLocked(d.sess)
-		}
-	}
-	t.qmu.Unlock()
 	for t.queueDepth() > 0 {
 		time.Sleep(time.Millisecond)
 	}

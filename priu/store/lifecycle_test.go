@@ -263,25 +263,37 @@ func TestTieredWriteBehindBackpressure(t *testing.T) {
 	}
 }
 
-// TestTieredEagerSpillStartsNoQuietSweep: at coalesce n = 1 nothing is ever
-// debounced, so a quiet period starts no background loop and a mutation goes
-// straight to the write-behind queue without touching the debounce map.
+// TestTieredEagerSpillStartsNoQuietSweep: WithSpillCoalesce is a no-op.
+// Even at n = 4 it starts no loop beside the write-behind worker (with no GC
+// interval there is no stop channel at all), and every mutation is queued
+// for the worker at once — never parked until four accumulate — and
+// spilled as its own delta.
 func TestTieredEagerSpillStartsNoQuietSweep(t *testing.T) {
-	ti := newTestTiered(t, t.TempDir(), NewMemory(), WithSpillCoalesce(1, 5*time.Millisecond))
+	ti := newTestTiered(t, t.TempDir(), NewMemory(), WithSpillCoalesce(4, 5*time.Millisecond))
 	if ti.stopBG != nil {
-		t.Fatal("coalesce n=1 with no GC interval started a background loop")
+		t.Fatal("WithSpillCoalesce with no GC interval started a background loop")
 	}
-	ti.debounce = nil // any write to the debounce map now panics
 	a := trainSession(t, "sess-1", 1)
 	if err := ti.Put(a); err != nil {
 		t.Fatal(err)
 	}
 	ti.Flush()
-	applyDeletion(t, a, []int{2, 4})
-	ti.Flush()
-	if st := ti.Stats(); st.WriteBehindSpills < 2 || st.DeltaSpills < 1 {
-		t.Fatalf("mutation was not spilled eagerly: %d write-behind spills, %d delta spills",
-			st.WriteBehindSpills, st.DeltaSpills)
+	for i, row := range []int{2, 4, 6} {
+		applyDeletion(t, a, []int{row})
+		// Read in the worker's order (pending is cleared after inflight
+		// rises; the spill count rises before inflight falls), so a
+		// mutation that reached the worker is seen in one of the three.
+		ti.qmu.Lock()
+		queued := ti.pending[a]
+		ti.qmu.Unlock()
+		if !queued && ti.inflight.Load() == 0 && ti.writeBehind.Load() < int64(i+2) {
+			t.Fatalf("mutation %d was held back from the write-behind queue", i+1)
+		}
+		ti.Flush()
+		if st := ti.Stats(); st.WriteBehindSpills != int64(i+2) || st.DeltaSpills != int64(i+1) {
+			t.Fatalf("after mutation %d: %d write-behind spills, %d delta spills; want %d and %d",
+				i+1, st.WriteBehindSpills, st.DeltaSpills, i+2, i+1)
+		}
 	}
 }
 

@@ -4,9 +4,9 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 // LSM spill-tier suite: delta segments, folds of full chains, the off-lock
@@ -123,7 +123,6 @@ func TestSyncSpillFallbackUsesCurrentGeneration(t *testing.T) {
 		return nil
 	}
 	applyDeletion(t, a, []int{1})
-	ti.flushQuiet(time.Now().Add(time.Hour)) // promote past the debounce
 	<-entered
 
 	// Second mutation lands while the worker is parked; the sync fallback
@@ -131,7 +130,7 @@ func TestSyncSpillFallbackUsesCurrentGeneration(t *testing.T) {
 	wantVec := applyDeletion(t, a, []int{2})
 	wantGen := a.gen.Load()
 	a.Mu.Lock()
-	wrote, _, err := ti.spillLocked(a)
+	wrote, err := ti.spillLocked(a)
 	a.Mu.Unlock()
 	if err != nil || !wrote {
 		t.Fatalf("sync spill = (%v, %v), want a real write", wrote, err)
@@ -415,7 +414,6 @@ func TestDeltaPublishDiscardedAfterDeleteAndReput(t *testing.T) {
 		return nil
 	}
 	applyDeletion(t, a, []int{1})
-	ti.flushQuiet(time.Now().Add(time.Hour)) // promote past the debounce
 	<-entered
 
 	// Delete the session and re-register the same id: the new session's
@@ -429,7 +427,7 @@ func TestDeltaPublishDiscardedAfterDeleteAndReput(t *testing.T) {
 		t.Fatal(err)
 	}
 	b.Mu.Lock()
-	wrote, _, err := ti.spillLocked(b)
+	wrote, err := ti.spillLocked(b)
 	b.Mu.Unlock()
 	if err != nil || !wrote {
 		t.Fatalf("new incarnation's base spill = (%v, %v), want a real write", wrote, err)
@@ -460,32 +458,46 @@ func TestDeltaPublishDiscardedAfterDeleteAndReput(t *testing.T) {
 	}
 }
 
-// TestHealPushRunsOffSessionLock extends the off-lock contract to the heal
-// path: when a clean session's chain is local-only because its blob upload
-// previously failed, the write-behind worker re-pushes it — strictly after
-// releasing Session.Mu. The blob.put fault point probes the lock exactly
-// like TestSpillPublishRunsOffSessionLock does for serialization.
+// healProbe is a blob.put fault point for the heal tests: it counts push
+// attempts, fails them while failPut is set, and otherwise probes whether
+// the resident session's Mu is held during the upload, like
+// TestSpillPublishRunsOffSessionLock does for serialization.
+type healProbe struct {
+	failPut  atomic.Bool
+	puts     atomic.Int64
+	lockHeld atomic.Int64
+	resident atomic.Pointer[Session]
+}
+
+func (p *healProbe) fault(name string) error {
+	if name != "blob.put" {
+		return nil
+	}
+	p.puts.Add(1)
+	if p.failPut.Load() {
+		return errFault
+	}
+	if s := p.resident.Load(); s != nil {
+		if s.Mu.TryLock() {
+			s.Mu.Unlock()
+		} else {
+			p.lockHeld.Add(1)
+		}
+	}
+	return nil
+}
+
+// TestHealPushRunsOffSessionLock pins the heal of a clean session whose
+// chain is local-only because its blob push failed: the write-behind worker
+// does not push it again, and the GC sweep's blob pass certifies it with the
+// session's Mu free during the upload.
 func TestHealPushRunsOffSessionLock(t *testing.T) {
 	bs := sharedBlob(t)
 	ti := newTestTiered(t, t.TempDir(), NewMemory(), WithBlobStore(bs))
+	var p healProbe
+	ti.fault = p.fault
 	a := trainSession(t, "acme/s1", 1)
-	var failPut atomic.Bool
-	var lockHeld atomic.Int64
-	ti.fault = func(p string) error {
-		if p != "blob.put" {
-			return nil
-		}
-		if failPut.Load() {
-			return errFault
-		}
-		if a.Mu.TryLock() {
-			a.Mu.Unlock()
-		} else {
-			lockHeld.Add(1)
-		}
-		return nil
-	}
-	failPut.Store(true)
+	p.failPut.Store(true)
 	if err := ti.Put(a); err != nil {
 		t.Fatal(err)
 	}
@@ -493,57 +505,100 @@ func TestHealPushRunsOffSessionLock(t *testing.T) {
 	if ti.isRemote("acme/s1") {
 		t.Fatal("setup: the first blob push should have failed")
 	}
-	failPut.Store(false)
+	p.failPut.Store(false)
+	p.resident.Store(a)
+	before := p.puts.Load()
 
-	// Re-run the clean session through the worker: cutLocked signals the
-	// heal, and the worker must push after dropping the lock.
+	// The worker finds a clean and current: no cut, and no push.
 	ti.enqueueSpill(a)
 	ti.Flush()
-	if !ti.isRemote("acme/s1") {
-		t.Fatal("heal push never certified the blob copy")
+	if n := p.puts.Load() - before; n != 0 || ti.isRemote("acme/s1") {
+		t.Fatalf("the worker attempted %d blob pushes, want 0", n)
 	}
-	if n := lockHeld.Load(); n != 0 {
+
+	// The GC sweep's blob pass is the heal.
+	ti.gcOnce()
+	if !ti.isRemote("acme/s1") {
+		t.Fatal("the GC sweep never certified acme/s1")
+	}
+	if n := p.puts.Load() - before; n != 1 {
+		t.Fatalf("the GC sweep made %d push attempts, want 1", n)
+	}
+	if n := p.lockHeld.Load(); n != 0 {
 		t.Fatalf("%d heal pushes ran under Session.Mu, want 0", n)
 	}
 }
 
-// TestTieredEvictHealPushRunsInBackground covers the eviction flavor of the
-// heal: the evictor's hook runs under the victim's Session.Mu AND a shard
-// lock, so when its spill signals a needed blob push the upload must be
-// handed to a background goroutine (scheduleHealPush) rather than run
-// inline — and it must still land.
+// TestTieredEvictHealPushRunsInBackground covers the eviction side of the
+// heal: the evictor runs under the victim's Session.Mu, so it pushes
+// nothing for a clean victim whose chain is local-only. The victim is
+// evicted as preserved on the strength of that chain, Get restores it from
+// there, and the heal is left to the background GC sweep, which certifies it
+// with the restored session's Mu free.
 func TestTieredEvictHealPushRunsInBackground(t *testing.T) {
 	bs := sharedBlob(t)
 	ti := newTestTiered(t, t.TempDir(), NewMemory(WithMaxSessions(1)), WithBlobStore(bs))
-	a := trainSession(t, "acme/s1", 1)
-	var failPut atomic.Bool
-	ti.fault = func(p string) error {
-		if p == "blob.put" && failPut.Load() {
-			return errFault
-		}
-		return nil
-	}
-	failPut.Store(true)
-	if err := ti.Put(a); err != nil {
-		t.Fatal(err)
-	}
-	ti.Flush() // base lands locally; the blob push fails — clean but uncertified
-	if ti.isRemote("acme/s1") {
-		t.Fatal("setup: the first blob push should have failed")
-	}
-	failPut.Store(false)
+	var p healProbe
+	ti.fault = p.fault
+	var lost atomic.Int64
+	ti.onEvictLost = func(string) { lost.Add(1) }
 
-	// Registering a second session evicts a; the hook's spill finds a clean
-	// + on-disk + not-remote and schedules the heal off-lock.
+	// b is certified in the blob tier; a's base and delta land locally, but
+	// both of their pushes fail.
 	if err := ti.Put(trainSession(t, "acme/s2", 2)); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for !ti.isRemote("acme/s1") {
-		if time.Now().After(deadline) {
-			t.Fatal("evict-path heal push never certified the blob copy")
-		}
-		time.Sleep(5 * time.Millisecond)
+	ti.Flush()
+	p.failPut.Store(true)
+	a := trainSession(t, "acme/s1", 1)
+	if err := ti.Put(a); err != nil {
+		t.Fatal(err)
+	}
+	ti.Flush()
+	wantVec := applyDeletion(t, a, []int{3})
+	ti.Flush()
+	if !ti.isRemote("acme/s2") || ti.isRemote("acme/s1") {
+		t.Fatal("setup: want acme/s2 certified and acme/s1 local-only")
+	}
+	p.failPut.Store(false)
+	before := p.puts.Load()
+
+	// Restoring acme/s2 evicts the clean, uncertified a: preserved by its
+	// local chain, with no push from the evictor.
+	if _, ok := ti.Get("acme/s2"); !ok {
+		t.Fatal("acme/s2 lost")
+	}
+	ti.Flush()
+	if ti.mem.has("acme/s1") || lost.Load() != 0 {
+		t.Fatalf("acme/s1 resident=%v, %d evictions lost their victim; want it evicted as preserved",
+			ti.mem.has("acme/s1"), lost.Load())
+	}
+	if n := p.puts.Load() - before; n != 0 {
+		t.Fatalf("the evictor attempted %d blob pushes, want 0", n)
+	}
+	got, ok := ti.Get("acme/s1")
+	if !ok {
+		t.Fatal("evicted acme/s1 did not restore")
+	}
+	vec, nDel, _ := sessionState(t, got)
+	if nDel != 1 || !slices.Equal(vec, wantVec) {
+		t.Fatalf("restored acme/s1 with %d deletions (want 1) or different bits", nDel)
+	}
+	if n := p.puts.Load() - before; n != 0 || ti.isRemote("acme/s1") {
+		t.Fatalf("the restore attempted %d blob pushes, want 0", n)
+	}
+
+	// The GC sweep's blob pass is the heal.
+	p.resident.Store(got)
+	ti.gcOnce()
+	if !ti.isRemote("acme/s1") {
+		t.Fatal("the GC sweep never certified acme/s1")
+	}
+	if n := p.puts.Load() - before; n != 1 {
+		t.Fatalf("the GC sweep made %d push attempts, want 1", n)
+	}
+	if n := p.lockHeld.Load(); n != 0 {
+		t.Fatalf("%d heal pushes ran under Session.Mu, want 0", n)
 	}
 }
 
@@ -672,7 +727,7 @@ func TestTieredFoldCutRacesDeleteEvictionAndNewerSpill(t *testing.T) {
 			spill := func() {
 				t.Helper()
 				s.Mu.Lock()
-				_, _, err := ti.spillLocked(s)
+				_, err := ti.spillLocked(s)
 				s.Mu.Unlock()
 				if err != nil {
 					t.Fatal(err)
@@ -683,7 +738,7 @@ func TestTieredFoldCutRacesDeleteEvictionAndNewerSpill(t *testing.T) {
 			spill() // one delta: the chain is full
 			applyDeletion(t, s, []int{11})
 			s.Mu.Lock()
-			cut, _, err := ti.cutLocked(s)
+			cut, err := ti.cutLocked(s)
 			s.Mu.Unlock()
 			if err != nil || cut == nil || cut.fold == "" {
 				t.Fatalf("cut = %+v, err = %v: want a fold cut of the full chain", cut, err)

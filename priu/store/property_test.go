@@ -25,7 +25,8 @@ import (
 //     sampled continuously during the churn;
 //   - quota counters are exact at quiescence: per-tenant owned sessions
 //     equal the oracle's live set;
-//   - a crash-restart (drain + reboot) preserves exactly the live set.
+//   - a crash-restart (drain + reboot) preserves exactly the live set;
+//   - every round folds at least one chain, so folds race the rest.
 
 // propOracle is one tenant's view of what the store must hold. dels counts
 // the deletions each session has absorbed: surviving sessions must come
@@ -65,11 +66,11 @@ func TestStorePropertyOracle(t *testing.T) {
 	const (
 		tenants     = 3
 		rounds      = 4
-		opsPerRound = 40
+		opsPerRound = 80
 		maxSessions = 12 // per-tenant quota, never binding alone
 	)
 	fileSize := spillFileSize(t, "t0/sess-0000")
-	budget := fileSize * 6 // tight: forces disk-budget file evictions
+	budget := fileSize * 10 // tight: forces disk-budget file evictions
 
 	// Shared read-only bases: one trained updater per tenant, reused across
 	// its sessions (the suite never mutates models, so concurrent snapshot
@@ -106,19 +107,25 @@ func TestStorePropertyOracle(t *testing.T) {
 	var dropped sync.Map
 	open := func() *Tiered {
 		ti := newTestTiered(t, dir,
-			NewMemory(WithMaxSessions(4), WithTenantLimits(limits)),
+			NewMemory(WithMaxSessions(2), WithTenantLimits(limits)),
 			WithSpillMaxBytes(budget),
 			WithSpillGC(time.Hour, 5*time.Millisecond), // sweeps race restores
-			// Aggressive LSM settings so the churn constantly cuts delta
-			// segments, debounces them, and folds chains mid-flight.
-			WithSpillCoalesce(2, 2*time.Millisecond),
-			WithCompaction(2),
+			// Aggressive LSM settings: a one-slot queue overflows, so dirty
+			// victims reach the eviction's synchronous fallback while the
+			// worker publishes, and every second cut of a chain folds it.
+			// With two resident slots most sessions are cold, so restores
+			// race both.
+			WithWriteBehind(1, 1),
+			WithCompaction(1),
 		)
 		ti.onDiskEvict = func(id string) { dropped.Store(id, true) }
 		ti.onEvictLost = func(id string) { dropped.Store(id, true) }
 		return ti
 	}
 	ti := open()
+	// Per-run totals, logged at the end: folds, spills the eviction
+	// fallback made rather than the worker, and discarded publishes.
+	var folds, syncSpills, stale int64
 
 	oracles := make([]*propOracle, tenants)
 	for g := range oracles {
@@ -169,8 +176,10 @@ func TestStorePropertyOracle(t *testing.T) {
 				defer wg.Done()
 				o := oracles[g]
 				for op := 0; op < opsPerRound; op++ {
-					switch o.rng.Intn(13) {
-					case 10, 11, 12: // mutate: apply one more deletion
+					// Draws 10–25 mutate: most ops grow a log, so chains
+					// reach a delta and fold while the rest races them.
+					switch min(o.rng.Intn(26), 10) {
+					case 10: // mutate: apply one more deletion
 						id := o.randLive()
 						if id == "" || o.dels[id] >= 30 {
 							continue
@@ -296,6 +305,16 @@ func TestStorePropertyOracle(t *testing.T) {
 			t.Fatalf("round %d: %d spill-dir bytes over the %d budget at quiescence", round, got, budget)
 		}
 
+		// Every round must fold, or the churn searches no fold racing the
+		// evictions, the GC and restores.
+		st := ti.Stats()
+		if st.Compactions == 0 {
+			t.Fatalf("round %d made no fold", round)
+		}
+		folds += st.Compactions
+		syncSpills += st.Spills - st.WriteBehindSpills
+		stale += st.StaleSpills
+
 		// Crash-restart: drain, reboot on the same directory, and require
 		// exactly the live set back.
 		if err := ti.Close(); err != nil {
@@ -327,4 +346,5 @@ func TestStorePropertyOracle(t *testing.T) {
 			pruneDropped(o)
 		}
 	}
+	t.Logf("%d folds, %d sync-path spills, %d stale spills", folds, syncSpills, stale)
 }

@@ -156,15 +156,13 @@ type Tiered struct {
 	blob BlobStore
 
 	// Lifecycle configuration (fixed after NewTiered).
-	spillOnEvict  bool
-	maxDiskBytes  int64
-	queueLen      int
-	workers       int
-	gcAge         time.Duration
-	gcInterval    time.Duration
-	coalesceN     int           // spill after this many updates (1 = every)
-	coalesceQuiet time.Duration // ... or after this long with no new mutation (n > 1 only)
-	compactAfter  int           // the next cut folds a chain holding this many deltas (0 = never)
+	spillOnEvict bool
+	maxDiskBytes int64
+	queueLen     int
+	workers      int
+	gcAge        time.Duration
+	gcInterval   time.Duration
+	compactAfter int // the next cut folds a chain holding this many deltas (0 = never)
 
 	mu      sync.Mutex
 	index   map[string]*spillEntry
@@ -203,10 +201,9 @@ type Tiered struct {
 	qmu      sync.Mutex
 	queue    chan *Session
 	pending  map[*Session]bool
-	debounce map[string]*debEntry
 	qClosed  bool
 	inflight atomic.Int64
-	// stopBG stops the background loops (GC sweep, coalescing quiet sweep).
+	// stopBG stops the GC loop; nil when no GC interval is configured.
 	stopBG chan struct{}
 	wg     sync.WaitGroup
 
@@ -328,24 +325,13 @@ func WithWriteBehind(queueLen, workers int) TieredOption {
 	}
 }
 
-// WithSpillCoalesce debounces the write-behind queue: with n > 1, a mutated
-// session is scheduled for a spill only after n updates since its last
-// spill, or after quiet with no new mutation — so a dense deletion stream
-// pays one delta segment per batch of n, not one per update. With n <= 1
-// (the default) every mutation schedules a spill immediately, quiet has no
-// effect and no debounce state or quiet sweep exists. Eviction, drain and
-// Flush are unaffected — they always persist the current state
-// synchronously, so coalescing trades only how soon the background copy
-// lands, never whether state survives.
+// WithSpillCoalesce has no effect: every mutation schedules a write-behind
+// spill at once, and requests for a session already queued merge there,
+// because the worker cuts whatever the session holds when it dequeues it.
+//
+// Deprecated: write-behind no longer holds updates back; drop the option.
 func WithSpillCoalesce(n int, quiet time.Duration) TieredOption {
-	return func(t *Tiered) {
-		if n > 1 {
-			t.coalesceN = n
-		}
-		if quiet > 0 {
-			t.coalesceQuiet = quiet
-		}
-	}
+	return func(*Tiered) {}
 }
 
 // WithCompaction bounds a session's delta chain at maxDeltas segments
@@ -391,7 +377,6 @@ func NewTiered(dir string, mem *Memory, opts ...TieredOption) (*Tiered, error) {
 		index:        make(map[string]*spillEntry),
 		flights:      make(map[string]*flight),
 		pending:      make(map[*Session]bool),
-		debounce:     make(map[string]*debEntry),
 		blobPutting:  make(map[string]bool),
 		deleting:     make(map[string]int),
 		unlinking:    make(map[string]bool),
@@ -400,7 +385,6 @@ func NewTiered(dir string, mem *Memory, opts ...TieredOption) (*Tiered, error) {
 		spillOnEvict: true,
 		queueLen:     256,
 		workers:      1,
-		coalesceN:    1,
 		compactAfter: 8,
 		gcAge:        time.Hour,
 	}
@@ -431,15 +415,13 @@ func NewTiered(dir string, mem *Memory, opts ...TieredOption) (*Tiered, error) {
 			// with a current disk copy is preserved by just dropping the
 			// resident copy — no file IO under the victim's lock. The
 			// synchronous spill is the fallback (dirty victim, queue
-			// backlog, or write-behind disabled).
-			_, needPush, err := t.spillLocked(sess)
+			// backlog, or write-behind disabled); it runs under the victim's
+			// Session.Mu only (enforceBudget holds no shard lock across this
+			// hook), and its publish pushes to the blob tier there too.
+			// A clean chain whose earlier push failed is left to the GC
+			// sweep's blob pass: nothing is uploaded for it here.
+			_, err := t.spillLocked(sess)
 			if err == nil {
-				if needPush {
-					// The chain's blob upload is owed, but the evictor holds
-					// the victim's Mu (and a shard lock above it): heal from
-					// a background goroutine, never under the locks.
-					t.scheduleHealPush(sess.ID)
-				}
 				return evictPreserved // the spill chain holds this state
 			}
 			if errors.Is(err, errSpillDiskPinned) {
@@ -727,7 +709,7 @@ func (t *Tiered) Close() error {
 			return false // simulated crash mid-drain
 		}
 		sess.Mu.Lock()
-		_, needPush, err := t.spillLocked(sess)
+		_, err := t.spillLocked(sess)
 		if err != nil {
 			// The session's current state could not be persisted (cap, full
 			// disk, IO error). Any older disk copy is now stale relative to
@@ -738,13 +720,6 @@ func (t *Tiered) Close() error {
 			t.invalidate(sess.ID)
 		}
 		sess.Mu.Unlock()
-		if needPush {
-			// Shutdown heal: the chain's blob upload is owed; push it now,
-			// off the lock (the lifecycle is stopped, so the background heal
-			// would be refused). Best-effort — the boot scan's heal pass is
-			// the backstop.
-			_ = t.blobPush(sess.ID)
-		}
 		if err != nil && firstErr == nil {
 			firstErr = err
 		}
@@ -768,14 +743,15 @@ var (
 
 // spillCut is one consistent cut of a session's state, captured under
 // Session.Mu (cutLocked) and serialized + published — temp file + fsync +
-// atomic rename — after the lock is released (publishCut). The capture
-// copies only the mutable fields (counters, the deletion-log slice); the
-// training set and updater are immutable once captured (Update allocates
-// its own scratch), so the expensive snapshot serialization reads them
-// safely off-lock. payload holds the complete file bytes once serialized:
-// a small delta segment carrying only the deletion-log suffix when the cut
-// extends an existing chain, a full v2 base snapshot otherwise. A fold cut
-// has no payload: it streams its base from the chain's old base file.
+// atomic rename — by publishCut, after the lock is released on the
+// write-behind path. The capture copies only the mutable fields (counters,
+// the deletion-log slice); the training set and updater are immutable once
+// captured (Update allocates its own scratch), so the expensive snapshot
+// serialization reads them safely off-lock. payload holds the complete file
+// bytes once serialized: a small delta segment carrying only the
+// deletion-log suffix when the cut extends an existing chain, a full v2 base
+// snapshot otherwise. A fold cut has no payload: it streams its base from
+// the chain's old base file.
 type spillCut struct {
 	sess      *Session
 	id        string
@@ -814,22 +790,22 @@ type spillCut struct {
 // cutLocked captures a consistent cut of the session's state — the only
 // part of a spill that must happen under sess.Mu, and it is O(batch): copy
 // the counters and the deletion-log suffix (or, for a base, the log slice),
-// no snapshot serialization and no IO — the no-IO-under-the-lock contract
-// includes the blob tier, which is why the heal below is only signalled,
-// never performed here. It returns a nil cut (no error) when there is
-// nothing to write: the session is clean and its chain current. needPush
-// reports a chain whose blob upload previously failed; the CALLER heals it
-// (blobPush) after releasing sess.Mu — a network upload must never run
-// under the session lock. When the indexed chain covers a prefix of the
-// current deletion log, the cut is a delta segment — O(batch) bytes, not
-// O(session) — unless the chain already holds compactAfter segments: then
-// the cut folds it into a new base (O(log) under the lock, the snapshot
-// bytes copied from the old base off-lock). Otherwise it is a full v2 base.
-func (t *Tiered) cutLocked(sess *Session) (cut *spillCut, needPush bool, err error) {
+// no snapshot serialization and no IO. Where the IO then runs depends on
+// the caller: the write-behind worker publishes (file writes and the blob
+// push) after releasing sess.Mu, while spillLocked's callers — the eviction
+// fallback, the drain and the handoff — publish while still holding it. It
+// returns a nil cut (no error) when there is nothing to write: the session
+// is clean and its chain current. A chain whose blob push failed is not
+// pushed again here; the GC sweep's blob pass and the boot scan retry it.
+// When the indexed chain covers a prefix of the current deletion log, the
+// cut is a delta segment — O(batch) bytes, not O(session) — unless the
+// chain already holds compactAfter segments: then the cut folds it into a
+// new base (O(log) under the lock, the snapshot bytes copied from the old
+// base at publish). Otherwise it is a full v2 base.
+func (t *Tiered) cutLocked(sess *Session) (*spillCut, error) {
 	if !sess.Dirty() {
 		t.mu.Lock()
-		e, onDisk := t.index[sess.ID]
-		needPush = onDisk && t.blob != nil && e.local && !e.remote
+		_, onDisk := t.index[sess.ID]
 		t.mu.Unlock()
 		if onDisk {
 			// Clean and already spilled: nothing to write. The disk-budget
@@ -837,14 +813,14 @@ func (t *Tiered) cutLocked(sess *Session) (cut *spillCut, needPush bool, err err
 			// resident's chain without blob backing is pinned; a blob-backed
 			// chain may be demoted but its entry survives), so the copy this
 			// decision relies on cannot vanish underneath it.
-			return nil, needPush, nil
+			return nil, nil
 		}
 	}
 	if !Spillable(sess.Kind, sess.Upd) {
 		t.unspillable.Add(1)
-		return nil, false, fmt.Errorf("store: session %s (family %q) cannot be snapshotted", sess.ID, sess.Kind)
+		return nil, fmt.Errorf("store: session %s (family %q) cannot be snapshotted", sess.ID, sess.Kind)
 	}
-	cut = &spillCut{
+	cut := &spillCut{
 		sess: sess, id: sess.ID, kind: sess.Kind, createdAt: sess.CreatedAt,
 		gen: sess.gen.Load(), updates: sess.Updates, lastUpd: sess.LastUpdateSeconds,
 		footprint: sess.footprint, toLen: int64(len(sess.Deleted)),
@@ -870,7 +846,7 @@ func (t *Tiered) cutLocked(sess *Session) (cut *spillCut, needPush bool, err err
 		// counters exactly — the chain holds this logical state (deletion is
 		// the only mutation, and it always moves the log or the counter).
 		sess.persistUpTo(cut.gen)
-		return nil, false, nil
+		return nil, nil
 	}
 	switch {
 	case base != "":
@@ -886,7 +862,7 @@ func (t *Tiered) cutLocked(sess *Session) (cut *spillCut, needPush bool, err err
 		cut.ds, cut.upd = sess.DS, sess.Upd
 		cut.deleted = append([]int(nil), sess.Deleted...)
 	}
-	return cut, false, nil
+	return cut, nil
 }
 
 // covered reports whether another publish already persisted the cut's
@@ -1148,29 +1124,28 @@ func (t *Tiered) publishCut(cut *spillCut) (bool, error) {
 // from the (still locked, hence unchanged) current state and retries, so
 // this never returns success for anything but the session's latest
 // generation — the synchronous eviction fallback always persists the
-// current state, never an enqueued stale buffer. needPush reports a clean
-// chain whose blob upload is owed (see cutLocked); the caller heals it
-// after releasing sess.Mu.
-func (t *Tiered) spillLocked(sess *Session) (wrote bool, needPush bool, err error) {
+// current state, never an enqueued stale buffer. The publish, its blob
+// push included, runs under the caller's sess.Mu.
+func (t *Tiered) spillLocked(sess *Session) (bool, error) {
 	if sess.gone.Load() {
 		// The copy already left the store (a concurrent Delete won the race
 		// to sess.Mu before this caller): publishCut would discard every cut
 		// as stale, so don't burn serialization attempts — there is nothing
 		// of this copy left to persist.
-		return false, false, nil
+		return false, nil
 	}
 	for attempt := 0; attempt < 8; attempt++ {
-		cut, needPush, err := t.cutLocked(sess)
+		cut, err := t.cutLocked(sess)
 		if err != nil || cut == nil {
-			return false, needPush, err
+			return false, err
 		}
 		wrote, err := t.publishCut(cut)
 		if errors.Is(err, errStaleSpill) {
 			continue // an in-flight background publish moved the tip; re-cut
 		}
-		return wrote, false, err
+		return wrote, err
 	}
-	return false, false, fmt.Errorf("store: spill of %s kept losing the publish race", sess.ID)
+	return false, fmt.Errorf("store: spill of %s kept losing the publish race", sess.ID)
 }
 
 // tipNewer reports whether the chain tip (aUpd, aLen) is ahead of (bUpd,

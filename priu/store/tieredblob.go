@@ -24,7 +24,10 @@ import (
 // WithBlobStore slots a shared blob tier under the spill directory. Spill
 // chains are pushed to it after every local publish, sessions with no local
 // copy restore from it, and the disk-budget evictor may demote blob-backed
-// local chains (a cache drop, not a session loss).
+// local chains (a cache drop, not a session loss). A failed push, and a
+// tombstoned session's blob delete that did not stick, are retried by the
+// GC sweep's blob pass (so configure WithSpillGC) and at boot; short of
+// those, only the session's next publish pushes its chain again.
 func WithBlobStore(bs BlobStore) TieredOption {
 	return func(t *Tiered) { t.blob = bs }
 }
@@ -109,29 +112,6 @@ func (t *Tiered) blobPush(id string) error {
 	t.mu.Unlock()
 	t.blobErrors.Add(1)
 	return fmt.Errorf("store: pushing %s to blob tier: %w", id, err)
-}
-
-// scheduleHealPush re-pushes id's published chain to the blob tier from a
-// background goroutine — the heal path for callers that still hold
-// Session.Mu (the evictor's hook runs under the victim's lock and a shard
-// lock) and so must not upload inline. blobPush's single-flight gate dedupes
-// concurrent heals; when the lifecycle is already shutting down the push is
-// skipped and the GC sweep / boot heal pass remain the backstop.
-func (t *Tiered) scheduleHealPush(id string) {
-	if t.blob == nil {
-		return
-	}
-	t.qmu.Lock()
-	if t.qClosed {
-		t.qmu.Unlock()
-		return
-	}
-	t.wg.Add(1)
-	t.qmu.Unlock()
-	go func() {
-		defer t.wg.Done()
-		_ = t.blobPush(id)
-	}()
 }
 
 // blobRemove deletes a session's blob object. The caller has normally
@@ -224,10 +204,10 @@ func (t *Tiered) ReleaseUnowned(owns func(id string) bool) (int, error) {
 				sess.Mu.Unlock()
 				return true // an evictor or deleter won
 			}
-			// needPush is ignored: the isRemote check below makes the same
-			// direct push — deliberately under the lock, because the handoff
-			// must certify the blob copy before releasing the session.
-			if _, _, err := t.spillLocked(sess); err != nil {
+			// The spill and the direct push below run under the lock on
+			// purpose: the handoff must certify the blob copy before
+			// releasing the session.
+			if _, err := t.spillLocked(sess); err != nil {
 				sess.Mu.Unlock()
 				record(fmt.Errorf("store: handoff of %s: %w", sess.ID, err))
 				return true
