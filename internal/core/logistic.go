@@ -38,7 +38,8 @@ type LogisticProvenance struct {
 
 // CaptureLogistic trains the linearized binary logistic model over the full
 // dataset, caching provenance for incremental updates. lin may be nil, in
-// which case a linearizer at the paper's default resolution is built.
+// which case the process-wide grid at the paper's default resolution is
+// used (interp.NewSigmoidLinearizer).
 func CaptureLogistic(d *dataset.Dataset, cfg gbm.Config, sched *gbm.Schedule, lin *interp.Linearizer, opts Options) (*LogisticProvenance, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err

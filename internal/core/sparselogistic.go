@@ -31,6 +31,8 @@ type SparseLogisticProvenance struct {
 
 // CaptureLogisticSparse trains the linearized sparse logistic model over the
 // full dataset, caching the per-batch-member linearization coefficients.
+// lin may be nil, in which case the process-wide grid at the paper's default
+// resolution is used (interp.NewSigmoidLinearizer).
 func CaptureLogisticSparse(d *dataset.SparseDataset, cfg gbm.Config, sched *gbm.Schedule, lin *interp.Linearizer) (*SparseLogisticProvenance, error) {
 	if d.Task != dataset.BinaryClassification {
 		return nil, fmt.Errorf("core: CaptureLogisticSparse requires binary labels, got %v", d.Task)

@@ -2,6 +2,7 @@ package gbm
 
 import (
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -98,6 +99,54 @@ func TestScheduleFullBatchGD(t *testing.T) {
 		for i := range b {
 			if b[i] != i {
 				t.Fatal("full-batch schedule should be the identity")
+			}
+		}
+	}
+}
+
+// TestScheduleMatchesPermOracle pins NewSchedule's contract: batch t is the
+// BatchSize-prefix of the t-th rand.Perm(n) drawn in sequence from one
+// rand.New(rand.NewSource(seed)), and a full batch is 0..n−1 without draws.
+// Every case spans several iterations, so a draw that skips or adds even one
+// Intn call shifts the stream under the next batch and fails here.
+func TestScheduleMatchesPermOracle(t *testing.T) {
+	cases := []struct{ n, b int }{
+		{2, 1},       // smallest sampled batch
+		{97, 1},      // B = 1
+		{97, 96},     // B = n−1
+		{64, 10},     // n a power of two (Intn's masking branch for i+1 = n)
+		{1024, 1023}, // n a power of two, B = n−1
+		{1000, 37},
+		{40, 40}, // full-batch GD, B = n
+	}
+	for _, c := range cases {
+		for _, seed := range []int64{1, 7, 42} {
+			const iters = 6
+			cfg := Config{Eta: 0.1, BatchSize: c.b, Iterations: iters, Seed: seed}
+			s, err := NewSchedule(c.n, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(seed))
+			for it := 0; it < iters; it++ {
+				var want []int
+				if c.b == c.n {
+					want = make([]int, c.n)
+					for i := range want {
+						want[i] = i
+					}
+				} else {
+					want = rng.Perm(c.n)[:c.b]
+				}
+				got := s.Batch(it)
+				if len(got) != c.b || cap(got) != c.b {
+					t.Fatalf("n=%d B=%d seed=%d: batch %d len %d cap %d", c.n, c.b, seed, it, len(got), cap(got))
+				}
+				for k := range want {
+					if got[k] != want[k] {
+						t.Fatalf("n=%d B=%d seed=%d: batch %d slot %d = %d, want %d", c.n, c.b, seed, it, k, got[k], want[k])
+					}
+				}
 			}
 		}
 	}

@@ -16,22 +16,41 @@ type Schedule struct {
 
 // NewSchedule samples Iterations mini-batches of size BatchSize uniformly
 // without replacement within each batch, deterministically from cfg.Seed.
+//
+// Batch t is exactly the first BatchSize entries of the t-th rand.Perm(n)
+// drawn in sequence from rand.New(rand.NewSource(cfg.Seed)); a full batch
+// (BatchSize == n) is 0..n−1 in order and draws nothing. Restored sessions
+// re-draw their schedule from the persisted config, so snapshots and the
+// upgrade fixtures depend on this contract. The draw makes Perm's Intn
+// calls but keeps only the prefix, and all batches share one backing array.
 func NewSchedule(n int, cfg Config) (*Schedule, error) {
 	if err := cfg.Validate(n); err != nil {
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
+	bs := cfg.BatchSize
+	flat := make([]int, cfg.Iterations*bs)
 	s := &Schedule{n: n, batches: make([][]int, cfg.Iterations)}
 	for t := range s.batches {
-		b := make([]int, cfg.BatchSize)
-		if cfg.BatchSize == n {
+		b := flat[t*bs : (t+1)*bs : (t+1)*bs]
+		if bs == n {
 			// Full-batch GD: the batch is the whole dataset, in order.
 			for i := range b {
 				b[i] = i
 			}
 		} else {
-			perm := rng.Perm(n)
-			copy(b, perm[:cfg.BatchSize])
+			// rand.Perm's swaps restricted to the prefix: a slot at or past
+			// bs is never read back into it, so only writes below bs count.
+			for i := 0; i < bs; i++ {
+				j := rng.Intn(i + 1)
+				b[i] = b[j]
+				b[j] = i
+			}
+			for i := bs; i < n; i++ {
+				if j := rng.Intn(i + 1); j < bs {
+					b[j] = i
+				}
+			}
 		}
 		s.batches[t] = b
 	}

@@ -13,6 +13,9 @@ package interp
 import (
 	"errors"
 	"math"
+	"sync"
+
+	"repro/internal/par"
 )
 
 // Sigmoid returns the standard logistic sigmoid 1/(1+e^{−x}).
@@ -53,7 +56,11 @@ const (
 // ErrBadConfig reports an invalid linearizer configuration.
 var ErrBadConfig = errors.New("interp: bound and cells must be positive")
 
-// NewLinearizer tabulates fn on [−bound, bound] with cells sub-intervals.
+// NewLinearizer tabulates fn on [−bound, bound] with cells sub-intervals,
+// filling disjoint cell ranges on the par workers; fn must be safe for
+// concurrent use. Cell c's left breakpoint is −bound + c·h, the same value
+// the serial recurrence carries over from cell c−1, so the table is
+// bitwise-identical at any worker count.
 func NewLinearizer(fn func(float64) float64, bound float64, cells int) (*Linearizer, error) {
 	if bound <= 0 || cells <= 0 {
 		return nil, ErrBadConfig
@@ -68,27 +75,41 @@ func NewLinearizer(fn func(float64) float64, bound float64, cells int) (*Lineari
 		hi:    fn(bound),
 	}
 	h := 2 * bound / float64(cells)
-	prevX := -bound
-	prevF := fn(prevX)
-	for c := 0; c < cells; c++ {
-		x1 := -bound + float64(c+1)*h
-		f1 := fn(x1)
-		a := (f1 - prevF) / h
-		l.a[c] = a
-		l.b[c] = prevF - a*prevX
-		prevX, prevF = x1, f1
-	}
+	par.For(cells, par.Grain(cellWork), func(lo, hi int) {
+		prevX := -bound + float64(lo)*h
+		prevF := fn(prevX)
+		for c := lo; c < hi; c++ {
+			x1 := -bound + float64(c+1)*h
+			f1 := fn(x1)
+			a := (f1 - prevF) / h
+			l.a[c] = a
+			l.b[c] = prevF - a*prevX
+			prevX, prevF = x1, f1
+		}
+	})
 	return l, nil
 }
 
-// NewSigmoidLinearizer returns the paper's default linearizer of F.
-func NewSigmoidLinearizer() *Linearizer {
+// cellWork is the par work estimate of one cell: one exp-based evaluation
+// of fn and two divisions.
+const cellWork = 32
+
+// sigmoidGrid is the process-wide default grid, built on first use.
+var sigmoidGrid = sync.OnceValue(buildSigmoidGrid)
+
+func buildSigmoidGrid() *Linearizer {
 	l, err := NewLinearizer(F, DefaultBound, DefaultCells)
 	if err != nil {
 		panic(err) // unreachable: constants are valid
 	}
 	return l
 }
+
+// NewSigmoidLinearizer returns the paper's default linearizer of F. The
+// grid does not depend on any data, so it is built once per process (on the
+// first call) and every caller shares it; a Linearizer is read-only after
+// construction, so the shared grid is safe for concurrent use.
+func NewSigmoidLinearizer() *Linearizer { return sigmoidGrid() }
 
 // Delta returns the sub-interval width Δx.
 func (l *Linearizer) Delta() float64 { return 2 * l.bound / float64(l.n) }

@@ -3,8 +3,11 @@ package interp
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/par"
 )
 
 // testLinearizer uses a coarser grid than the paper's 10⁶ cells so tests
@@ -177,4 +180,89 @@ func TestDefaultLinearizerConfig(t *testing.T) {
 	if l.MaxAbsError() > 1e-8 {
 		t.Fatalf("paper-scale MaxAbsError = %v", l.MaxAbsError())
 	}
+}
+
+// serialLinearizer is the reference tabulation: one left-to-right pass that
+// carries each cell's right breakpoint over as the next cell's left one.
+func serialLinearizer(fn func(float64) float64, bound float64, cells int) *Linearizer {
+	l := &Linearizer{
+		bound: bound,
+		n:     cells,
+		inv:   float64(cells) / (2 * bound),
+		a:     make([]float64, cells),
+		b:     make([]float64, cells),
+		lo:    fn(-bound),
+		hi:    fn(bound),
+	}
+	h := 2 * bound / float64(cells)
+	prevX := -bound
+	prevF := fn(prevX)
+	for c := 0; c < cells; c++ {
+		x1 := -bound + float64(c+1)*h
+		f1 := fn(x1)
+		a := (f1 - prevF) / h
+		l.a[c] = a
+		l.b[c] = prevF - a*prevX
+		prevX, prevF = x1, f1
+	}
+	return l
+}
+
+func sameTable(t *testing.T, what string, got, want *Linearizer) {
+	t.Helper()
+	if got.bound != want.bound || got.n != want.n || got.inv != want.inv ||
+		math.Float64bits(got.lo) != math.Float64bits(want.lo) ||
+		math.Float64bits(got.hi) != math.Float64bits(want.hi) ||
+		len(got.a) != len(want.a) || len(got.b) != len(want.b) {
+		t.Fatalf("%s: header differs", what)
+	}
+	for c := range want.a {
+		if math.Float64bits(got.a[c]) != math.Float64bits(want.a[c]) ||
+			math.Float64bits(got.b[c]) != math.Float64bits(want.b[c]) {
+			t.Fatalf("%s: cell %d = (%v, %v), want (%v, %v)", what, c, got.a[c], got.b[c], want.a[c], want.b[c])
+		}
+	}
+}
+
+func TestNewLinearizerBitwiseAcrossWorkers(t *testing.T) {
+	prev := par.SetWorkers(1)
+	defer par.SetWorkers(prev)
+	for _, cells := range []int{1, 7, 50_000, 300_001} {
+		want := serialLinearizer(F, DefaultBound, cells)
+		for _, w := range []int{1, 2, 4} {
+			par.SetWorkers(w)
+			sameTable(t, "NewLinearizer", testLinearizer(t, cells), want)
+		}
+	}
+}
+
+func TestSigmoidLinearizerShared(t *testing.T) {
+	prev := par.SetWorkers(4)
+	defer par.SetWorkers(prev)
+	// A fresh once, so the concurrent calls below race on the first build
+	// whatever earlier tests did.
+	defer func(g func() *Linearizer) { sigmoidGrid = g }(sigmoidGrid)
+	sigmoidGrid = sync.OnceValue(buildSigmoidGrid)
+	got := make([]*Linearizer, 4)
+	done := make(chan int)
+	for i := range got {
+		go func() { got[i] = NewSigmoidLinearizer(); done <- i }()
+	}
+	for range got {
+		<-done
+	}
+	for i := range got {
+		if got[i] != got[0] {
+			t.Fatalf("call %d returned a different grid", i)
+		}
+	}
+	if NewSigmoidLinearizer() != got[0] {
+		t.Fatal("a later call returned a different grid")
+	}
+	par.SetWorkers(1)
+	fresh, err := NewLinearizer(F, DefaultBound, DefaultCells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameTable(t, "shared grid vs serial NewLinearizer", got[0], fresh)
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"repro/internal/gbm"
 )
 
 // tinyWorkload shrinks a registered workload far enough for unit tests.
@@ -135,6 +137,15 @@ func TestPrepareBinaryAndMultiAndSparse(t *testing.T) {
 		}
 		if fp := p.FootprintBytes(MethodPrIU); fp <= p.FootprintBytes(MethodBaseL) {
 			t.Fatalf("%s: PrIU footprint %d not above BaseL %d", id, fp, p.FootprintBytes(MethodBaseL))
+		}
+		// BaseL's schedule bytes are computed, not drawn: they must equal
+		// the footprint of the schedule the captures use.
+		sched, err := gbm.NewSchedule(p.TrainingSet().N(), p.W.Cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		if p.schedBytes != sched.FootprintBytes() {
+			t.Fatalf("%s: schedule bytes %d, drawn schedule %d", id, p.schedBytes, sched.FootprintBytes())
 		}
 	}
 }

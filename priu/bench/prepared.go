@@ -133,11 +133,9 @@ func Prepare(w Workload) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	sched, err := gbm.NewSchedule(n, cfg)
-	if err != nil {
-		return nil, err
-	}
-	p.schedBytes = sched.FootprintBytes()
+	// The shared schedule's footprint (gbm.Schedule.FootprintBytes) without
+	// drawing one: one 8-byte index per batch slot.
+	p.schedBytes = int64(cfg.Iterations) * int64(cfg.BatchSize) * 8
 
 	for _, m := range p.Methods() {
 		switch m {

@@ -234,10 +234,11 @@ func (c Config) core() core.Options {
 	}
 }
 
-// linearizer builds the sigmoid interpolation grid, nil meaning the capture
-// default (the paper's 10⁶-cell grid).
+// linearizer builds a private sigmoid interpolation grid for a non-default
+// cell count; nil means the capture default, the process-wide shared
+// 10⁶-cell grid.
 func (c Config) linearizer() (*interp.Linearizer, error) {
-	if c.LinearizerCells == 0 {
+	if c.LinearizerCells == 0 || c.LinearizerCells == interp.DefaultCells {
 		return nil, nil
 	}
 	return interp.NewLinearizer(interp.F, interp.DefaultBound, c.LinearizerCells)

@@ -41,7 +41,8 @@ type Config struct {
 	// EarlyTermination is PrIU-opt's ts/τ fraction (0 = the paper's 0.7).
 	EarlyTermination float64
 	// LinearizerCells overrides the sigmoid interpolation grid resolution
-	// for the logistic families (0 = the paper's 10⁶-cell default).
+	// for the logistic families (0 = the paper's shared 10⁶-cell default;
+	// any other count builds a private grid per capture).
 	LinearizerCells int
 	// Workers resizes the shared kernel worker pool before capture
 	// (0 = leave unchanged).
@@ -104,8 +105,10 @@ func WithEarlyTermination(frac float64) Option {
 }
 
 // WithLinearizerCells sets the sigmoid interpolation grid resolution used by
-// the logistic families (0 keeps the paper's 10⁶-cell default; smaller grids
-// trade Theorem 4's O((Δx)²) error for faster capture).
+// the logistic families (0 keeps the paper's 10⁶-cell default, one grid
+// shared by every capture in the process; any other count builds a private
+// grid per capture, and smaller grids trade Theorem 4's O((Δx)²) error for
+// a faster build).
 func WithLinearizerCells(cells int) Option {
 	return func(c *Config) { c.LinearizerCells = cells }
 }
