@@ -196,7 +196,6 @@ func main() {
 		tieredOpts := []store.TieredOption{
 			store.WithSpillOnEvict(*spill),
 			store.WithSpillMaxBytes(*spillMaxBytes),
-			store.WithSpillGC(time.Hour, time.Minute),
 			store.WithMetrics(store.NewTierMetrics(reg)),
 		}
 		if *blob != "" {

@@ -86,12 +86,13 @@
 // # Spill-tier lifecycle
 //
 // The disk tier is run by a lifecycle manager (priu/store/lifecycle.go):
-// a bounded write-behind queue (256 deep, one worker) snapshots sessions
-// eagerly at registration and after every applied deletion, so an LRU
-// eviction usually finds its victim clean-with-current-disk-copy and just
-// drops the resident copy — no spill IO under the victim's lock on the
-// evicting request (backpressure falls back to the synchronous spill;
-// BenchmarkEvictLatency gates the win). A delta chain never holds more than
+// every mutation adds its session to a dirty set that one write-behind
+// worker drains, snapshotting sessions eagerly at registration and after
+// every applied deletion. The set never drops a request, so an LRU eviction
+// usually finds its victim clean-with-current-disk-copy and just drops the
+// resident copy — no spill IO under the victim's lock on the evicting
+// request (a victim the worker has not reached yet takes the synchronous
+// spill; BenchmarkEvictLatency gates the win). A delta chain never holds more than
 // 8 segments: the next cut of a full chain folds it into a new base by
 // copying the old base's snapshot bytes under the session's full deletion
 // log, so no background compactor runs. priuserve -spill-max-bytes bounds
@@ -99,8 +100,9 @@
 // first, then cold sessions — whose drop is a counted disk_eviction), a GC
 // sweep every minute removes orphaned files older than an hour, and the
 // spill_dir_bytes gauge is maintained incrementally from a boot-time seed
-// scan. These settings are fixed in priuserve (the store package's
-// defaults), so the server runs what the end-to-end benchmark measures. Resident-tier evictions are fair-share across tenants (the
+// scan. These settings are the store's one configuration — no option or
+// flag changes them — so the server runs what the end-to-end benchmark
+// measures. Resident-tier evictions are fair-share across tenants (the
 // tenant furthest over its equal share of resident bytes loses its LRU
 // session), and per-tenant max_spill_bytes caps bound each tenant's disk
 // share (HTTP 507 "spill_quota" at the cap). The lifecycle is hardened by a

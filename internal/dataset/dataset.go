@@ -257,21 +257,3 @@ func (d *Dataset) Standardize() (means, stds []float64) {
 	}
 	return means, stds
 }
-
-// ApplyStandardization transforms the dataset with previously computed
-// means/stds (for validation splits).
-func (d *Dataset) ApplyStandardization(means, stds []float64) error {
-	if len(means) != d.M() || len(stds) != d.M() {
-		return fmt.Errorf("dataset: standardization length mismatch")
-	}
-	for i := 0; i < d.N(); i++ {
-		row := d.X.Row(i)
-		for j := range row {
-			row[j] -= means[j]
-			if stds[j] > 0 {
-				row[j] /= stds[j]
-			}
-		}
-	}
-	return nil
-}

@@ -274,17 +274,6 @@ func TestStandardize(t *testing.T) {
 			t.Fatalf("col %d: mean %v var %v after Standardize", j, mean, varr)
 		}
 	}
-	// Apply to a clone reproduces the transform.
-	d2 := mustRegression(t, 300, 4, 13)
-	if err := d2.ApplyStandardization(means, stds); err != nil {
-		t.Fatal(err)
-	}
-	if !d2.X.Equal(d.X, 1e-12) {
-		t.Fatal("ApplyStandardization mismatch")
-	}
-	if err := d2.ApplyStandardization(means[:2], stds[:2]); err == nil {
-		t.Fatal("expected length-mismatch error")
-	}
 }
 
 func TestSchemasMatchPaperTable1(t *testing.T) {

@@ -31,9 +31,6 @@ func Sigmoid(x float64) float64 {
 // F is the paper's non-linear component f(x) = 1 − 1/(1+e^{−x}) = σ(−x).
 func F(x float64) float64 { return Sigmoid(-x) }
 
-// FPrime is f′(x) = −σ(x)·σ(−x) (always negative).
-func FPrime(x float64) float64 { return -Sigmoid(x) * Sigmoid(-x) }
-
 // Linearizer holds a piecewise-linear interpolant of an arbitrary scalar
 // function on [−Bound, Bound] with uniformly spaced breakpoints.
 type Linearizer struct {

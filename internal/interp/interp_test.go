@@ -47,18 +47,16 @@ func TestFAndFPrime(t *testing.T) {
 			t.Fatalf("F(%v) = %v, want %v", x, F(x), want)
 		}
 	}
-	// f′ < 0 everywhere (f monotonically decreasing).
-	for _, x := range []float64{-8, 0, 8} {
-		if FPrime(x) >= 0 {
-			t.Fatalf("FPrime(%v) = %v, want negative", x, FPrime(x))
-		}
-	}
-	// Numeric derivative check.
+	// f′(x) = −σ(x)·σ(−x) < 0 everywhere (f monotonically decreasing),
+	// checked against F's numeric derivative.
 	const h = 1e-6
-	for _, x := range []float64{-2, 0.7, 4} {
-		num := (F(x+h) - F(x-h)) / (2 * h)
-		if math.Abs(FPrime(x)-num) > 1e-6 {
-			t.Fatalf("FPrime(%v) = %v, numeric %v", x, FPrime(x), num)
+	for _, x := range []float64{-8, -2, 0, 0.7, 4, 8} {
+		fPrime := -Sigmoid(x) * Sigmoid(-x)
+		if fPrime >= 0 {
+			t.Fatalf("f′(%v) = %v, want negative", x, fPrime)
+		}
+		if num := (F(x+h) - F(x-h)) / (2 * h); math.Abs(fPrime-num) > 1e-6 {
+			t.Fatalf("f′(%v) = %v, numeric %v", x, fPrime, num)
 		}
 	}
 }

@@ -69,31 +69,3 @@ func (c *Cholesky) Solve(b []float64) []float64 {
 	}
 	return x
 }
-
-// SolveMatrix solves A*X = B column by column and returns X.
-func (c *Cholesky) SolveMatrix(b *Dense) *Dense {
-	if b.rows != c.n {
-		panic("mat: Cholesky.SolveMatrix dimension mismatch")
-	}
-	out := NewDense(b.rows, b.cols)
-	col := make([]float64, b.rows)
-	for j := 0; j < b.cols; j++ {
-		for i := 0; i < b.rows; i++ {
-			col[i] = b.At(i, j)
-		}
-		x := c.Solve(col)
-		for i := 0; i < b.rows; i++ {
-			out.Set(i, j, x[i])
-		}
-	}
-	return out
-}
-
-// LogDet returns the log-determinant of A.
-func (c *Cholesky) LogDet() float64 {
-	var s float64
-	for i := 0; i < c.n; i++ {
-		s += math.Log(c.l[i*c.n+i])
-	}
-	return 2 * s
-}

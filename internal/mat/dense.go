@@ -139,9 +139,6 @@ func (m *Dense) Sub(b *Dense) *Dense { return m.AddScaled(b, -1) }
 // Plus returns m + b as a new matrix.
 func (m *Dense) Plus(b *Dense) *Dense { return m.Clone().AddScaled(b, 1) }
 
-// Minus returns m - b as a new matrix.
-func (m *Dense) Minus(b *Dense) *Dense { return m.Clone().AddScaled(b, -1) }
-
 // Mul returns the matrix product m*b as a new matrix.
 func (m *Dense) Mul(b *Dense) *Dense {
 	if m.cols != b.rows {
@@ -351,14 +348,6 @@ func gramPartial(n int) *Dense {
 		return p
 	}
 	return NewDense(n, n)
-}
-
-// RowGram returns m*mᵀ (the Gram matrix of the rows) as a new rows×rows
-// matrix.
-func (m *Dense) RowGram() *Dense {
-	g := NewDense(m.rows, m.rows)
-	m.RowGramInto(g)
-	return g
 }
 
 // RowGramInto computes m*mᵀ into dst (dst is overwritten). Each element is a

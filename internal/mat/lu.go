@@ -9,14 +9,13 @@ import (
 // singular matrix.
 var ErrSingular = errors.New("mat: matrix is singular")
 
-// LU holds an LU factorization with partial pivoting: P*A = L*U.
-// It provides general linear solves and inverses (used by PrIU-opt when the
-// eigenvector basis must be inverted).
+// LU holds an LU factorization with partial pivoting: P*A = L*U. It
+// provides general linear solves (the influence baseline's fallback when
+// the Hessian is not positive definite).
 type LU struct {
-	n    int
-	lu   []float64
-	piv  []int
-	sign int
+	n   int
+	lu  []float64
+	piv []int
 }
 
 // NewLU factorizes the square matrix a with partial pivoting.
@@ -31,7 +30,6 @@ func NewLU(a *Dense) (*LU, error) {
 	for i := range piv {
 		piv[i] = i
 	}
-	sign := 1
 	for k := 0; k < n; k++ {
 		// Find pivot.
 		p := k
@@ -49,7 +47,6 @@ func NewLU(a *Dense) (*LU, error) {
 				lu[p*n+j], lu[k*n+j] = lu[k*n+j], lu[p*n+j]
 			}
 			piv[p], piv[k] = piv[k], piv[p]
-			sign = -sign
 		}
 		pivot := lu[k*n+k]
 		for i := k + 1; i < n; i++ {
@@ -63,7 +60,7 @@ func NewLU(a *Dense) (*LU, error) {
 			}
 		}
 	}
-	return &LU{n: n, lu: lu, piv: piv, sign: sign}, nil
+	return &LU{n: n, lu: lu, piv: piv}, nil
 }
 
 // Solve solves A*x = b and returns x.
@@ -93,31 +90,4 @@ func (f *LU) Solve(b []float64) []float64 {
 		x[i] = s / f.lu[i*n+i]
 	}
 	return x
-}
-
-// Inverse returns A⁻¹ as a new matrix.
-func (f *LU) Inverse() *Dense {
-	n := f.n
-	inv := NewDense(n, n)
-	e := make([]float64, n)
-	for j := 0; j < n; j++ {
-		for i := range e {
-			e[i] = 0
-		}
-		e[j] = 1
-		col := f.Solve(e)
-		for i := 0; i < n; i++ {
-			inv.Set(i, j, col[i])
-		}
-	}
-	return inv
-}
-
-// Det returns the determinant of A.
-func (f *LU) Det() float64 {
-	d := float64(f.sign)
-	for i := 0; i < f.n; i++ {
-		d *= f.lu[i*f.n+i]
-	}
-	return d
 }

@@ -29,27 +29,6 @@ func Norm2(x []float64) float64 {
 	return math.Sqrt(s)
 }
 
-// NormInf returns the max-abs norm of x.
-func NormInf(x []float64) float64 {
-	var m float64
-	for _, v := range x {
-		if a := math.Abs(v); a > m {
-			m = a
-		}
-	}
-	return m
-}
-
-// AxpyInto computes dst[i] = a*x[i] + y[i]. dst may alias x or y.
-func AxpyInto(dst []float64, a float64, x, y []float64) {
-	if len(dst) != len(x) || len(x) != len(y) {
-		panic("mat: Axpy length mismatch")
-	}
-	for i := range dst {
-		dst[i] = a*x[i] + y[i]
-	}
-}
-
 // Axpy accumulates dst[i] += a*x[i].
 func Axpy(dst []float64, a float64, x []float64) {
 	if len(dst) != len(x) {
@@ -65,18 +44,6 @@ func ScaleVec(x []float64, a float64) {
 	for i := range x {
 		x[i] *= a
 	}
-}
-
-// SubVec returns x - y as a new slice.
-func SubVec(x, y []float64) []float64 {
-	if len(x) != len(y) {
-		panic("mat: SubVec length mismatch")
-	}
-	out := make([]float64, len(x))
-	for i := range x {
-		out[i] = x[i] - y[i]
-	}
-	return out
 }
 
 // CloneVec returns a copy of x.

@@ -7,7 +7,6 @@ package sparse
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"repro/internal/par"
@@ -183,31 +182,6 @@ func (m *CSR) MulVecT(x []float64) []float64 {
 			}
 			return a
 		})
-}
-
-// RowNorm2 returns the Euclidean norm of row i.
-func (m *CSR) RowNorm2(i int) float64 {
-	var s float64
-	lo, hi := m.rowPtr[i], m.rowPtr[i+1]
-	for k := lo; k < hi; k++ {
-		s += m.vals[k] * m.vals[k]
-	}
-	return math.Sqrt(s)
-}
-
-// SelectRows returns a new CSR containing the given rows (in order).
-func (m *CSR) SelectRows(rows []int) (*CSR, error) {
-	out := &CSR{rows: len(rows), cols: m.cols, rowPtr: make([]int, len(rows)+1)}
-	for newR, r := range rows {
-		if r < 0 || r >= m.rows {
-			return nil, fmt.Errorf("sparse: SelectRows index %d out of range [0,%d)", r, m.rows)
-		}
-		cols, vals := m.Row(r)
-		out.colIdx = append(out.colIdx, cols...)
-		out.vals = append(out.vals, vals...)
-		out.rowPtr[newR+1] = out.rowPtr[newR] + len(cols)
-	}
-	return out, nil
 }
 
 // FootprintBytes estimates the memory the structure occupies, used by the

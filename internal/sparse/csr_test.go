@@ -145,27 +145,6 @@ func TestRowDotAndAddScaledRow(t *testing.T) {
 	}
 }
 
-func TestRowNorm2(t *testing.T) {
-	m := mustCSR(t, 1, 2, []Triplet{{0, 0, 3}, {0, 1, 4}})
-	if m.RowNorm2(0) != 5 {
-		t.Fatalf("RowNorm2 = %v", m.RowNorm2(0))
-	}
-}
-
-func TestSelectRows(t *testing.T) {
-	m := mustCSR(t, 3, 2, []Triplet{{0, 0, 1}, {1, 1, 2}, {2, 0, 3}})
-	sub, err := m.SelectRows([]int{2, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sub.At(0, 0) != 3 || sub.At(1, 0) != 1 {
-		t.Fatalf("SelectRows wrong: %v %v", sub.At(0, 0), sub.At(1, 0))
-	}
-	if _, err := m.SelectRows([]int{9}); err == nil {
-		t.Fatal("expected out-of-range error")
-	}
-}
-
 func TestDensityAndFootprint(t *testing.T) {
 	m := mustCSR(t, 10, 10, []Triplet{{0, 0, 1}, {5, 5, 1}})
 	if d := m.Density(); math.Abs(d-0.02) > 1e-12 {

@@ -652,7 +652,7 @@ func TestV2ExplicitDeleteUnlinksSpillFile(t *testing.T) {
 
 	sr := v2Create(t, ts.URL, v2CreateBody(t, "linear", 60, 3, 1))
 	sr2 := v2Create(t, ts.URL, v2CreateBody(t, "linear", 60, 3, 2)) // evicts + spills sr
-	tiered.Flush()                                                  // settle the write-behind queue (sr2's warm backup)
+	tiered.Flush()                                                  // settle the write-behind worker (sr2's warm backup)
 
 	var h HealthResponse
 	hresp, err := http.Get(ts.URL + "/healthz")

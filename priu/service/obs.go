@@ -185,11 +185,9 @@ func (s *Server) initObs() {
 	reg.GaugeFunc("priu_store_spill_dir_bytes",
 		"On-disk size of the spill directory.", func() int64 { return stats().SpillDirBytes })
 	reg.CounterFunc("priu_store_write_behind_spills_total",
-		"Spills performed by the write-behind queue (subset of spills).", func() int64 { return stats().WriteBehindSpills })
+		"Spills performed by the write-behind worker (subset of spills).", func() int64 { return stats().WriteBehindSpills })
 	reg.GaugeFunc("priu_store_spill_queue_depth",
-		"Write-behind queue backlog (pending + in-flight snapshots).", func() int64 { return int64(stats().SpillQueueDepth) })
-	reg.CounterFunc("priu_store_spill_queue_full_total",
-		"Write-behind enqueues dropped by backpressure.", func() int64 { return stats().SpillQueueFull })
+		"Write-behind backlog (dirty sessions waiting + in the worker's current pass).", func() int64 { return int64(stats().SpillQueueDepth) })
 	reg.CounterFunc("priu_store_disk_evictions_total",
 		"Disk-only sessions dropped by the spill-directory budget.", func() int64 { return stats().DiskEvictions })
 	reg.CounterFunc("priu_store_gc_removals_total",

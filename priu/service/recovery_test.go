@@ -13,7 +13,7 @@ import (
 
 // newTieredServer boots a server on a tiered store over dir, returning the
 // test server and the store (whose Close is the SIGTERM drain). The default
-// lifecycle applies: the write-behind queue snapshots sessions eagerly in
+// lifecycle applies: the write-behind worker snapshots sessions eagerly in
 // the background, so the crash suite exercises the async path. Close is
 // idempotent, so tests may also drain explicitly mid-test.
 func newTieredServer(t *testing.T, dir string, opts ...ServerOption) (*httptest.Server, store.Store) {

@@ -345,7 +345,8 @@ type HealthResponse struct {
 	SpillDirBytes int64 `json:"spill_dir_bytes,omitempty"`
 	// SpillMaxBytes echoes the -spill-max-bytes disk budget (0 = unbounded).
 	SpillMaxBytes int64 `json:"spill_max_bytes,omitempty"`
-	// SpillQueueDepth is the write-behind queue's current backlog;
+	// SpillQueueDepth is the write-behind backlog (dirty sessions not yet
+	// spilled by the worker);
 	// DiskEvictions counts cold sessions dropped by the disk budget.
 	SpillQueueDepth int   `json:"spill_queue_depth,omitempty"`
 	DiskEvictions   int64 `json:"disk_evictions,omitempty"`

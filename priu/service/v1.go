@@ -159,12 +159,11 @@ type StatsResponse struct {
 	SpillDirBytes   int64   `json:"spill_dir_bytes,omitempty"`
 	SpillMaxBytes   int64   `json:"spill_max_bytes,omitempty"`
 	// Lifecycle-manager counters: write-behind spills (subset of Spills
-	// performed off the request path), the queue's current backlog and its
-	// backpressure drops, disk-budget file evictions that dropped cold
-	// sessions, and age-based GC removals of orphaned files.
+	// performed off the request path), the write-behind backlog, disk-budget
+	// file evictions that dropped cold sessions, and age-based GC removals
+	// of orphaned files.
 	WriteBehindSpills int64 `json:"write_behind_spills,omitempty"`
 	SpillQueueDepth   int   `json:"spill_queue_depth,omitempty"`
-	SpillQueueFull    int64 `json:"spill_queue_full,omitempty"`
 	DiskEvictions     int64 `json:"disk_evictions,omitempty"`
 	GCRemovals        int64 `json:"gc_removals,omitempty"`
 	// Log-structured tier counters: spills that wrote an O(batch) delta
@@ -483,7 +482,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		SpillMaxBytes:     st.SpillMaxBytes,
 		WriteBehindSpills: st.WriteBehindSpills,
 		SpillQueueDepth:   st.SpillQueueDepth,
-		SpillQueueFull:    st.SpillQueueFull,
 		DiskEvictions:     st.DiskEvictions,
 		GCRemovals:        st.GCRemovals,
 		DeltaSpills:       st.DeltaSpills,

@@ -43,12 +43,9 @@ func BenchmarkSpillRestore(b *testing.B) {
 	sess.Model = m
 	sess.Mu.Unlock()
 
-	// Write-behind off: this benchmark measures the raw spill/restore round
-	// trip itself, not the queue.
-	ti, err := NewTiered(b.TempDir(), NewMemory(), WithWriteBehind(0, 0))
-	if err != nil {
-		b.Fatal(err)
-	}
+	// No write-behind: this benchmark measures the raw spill/restore round
+	// trip itself, not the worker.
+	ti := newSteppedTiered(b, b.TempDir(), NewMemory(), defaultCompactAfter, defaultGCAge)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sess.Mu.Lock()
@@ -98,10 +95,7 @@ func BenchmarkEvictLatency(b *testing.B) {
 
 	// Baseline: synchronous spills. Every Put evicts the previous (dirty)
 	// resident, paying the full snapshot write inline.
-	sync, err := NewTiered(b.TempDir(), NewMemory(WithMaxSessions(1)), WithWriteBehind(0, 0))
-	if err != nil {
-		b.Fatal(err)
-	}
+	sync := newSteppedTiered(b, b.TempDir(), NewMemory(WithMaxSessions(1)), defaultCompactAfter, defaultGCAge)
 	const warm = 2
 	const syncOps = 8
 	for i := 0; i < warm; i++ { // fault in code paths and page cache
@@ -117,7 +111,7 @@ func BenchmarkEvictLatency(b *testing.B) {
 	}
 	syncPerOp := time.Since(t0).Nanoseconds() / syncOps
 
-	// Timed: write-behind. The queue snapshots each resident before the next
+	// Timed: write-behind. The worker snapshots each resident before the next
 	// registration arrives (the flush is off the timer), so the eviction
 	// inside Put is a drop.
 	wb, err := NewTiered(b.TempDir(), NewMemory(WithMaxSessions(1)))
@@ -172,13 +166,9 @@ func BenchmarkDeltaSpill(b *testing.B) {
 		b.Fatal(err)
 	}
 	sess := NewSession("sess-delta", "linear", d, u, nil, nil)
-	// Write-behind off (measuring the spill itself, not the queue) and
-	// compaction parked far beyond b.N so the chain never folds mid-run.
-	ti, err := NewTiered(b.TempDir(), NewMemory(),
-		WithWriteBehind(0, 0), WithCompaction(1<<30))
-	if err != nil {
-		b.Fatal(err)
-	}
+	// No write-behind (measuring the spill itself, not the worker) and no
+	// fold, so the chain grows delta by delta for the whole run.
+	ti := newSteppedTiered(b, b.TempDir(), NewMemory(), 0, defaultGCAge)
 	sess.Mu.Lock()
 	_, err = ti.spillLocked(sess)
 	sess.Mu.Unlock()
@@ -233,9 +223,6 @@ func BenchmarkDeleteBlobDeleteFailing(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if err := ti.Put(trainSession(b, id(i), int64(i+1))); err != nil {
 			b.Fatal(err)
-		}
-		if i%100 == 99 {
-			ti.Flush() // keep the write-behind queue from shedding spills
 		}
 	}
 	ti.Flush()

@@ -85,7 +85,7 @@ func TestChaosCrashMidSpillLeavesPriorStateServable(t *testing.T) {
 
 func TestChaosCrashBetweenPublishAndUnlinkPicksNewest(t *testing.T) {
 	dir := t.TempDir()
-	ti := newTestTiered(t, dir, NewMemory(), WithCompaction(1))
+	ti := newSteppedTiered(t, dir, NewMemory(), 1, defaultGCAge)
 	a := trainSession(t, "sess-1", 2)
 	if err := ti.Put(a); err != nil {
 		t.Fatal(err)
@@ -145,7 +145,8 @@ func TestChaosCrashBetweenPublishAndUnlinkPicksNewest(t *testing.T) {
 
 func TestChaosDeletedSessionNeverResurrects(t *testing.T) {
 	dir := t.TempDir()
-	ti := newTestTiered(t, dir, NewMemory())
+	// Orphan age zero: "long ago" compressed for the test.
+	ti := newSteppedTiered(t, dir, NewMemory(), defaultCompactAfter, 0)
 	for i := 1; i <= 3; i++ {
 		if err := ti.Put(trainSession(t, fmt.Sprintf("sess-%d", i), int64(i))); err != nil {
 			t.Fatal(err)
@@ -173,10 +174,8 @@ func TestChaosDeletedSessionNeverResurrects(t *testing.T) {
 	if _, ok := ti.Get("sess-2"); ok {
 		t.Fatal("deleted session resurrected from its stray file")
 	}
-	// The stray file is an orphan now; an age-based sweep collects it (age
-	// zero here — "long ago" compressed for the test) so even a later
-	// reboot cannot resurrect the session.
-	ti.gcAge = 0
+	// The stray file is an orphan now; an age-based sweep collects it so
+	// even a later reboot cannot resurrect the session.
 	ti.gcOnce()
 	if ti.gcRemovals.Load() == 0 {
 		t.Fatal("gc never collected the stray file of the deleted session")
@@ -206,7 +205,7 @@ func TestChaosCrashMidDrainKeepsEveryPublishedSession(t *testing.T) {
 		}
 		want = append(want, id)
 	}
-	// The write-behind queue published everything before the drain even
+	// The write-behind worker published everything before the drain even
 	// starts; a drain that crashes on its first session therefore loses
 	// nothing.
 	ti.Flush()
@@ -218,7 +217,7 @@ func TestChaosCrashMidDrainKeepsEveryPublishedSession(t *testing.T) {
 	ti2 := newTestTiered(t, dir, NewMemory())
 	for _, id := range want {
 		if _, ok := ti2.Get(id); !ok {
-			t.Fatalf("%s lost: the async queue had already published it before the drain crashed", id)
+			t.Fatalf("%s lost: the write-behind worker had already published it before the drain crashed", id)
 		}
 	}
 }

@@ -151,8 +151,8 @@ func crashRun(t *testing.T, point string, k int) bool {
 		return nil
 	}
 	open := func(withFault bool) *Tiered {
-		return newTestTiered(t, dir, NewMemory(WithMaxSessions(4), WithTenantLimits(limits)),
-			WithBlobStore(bs), WithCompaction(2), WithSpillGC(time.Hour, 0),
+		return newSteppedTiered(t, dir, NewMemory(WithMaxSessions(4), WithTenantLimits(limits)),
+			2, defaultGCAge, WithBlobStore(bs),
 			func(ti *Tiered) {
 				if withFault {
 					ti.fault = hook

@@ -6,114 +6,110 @@ import (
 	"time"
 )
 
-// The spill-tier lifecycle manager: the write-behind queue that snapshots
+// The spill-tier lifecycle manager: the write-behind worker that snapshots
 // dirty sessions eagerly (so evictions drop resident copies instead of
 // paying file IO under the victim's lock), the disk-budget evictor that
 // keeps the spill directory under -spill-max-bytes, and the age-based GC
 // that sweeps orphaned leftovers and retries the blob tier's failed pushes
 // and deletes. All state lives on Tiered; this file owns the background
-// machinery: the write-behind workers and, when configured, the GC loop.
+// machinery: a worker draining the dirty set (spillPending) and the GC loop
+// (gcOnce). A store opened without the loops runs the same two steps when
+// its caller drives them.
 
-// tmpFloor is the minimum age before the GC may touch a temp file: temps
-// younger than this may be an in-flight spill.
-const tmpFloor = time.Minute
+const (
+	// tmpFloor is the minimum age before the GC may touch a temp file: temps
+	// younger than this may be an in-flight spill.
+	tmpFloor = time.Minute
+	// The spill tier's one configuration: a cut folds a chain of
+	// defaultCompactAfter deltas, and the GC sweeps every gcEvery, removing
+	// orphans older than defaultGCAge.
+	defaultCompactAfter = 8
+	defaultGCAge        = time.Hour
+	gcEvery             = time.Minute
+)
 
-// armWriteBehind installs the dirty-notification hook on a session before it
-// is published, so every mutation (MarkDirtyLocked) schedules an eager
-// background snapshot. Harmless when write-behind is disabled.
-func (t *Tiered) armWriteBehind(sess *Session) {
-	if t.spillOnEvict && t.queueLen > 0 {
-		sess.notifyDirty = t.enqueueSpill
-	}
-}
-
-// enqueueSpill schedules a background snapshot of the session. It never
-// blocks (it is called under Session.Mu): when the queue is full the request
-// is dropped and counted — backpressure — and the eviction path's
-// synchronous fallback keeps the session safe (it always cuts from the
-// CURRENT generation, so a dropped enqueue can never surface stale state).
-// Requests for a session already queued merge for free, because the worker
-// cuts whatever the session holds at dequeue time; a worker whose publish
-// lost the chain race re-enqueues through here too.
+// enqueueSpill adds the session to the dirty set and wakes the worker. Every
+// session is armed with it before it is published, so each mutation
+// (MarkDirtyLocked) schedules an eager background snapshot. It never blocks
+// (it is called under Session.Mu) and never drops a request. The set is
+// keyed by record, not ID — an evicted incarnation still waiting must not
+// stand in for the restored one that replaced it — and a session already
+// waiting merges for free: the worker cuts whatever it holds when reached.
+// A publish that lost the chain race re-adds its session through here too.
 func (t *Tiered) enqueueSpill(sess *Session) {
-	if t.queue == nil {
+	if !t.spillOnEvict {
 		return
 	}
 	t.qmu.Lock()
-	if !t.qClosed && !t.pending[sess] {
-		select {
-		case t.queue <- sess:
-			t.pending[sess] = true
-		default:
-			t.queueFull.Add(1)
-		}
-	}
+	t.dirty[sess] = true
 	t.qmu.Unlock()
+	select {
+	case t.wake <- struct{}{}:
+	default: // a pass is already owed
+	}
 }
 
-// queueDepth reports the write-behind backlog (queued + in-flight).
-func (t *Tiered) queueDepth() int {
+// startLifecycle launches the write-behind worker and the GC loop, which
+// sweeps every gcInterval.
+func (t *Tiered) startLifecycle(gcInterval time.Duration) {
 	t.qmu.Lock()
-	n := len(t.pending)
+	t.stop = make(chan struct{})
+	t.wg.Add(2)
+	go t.spillLoop(t.stop)
+	go t.gcLoop(t.stop, gcInterval)
 	t.qmu.Unlock()
-	return n + int(t.inflight.Load())
 }
 
-// startLifecycle launches the write-behind workers and, when configured, the
-// GC sweep.
-func (t *Tiered) startLifecycle() {
-	if t.spillOnEvict && t.queueLen > 0 {
-		t.queue = make(chan *Session, t.queueLen)
-		for i := 0; i < t.workers; i++ {
-			t.wg.Add(1)
-			go t.spillWorker()
-		}
-	}
-	if t.gcInterval > 0 {
-		t.stopBG = make(chan struct{})
-		t.wg.Add(1)
-		go t.gcLoop(t.stopBG)
-	}
-}
-
-// stopLifecycle stops the GC loop and closes the queue, then waits for the
-// workers to flush the remaining backlog — the drain ordering: everything
-// the queue accepted is on disk before Close snapshots stragglers.
-// Idempotent.
+// stopLifecycle stops both loops and waits for them. The worker makes a last
+// pass first — the drain ordering: everything enqueued before the stop is on
+// disk before Close snapshots stragglers. Idempotent.
 func (t *Tiered) stopLifecycle() {
 	t.qmu.Lock()
-	if !t.qClosed {
-		t.qClosed = true
-		if t.stopBG != nil {
-			close(t.stopBG)
-		}
-		if t.queue != nil {
-			close(t.queue)
-		}
+	if t.stop != nil {
+		close(t.stop)
+		t.stop = nil
 	}
 	t.qmu.Unlock()
 	t.wg.Wait()
 }
 
-// spillWorker drains the write-behind queue. Each dequeued session is CUT —
-// counters and the O(batch) deletion-log copy — under its own lock, but
-// serialized and published (temp write, fsync, rename, blob push) strictly
-// after the lock is released: a mutation-heavy session never blocks its
-// readers and writers on snapshot serialization, disk or network IO. The
-// generation captured at the cut makes the split safe — a publish that
-// loses the chain race to a newer synchronous spill is discarded by the
-// guard and the session is re-queued, so the background copy converges on
-// the latest state without ever masking it. Sessions that left the store
-// (evicted with a synchronous spill, or deleted) are skipped via the gone
-// flag; clean sessions whose chain is current are a no-op inside cutLocked.
-// A clean chain whose blob push failed is left to the GC sweep's blob pass.
-func (t *Tiered) spillWorker() {
+// spillLoop runs one write-behind pass per wake-up, and a last one at stop.
+func (t *Tiered) spillLoop(stop <-chan struct{}) {
 	defer t.wg.Done()
-	for sess := range t.queue {
-		t.inflight.Add(1)
-		t.qmu.Lock()
-		delete(t.pending, sess)
+	for {
+		select {
+		case <-t.wake:
+			t.spillPending()
+		case <-stop:
+			t.spillPending()
+			return
+		}
+	}
+}
+
+// spillPending is one write-behind pass: it swaps the dirty set out and
+// spills each session in it. Each is CUT — counters and the O(batch)
+// deletion-log copy — under its own lock, but serialized and published
+// (temp write, fsync, rename, blob push) after the lock is released, so a
+// mutation-heavy session never blocks on snapshot serialization, disk or
+// network IO. The generation captured at the cut makes the split safe: a
+// publish that loses the chain race to a newer synchronous spill is
+// discarded by the guard and the session re-added, so the background copy
+// converges on the latest state without ever masking it. Sessions that left
+// the store are skipped via the gone flag; a clean session whose chain is
+// current is a no-op inside cutLocked, and a chain whose blob push failed
+// is left to the GC sweep's blob pass.
+func (t *Tiered) spillPending() {
+	t.qmu.Lock()
+	batch := t.dirty
+	if len(batch) == 0 {
 		t.qmu.Unlock()
+		return
+	}
+	t.dirty = make(map[*Session]bool)
+	t.spilling += len(batch)
+	t.qmu.Unlock()
+	for sess := range batch {
 		var cut *spillCut
 		var err error
 		sess.Mu.Lock()
@@ -121,29 +117,40 @@ func (t *Tiered) spillWorker() {
 			cut, err = t.cutLocked(sess)
 		}
 		sess.Mu.Unlock()
-		if err == nil && cut != nil {
-			wrote, perr := t.publishCut(cut)
-			if perr == nil && wrote {
-				t.writeBehind.Add(1)
-			} else if errors.Is(perr, errStaleSpill) {
-				sess.Mu.Lock()
-				if !sess.gone.Load() && sess.Dirty() {
-					t.enqueueSpill(sess)
-				}
-				sess.Mu.Unlock()
-			}
+		if err != nil || cut == nil {
+			continue
 		}
-		t.inflight.Add(-1)
+		wrote, perr := t.publishCut(cut)
+		if perr == nil && wrote {
+			t.writeBehind.Add(1)
+		} else if errors.Is(perr, errStaleSpill) {
+			sess.Mu.Lock()
+			if !sess.gone.Load() && sess.Dirty() {
+				t.enqueueSpill(sess)
+			}
+			sess.Mu.Unlock()
+		}
 	}
+	t.qmu.Lock()
+	t.spilling -= len(batch)
+	t.qmu.Unlock()
+	t.drained.Broadcast()
 }
 
-// Flush blocks until the write-behind queue has drained and no background
-// snapshot or fold is in flight — a quiescence point for tests and for
-// callers that want eager durability without closing the store (Close
-// flushes implicitly).
+// Flush blocks until the dirty set is empty and no pass is in flight — a
+// quiescence point for tests and for callers that want eager durability
+// without closing the store. With no worker running, Flush runs the passes.
 func (t *Tiered) Flush() {
-	for t.queueDepth() > 0 {
-		time.Sleep(time.Millisecond)
+	t.qmu.Lock()
+	defer t.qmu.Unlock()
+	for len(t.dirty) > 0 || t.spilling > 0 {
+		if t.stop == nil && len(t.dirty) > 0 {
+			t.qmu.Unlock()
+			t.spillPending()
+			t.qmu.Lock()
+		} else {
+			t.drained.Wait()
+		}
 	}
 }
 
@@ -299,10 +306,10 @@ func (t *Tiered) ownedKeysLocked(m map[string]bool) map[string]bool {
 	return m
 }
 
-// gcLoop runs gcOnce every gcInterval until stop closes.
-func (t *Tiered) gcLoop(stop <-chan struct{}) {
+// gcLoop runs gcOnce every interval until stop closes.
+func (t *Tiered) gcLoop(stop <-chan struct{}, interval time.Duration) {
 	defer t.wg.Done()
-	tick := time.NewTicker(t.gcInterval)
+	tick := time.NewTicker(interval)
 	defer tick.Stop()
 	for {
 		select {

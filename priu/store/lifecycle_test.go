@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 )
@@ -179,7 +180,7 @@ func TestTieredPerTenantSpillCap(t *testing.T) {
 }
 
 // TestTieredWriteBehindEvictionDrops is the tentpole behavior: with the
-// write-behind queue keeping snapshots current, evictions never pay spill IO
+// write-behind worker keeping snapshots current, evictions never pay spill IO
 // — every spill in the run was performed by the background worker.
 func TestTieredWriteBehindEvictionDrops(t *testing.T) {
 	dir := t.TempDir()
@@ -220,59 +221,57 @@ func TestTieredWriteBehindEvictionDrops(t *testing.T) {
 	}
 }
 
-// TestTieredWriteBehindBackpressure gates the worker on a fault hook to fill
-// the queue: overflowing enqueues are dropped and counted, the session stays
-// safe (the Close drain snapshots it), and nothing deadlocks.
-func TestTieredWriteBehindBackpressure(t *testing.T) {
-	dir := t.TempDir()
-	ti := newTestTiered(t, dir, NewMemory(), WithWriteBehind(1, 1))
-	gate := make(chan struct{})
+// TestTieredWriteBehindNeverDrops stalls the write-behind worker inside its
+// first publish and registers more sessions than a bounded queue would have
+// held meanwhile. Once the worker is released, Flush alone must put every
+// one of them on disk: no enqueue was dropped, so none waits for a later
+// commit, an eviction or the Close drain.
+func TestTieredWriteBehindNeverDrops(t *testing.T) {
+	const n = 300
+	ti := newTestTiered(t, t.TempDir(), NewMemory())
+	entered, gate := make(chan struct{}), make(chan struct{})
+	var stalled sync.Once
 	ti.fault = func(point string) error {
 		if point == "spill.create-temp" {
-			<-gate // stall the worker inside its first spill
+			stalled.Do(func() {
+				close(entered)
+				<-gate
+			})
 		}
 		return nil
 	}
-	sessions := make([]*Session, 3)
+	sessions := make([]*Session, n)
 	for i := range sessions {
-		sessions[i] = trainSession(t, fmt.Sprintf("sess-%d", i+1), int64(i+1))
-		if err := ti.Put(sessions[i]); err != nil {
+		sessions[i] = trainSession(t, fmt.Sprintf("sess-%03d", i), int64(i+1))
+	}
+	if err := ti.Put(sessions[0]); err != nil {
+		t.Fatal(err)
+	}
+	<-entered // the worker is parked inside sess-000's publish
+	for _, sess := range sessions[1:] {
+		if err := ti.Put(sess); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Worker is stalled on the first session; the depth-1 queue holds the
-	// second; the third enqueue must have been dropped by backpressure.
-	deadline := time.Now().Add(5 * time.Second)
-	for ti.queueFull.Load() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("backpressure drop never happened")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	close(gate) // the hook now falls through immediately; workers still read it
-	if err := ti.Close(); err != nil {
-		t.Fatalf("drain: %v", err)
-	}
-	// Every session — including the one whose enqueue was dropped — is on
-	// disk after the drain.
-	ti2 := newTestTiered(t, dir, NewMemory())
-	for i := range sessions {
-		if _, ok := ti2.Get(fmt.Sprintf("sess-%d", i+1)); !ok {
-			t.Fatalf("sess-%d lost after backpressure + drain", i+1)
+	close(gate)
+	ti.Flush()
+	for _, sess := range sessions {
+		ti.mu.Lock()
+		_, indexed := ti.index[sess.ID]
+		ti.mu.Unlock()
+		if !indexed || sess.Dirty() {
+			t.Fatalf("%s: indexed=%v dirty=%v after Flush; its write-behind request was dropped",
+				sess.ID, indexed, sess.Dirty())
 		}
 	}
 }
 
 // TestTieredEagerSpillStartsNoQuietSweep: WithSpillCoalesce is a no-op.
-// Even at n = 4 it starts no loop beside the write-behind worker (with no GC
-// interval there is no stop channel at all), and every mutation is queued
-// for the worker at once — never parked until four accumulate — and
-// spilled as its own delta.
+// Even at n = 4 no quiet-period sweep holds a mutation back: each one
+// reaches the write-behind worker at once — never parked until four
+// accumulate — and is spilled as its own delta.
 func TestTieredEagerSpillStartsNoQuietSweep(t *testing.T) {
 	ti := newTestTiered(t, t.TempDir(), NewMemory(), WithSpillCoalesce(4, 5*time.Millisecond))
-	if ti.stopBG != nil {
-		t.Fatal("WithSpillCoalesce with no GC interval started a background loop")
-	}
 	a := trainSession(t, "sess-1", 1)
 	if err := ti.Put(a); err != nil {
 		t.Fatal(err)
@@ -280,14 +279,13 @@ func TestTieredEagerSpillStartsNoQuietSweep(t *testing.T) {
 	ti.Flush()
 	for i, row := range []int{2, 4, 6} {
 		applyDeletion(t, a, []int{row})
-		// Read in the worker's order (pending is cleared after inflight
-		// rises; the spill count rises before inflight falls), so a
-		// mutation that reached the worker is seen in one of the three.
+		// The worker takes the set before it counts the spill, so a
+		// mutation that reached it shows up in one of the three reads.
 		ti.qmu.Lock()
-		queued := ti.pending[a]
+		reached := ti.dirty[a] || ti.spilling > 0
 		ti.qmu.Unlock()
-		if !queued && ti.inflight.Load() == 0 && ti.writeBehind.Load() < int64(i+2) {
-			t.Fatalf("mutation %d was held back from the write-behind queue", i+1)
+		if !reached && ti.writeBehind.Load() < int64(i+2) {
+			t.Fatalf("mutation %d was held back from the write-behind worker", i+1)
 		}
 		ti.Flush()
 		if st := ti.Stats(); st.WriteBehindSpills != int64(i+2) || st.DeltaSpills != int64(i+1) {
@@ -301,7 +299,7 @@ func TestTieredEagerSpillStartsNoQuietSweep(t *testing.T) {
 // swept once old enough, and the gauge self-heals to match the directory.
 func TestTieredGCRemovesOrphans(t *testing.T) {
 	dir := t.TempDir()
-	ti := newTestTiered(t, dir, NewMemory(), WithSpillGC(50*time.Millisecond, 0))
+	ti := newSteppedTiered(t, dir, NewMemory(), defaultCompactAfter, 50*time.Millisecond)
 	if err := ti.Put(trainSession(t, "sess-1", 1)); err != nil {
 		t.Fatal(err)
 	}
@@ -334,13 +332,13 @@ func TestTieredGCRemovesOrphans(t *testing.T) {
 }
 
 // TestTieredWriteBehindQueuesRestoredIncarnation: a session evicted while its
-// write-behind request still waits in the queue, then restored and mutated,
-// must be queued again — the stale incarnation's queue entry is not the
-// restored one's. The single worker is stalled on another session's lock so
-// the evicted copy stays queued across the restore.
+// write-behind request still waits in the dirty set, then restored and
+// mutated, must be spilled again — the stale incarnation's entry is not the
+// restored one's. No worker runs, so the evicted copy stays in the set
+// across the restore until Flush runs the pass.
 func TestTieredWriteBehindQueuesRestoredIncarnation(t *testing.T) {
 	dir := t.TempDir()
-	ti := newTestTiered(t, dir, NewMemory(WithMaxSessions(2)))
+	ti := newSteppedTiered(t, dir, NewMemory(WithMaxSessions(2)), defaultCompactAfter, defaultGCAge)
 	a := trainSession(t, "sess-a", 1)
 	b := trainSession(t, "sess-b", 2)
 	for _, sess := range []*Session{a, b} {
@@ -350,20 +348,11 @@ func TestTieredWriteBehindQueuesRestoredIncarnation(t *testing.T) {
 	}
 	ti.Flush()
 
-	// Stall the worker: it dequeues b and blocks on b's lock. The pin keeps
-	// b out of the evictions below, which would need that lock too.
+	// The pin keeps b out of the evictions below, so a is the victim.
 	b.Pin()
-	b.Mu.Lock()
-	b.MarkDirtyLocked()
-	deadline := time.Now().Add(5 * time.Second)
-	for ti.inflight.Load() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("the worker never picked up the stalling session")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	defer b.Unpin()
 
-	// Dirty a (its request waits behind b), evict it with a synchronous
+	// Dirty a (its request waits in the set), evict it with a synchronous
 	// spill, restore it and commit to the restored copy.
 	applyDeletion(t, a, []int{2, 4})
 	if err := ti.Put(trainSession(t, "sess-c", 3)); err != nil {
@@ -374,9 +363,13 @@ func TestTieredWriteBehindQueuesRestoredIncarnation(t *testing.T) {
 		t.Fatalf("sess-a was not evicted and restored (ok=%v, same record=%v)", ok, a2 == a)
 	}
 	wantVec := applyDeletion(t, a2, []int{7, 9})
+	ti.qmu.Lock()
+	staleWaits, restoredWaits := ti.dirty[a], ti.dirty[a2]
+	ti.qmu.Unlock()
+	if !staleWaits || !restoredWaits {
+		t.Fatalf("dirty set holds the evicted copy: %v, the restored one: %v; want both", staleWaits, restoredWaits)
+	}
 
-	b.Mu.Unlock()
-	b.Unpin()
 	ti.Flush()
 	if a2.Dirty() {
 		t.Fatal("the restored session's commit was never spilled: write-behind skipped it")

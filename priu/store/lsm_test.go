@@ -20,7 +20,7 @@ import (
 // folded file.
 func TestTieredDeltaChainCompactsAndSurvivesReboot(t *testing.T) {
 	dir := t.TempDir()
-	ti := newTestTiered(t, dir, NewMemory(), WithCompaction(2))
+	ti := newSteppedTiered(t, dir, NewMemory(), 2, defaultGCAge)
 	a := trainSession(t, "sess-1", 1)
 	if err := ti.Put(a); err != nil {
 		t.Fatal(err)
@@ -220,7 +220,7 @@ func TestChaosTornDeltaSegmentDropped(t *testing.T) {
 // delta chain must stay authoritative across the reboot, the temp swept.
 func TestChaosCrashMidCompactionOldChainAuthoritative(t *testing.T) {
 	dir := t.TempDir()
-	ti := newTestTiered(t, dir, NewMemory(), WithCompaction(1))
+	ti := newSteppedTiered(t, dir, NewMemory(), 1, defaultGCAge)
 	a := trainSession(t, "sess-1", 1)
 	if err := ti.Put(a); err != nil {
 		t.Fatal(err)
@@ -719,7 +719,7 @@ func TestTieredFoldCutRacesDeleteEvictionAndNewerSpill(t *testing.T) {
 		t.Run(race, func(t *testing.T) {
 			dir := t.TempDir()
 			// No write-behind: every cut below is driven by the test.
-			ti := newTestTiered(t, dir, NewMemory(), WithWriteBehind(0, 0), WithCompaction(1))
+			ti := newSteppedTiered(t, dir, NewMemory(), 1, defaultGCAge)
 			s := trainSession(t, "sess-1", 1)
 			if err := ti.Put(s); err != nil {
 				t.Fatal(err)
@@ -839,14 +839,14 @@ func TestTieredFoldCutRacesDeleteEvictionAndNewerSpill(t *testing.T) {
 	}
 }
 
-// TestTieredSyncSpillsKeepChainsBounded disables write-behind, so every
+// TestTieredSyncSpillsKeepChainsBounded runs no write-behind, so every
 // spill is an eviction's synchronous fallback under the victim's lock: over
 // 3×n mutations the chain never holds more than n segments, the cut after a
 // full chain folds it, and a reboot restores the bits of Update of the log.
 func TestTieredSyncSpillsKeepChainsBounded(t *testing.T) {
 	const n = 3
 	dir := t.TempDir()
-	ti := newTestTiered(t, dir, NewMemory(WithMaxSessions(1)), WithWriteBehind(0, 0), WithCompaction(n))
+	ti := newSteppedTiered(t, dir, NewMemory(WithMaxSessions(1)), n, defaultGCAge)
 	a := trainSession(t, "sess-a", 1)
 	for _, s := range []*Session{a, trainSession(t, "sess-b", 2)} {
 		if err := ti.Put(s); err != nil {

@@ -13,7 +13,7 @@ import (
 
 // The property/oracle suite: randomized Put/Touch/Get/Delete churn from
 // several tenants against a plain-map oracle, with LRU evictions, the
-// write-behind queue, disk-budget file evictions and GC sweeps racing
+// write-behind worker, disk-budget file evictions and GC sweeps racing
 // underneath, punctuated by crash-restarts on the same directory. Run under
 // -race.
 //
@@ -106,20 +106,16 @@ func TestStorePropertyOracle(t *testing.T) {
 	// from "silently vanished".
 	var dropped sync.Map
 	open := func() *Tiered {
-		ti := newTestTiered(t, dir,
+		// Aggressive LSM settings: every second cut of a chain folds it.
+		// With two resident slots most sessions are cold, so restores race
+		// the folds, and dirty victims the worker has not reached yet take
+		// the eviction's synchronous fallback while it publishes.
+		ti := newSteppedTiered(t, dir,
 			NewMemory(WithMaxSessions(2), WithTenantLimits(limits)),
-			WithSpillMaxBytes(budget),
-			WithSpillGC(time.Hour, 5*time.Millisecond), // sweeps race restores
-			// Aggressive LSM settings: a one-slot queue overflows, so dirty
-			// victims reach the eviction's synchronous fallback while the
-			// worker publishes, and every second cut of a chain folds it.
-			// With two resident slots most sessions are cold, so restores
-			// race both.
-			WithWriteBehind(1, 1),
-			WithCompaction(1),
-		)
+			1, defaultGCAge, WithSpillMaxBytes(budget))
 		ti.onDiskEvict = func(id string) { dropped.Store(id, true) }
 		ti.onEvictLost = func(id string) { dropped.Store(id, true) }
+		ti.startLifecycle(5 * time.Millisecond) // GC sweeps race restores
 		return ti
 	}
 	ti := open()

@@ -454,16 +454,17 @@ type Stats struct {
 	SpillDirBytes int64
 	// SpillMaxBytes echoes the configured disk budget (0 = unbounded).
 	SpillMaxBytes int64
-	// WriteBehindSpills counts spills performed by the background queue (a
-	// subset of Spills); the rest were synchronous — eviction fallbacks or
-	// the shutdown drain.
+	// WriteBehindSpills counts spills performed by the write-behind worker
+	// (a subset of Spills); the rest were synchronous — eviction fallbacks,
+	// the shutdown drain or the fleet handoff.
 	WriteBehindSpills int64
-	// SpillQueueDepth is the write-behind queue's current backlog
-	// (pending + in-flight snapshots).
+	// SpillQueueDepth is the write-behind backlog: sessions in the dirty
+	// set plus those the worker's current pass has not finished.
 	SpillQueueDepth int
-	// SpillQueueFull counts write-behind enqueues dropped by backpressure
-	// (the eviction path falls back to a synchronous spill, so nothing is
-	// lost — this gauges how often the queue is saturated).
+	// SpillQueueFull counted write-behind enqueues dropped by a full queue.
+	// The dirty set never drops one.
+	//
+	// Deprecated: always 0.
 	SpillQueueFull int64
 	// DiskEvictions counts disk-only sessions dropped to keep the spill
 	// directory under SpillMaxBytes.

@@ -8,19 +8,37 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/priu"
 )
 
-// newTestTiered builds a tiered store whose lifecycle (write-behind workers,
-// GC) is stopped when the test ends, so background spills never race the
-// TempDir cleanup.
+// newTestTiered builds a tiered store whose lifecycle (the write-behind
+// worker, the GC loop) is stopped when the test ends, so background spills
+// never race the TempDir cleanup.
 func newTestTiered(t testing.TB, dir string, mem *Memory, opts ...TieredOption) *Tiered {
 	t.Helper()
 	ti, err := NewTiered(dir, mem, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(ti.stopLifecycle)
+	return ti
+}
+
+// newSteppedTiered builds a tiered store that starts no background loops and
+// folds chains at compactAfter segments (0 never folds), sweeping orphans
+// older than gcAge. Nothing spills unless the test drives it: an eviction
+// pays the synchronous spill, Flush runs the write-behind pass
+// (spillPending) on the caller's goroutine, and gcOnce runs when called. A
+// test that wants the loops after all starts them with startLifecycle.
+func newSteppedTiered(t testing.TB, dir string, mem *Memory, compactAfter int, gcAge time.Duration, opts ...TieredOption) *Tiered {
+	t.Helper()
+	ti, err := openTiered(dir, mem, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ti.compactAfter, ti.gcAge = compactAfter, gcAge
 	t.Cleanup(ti.stopLifecycle)
 	return ti
 }
@@ -106,7 +124,7 @@ func TestTieredSpillRestoreRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	// Synchronous spills keep the exact Spills count deterministic; the
 	// write-behind path has its own tests below.
-	ti := newTestTiered(t, dir, NewMemory(WithMaxSessions(1)), WithWriteBehind(0, 0))
+	ti := newSteppedTiered(t, dir, NewMemory(WithMaxSessions(1)), defaultCompactAfter, defaultGCAge)
 	a := trainSession(t, "sess-1", 11)
 	wantVec := applyDeletion(t, a, []int{3, 9})
 	ti.Put(a)

@@ -141,7 +141,7 @@ type flight struct {
 // touches of cold sessions restore (singleflight), Close drains dirty
 // residents, and NewTiered re-indexes whatever a previous process left. Its
 // lifecycle manager (lifecycle.go) keeps the disk tier bounded and off the
-// hot path: a write-behind queue snapshots dirty sessions eagerly so most
+// hot path: a write-behind worker snapshots dirty sessions eagerly so most
 // evictions just drop the resident copy, a disk budget evicts
 // least-recently-used spill files, and an age-based GC sweeps orphaned
 // leftovers.
@@ -155,14 +155,13 @@ type Tiered struct {
 	// caches; see tieredblob.go.
 	blob BlobStore
 
-	// Lifecycle configuration (fixed after NewTiered).
+	// Lifecycle configuration (fixed after NewTiered). A cut folds a chain
+	// of compactAfter deltas (0 = never); the GC removes orphans older than
+	// gcAge.
 	spillOnEvict bool
 	maxDiskBytes int64
-	queueLen     int
-	workers      int
+	compactAfter int
 	gcAge        time.Duration
-	gcInterval   time.Duration
-	compactAfter int // the next cut folds a chain holding this many deltas (0 = never)
 
 	mu      sync.Mutex
 	index   map[string]*spillEntry
@@ -194,18 +193,17 @@ type Tiered struct {
 	// mu.
 	tombstones map[string]*tombstone
 
-	// Write-behind queue state (lifecycle.go). pending holds the queued
-	// session records, keyed by record rather than ID: an evicted
-	// incarnation still waiting in the queue must not stand in for the
-	// restored one that replaced it.
+	// Write-behind state (lifecycle.go), guarded by qmu: the dirty set, the
+	// sessions a pass has taken and not finished, a broadcast after every
+	// pass, a one-slot wake-up for the worker, and the loops' stop (nil when
+	// none run).
 	qmu      sync.Mutex
-	queue    chan *Session
-	pending  map[*Session]bool
-	qClosed  bool
-	inflight atomic.Int64
-	// stopBG stops the GC loop; nil when no GC interval is configured.
-	stopBG chan struct{}
-	wg     sync.WaitGroup
+	dirty    map[*Session]bool
+	spilling int
+	drained  sync.Cond
+	wake     chan struct{}
+	stop     chan struct{}
+	wg       sync.WaitGroup
 
 	// tombMu serializes tombstone-set changes with the writes that persist
 	// them (tombstone.go). tombUnsynced holds the retired ids whose
@@ -223,7 +221,6 @@ type Tiered struct {
 	restoreErrors atomic.Int64
 	unspillable   atomic.Int64
 	writeBehind   atomic.Int64
-	queueFull     atomic.Int64
 	diskEvictions atomic.Int64
 	gcRemovals    atomic.Int64
 	blobPuts      atomic.Int64
@@ -298,8 +295,8 @@ type TieredOption func(*Tiered)
 
 // WithSpillOnEvict controls whether budget evictions spill to disk (default
 // true). When disabled, evictions drop sessions as in the plain memory store
-// (and the write-behind queue is idle) but Close still snapshots dirty
-// residents, giving restart durability without an eviction disk tier.
+// (and write-behind is idle) but Close still snapshots dirty residents,
+// giving restart durability without an eviction disk tier.
 func WithSpillOnEvict(enabled bool) TieredOption {
 	return func(t *Tiered) { t.spillOnEvict = enabled }
 }
@@ -313,60 +310,46 @@ func WithSpillMaxBytes(b int64) TieredOption {
 	return func(t *Tiered) { t.maxDiskBytes = b }
 }
 
-// WithWriteBehind sizes the eager-spill queue (default 256 deep, 1 worker).
-// A zero queue length disables write-behind entirely: every spill happens
-// synchronously on the evicting goroutine, the pre-lifecycle behavior.
-func WithWriteBehind(queueLen, workers int) TieredOption {
-	return func(t *Tiered) {
-		t.queueLen = queueLen
-		if workers > 0 {
-			t.workers = workers
-		}
-	}
-}
-
-// WithSpillCoalesce has no effect: every mutation schedules a write-behind
-// spill at once, and requests for a session already queued merge there,
-// because the worker cuts whatever the session holds when it dequeues it.
+// WithWriteBehind has no effect: one worker drains the dirty set whenever
+// evictions spill.
 //
-// Deprecated: write-behind no longer holds updates back; drop the option.
-func WithSpillCoalesce(n int, quiet time.Duration) TieredOption {
-	return func(*Tiered) {}
-}
+// Deprecated: drop the option.
+func WithWriteBehind(int, int) TieredOption { return noOption }
 
-// WithCompaction bounds a session's delta chain at maxDeltas segments
-// (default 8; <= 0 never folds): the next cut of a chain that holds
-// maxDeltas segments folds it into a new base. The fold is a base spill
-// whose envelope carries the session's full deletion log and whose snapshot
-// bytes are copied verbatim from the chain's base — the snapshot section
-// never changes after capture — so it costs a file copy, not a model
-// encode. It publishes through the same path as every base: a crash at any
-// point leaves either the old chain or the new base authoritative, never a
-// mix.
-func WithCompaction(maxDeltas int) TieredOption {
-	return func(t *Tiered) { t.compactAfter = maxDeltas }
-}
+// WithSpillCoalesce has no effect: every mutation reaches the worker at once.
+//
+// Deprecated: drop the option.
+func WithSpillCoalesce(int, time.Duration) TieredOption { return noOption }
 
-// WithSpillGC runs the age-based spill-directory GC every interval: orphaned
-// session files (unindexed — typically left by crashes or failed unlinks of
-// long-deleted sessions) and stale temp files older than age are removed,
-// and the orphan-byte gauge is refreshed. A zero interval disables the
-// background sweep (gcOnce can still be driven directly).
-func WithSpillGC(age, interval time.Duration) TieredOption {
-	return func(t *Tiered) {
-		if age > 0 {
-			t.gcAge = age
-		}
-		t.gcInterval = interval
-	}
-}
+// WithCompaction has no effect: a cut folds any chain of 8 deltas.
+//
+// Deprecated: drop the option.
+func WithCompaction(int) TieredOption { return noOption }
+
+// WithSpillGC has no effect: the GC sweep runs every minute and removes
+// orphans older than an hour.
+//
+// Deprecated: drop the option.
+func WithSpillGC(age, interval time.Duration) TieredOption { return noOption }
+
+func noOption(*Tiered) {}
 
 // NewTiered opens (creating if needed) the spill directory, re-indexes the
 // session files a previous process left there, installs the spill hook on
-// mem's evictions, and starts the lifecycle manager (write-behind workers
-// and, when configured, the GC sweep). mem must be freshly constructed and
-// not shared.
+// mem's evictions, and starts the lifecycle manager (the write-behind worker
+// and the GC sweep). mem must be freshly constructed and not shared.
 func NewTiered(dir string, mem *Memory, opts ...TieredOption) (*Tiered, error) {
+	t, err := openTiered(dir, mem, opts...)
+	if err != nil {
+		return nil, err
+	}
+	t.startLifecycle(gcEvery)
+	return t, nil
+}
+
+// openTiered is NewTiered without the background loops: nothing runs until
+// the caller drives spillPending and gcOnce, or starts the loops.
+func openTiered(dir string, mem *Memory, opts ...TieredOption) (*Tiered, error) {
 	local, err := NewFSBlob(dir)
 	if err != nil {
 		return nil, err
@@ -376,18 +359,18 @@ func NewTiered(dir string, mem *Memory, opts ...TieredOption) (*Tiered, error) {
 		local:        local,
 		index:        make(map[string]*spillEntry),
 		flights:      make(map[string]*flight),
-		pending:      make(map[*Session]bool),
+		dirty:        make(map[*Session]bool),
+		wake:         make(chan struct{}, 1),
 		blobPutting:  make(map[string]bool),
 		deleting:     make(map[string]int),
 		unlinking:    make(map[string]bool),
 		tombstones:   make(map[string]*tombstone),
 		tombUnsynced: make(map[string]bool),
 		spillOnEvict: true,
-		queueLen:     256,
-		workers:      1,
-		compactAfter: 8,
-		gcAge:        time.Hour,
+		compactAfter: defaultCompactAfter,
+		gcAge:        defaultGCAge,
 	}
+	t.drained.L = &t.qmu
 	for _, opt := range opts {
 		opt(t)
 	}
@@ -411,13 +394,13 @@ func NewTiered(dir string, mem *Memory, opts ...TieredOption) (*Tiered, error) {
 	}
 	mem.onEvictLocked = func(sess *Session) int {
 		if t.spillOnEvict {
-			// The write-behind queue usually got here first: a clean session
-			// with a current disk copy is preserved by just dropping the
-			// resident copy — no file IO under the victim's lock. The
-			// synchronous spill is the fallback (dirty victim, queue
-			// backlog, or write-behind disabled); it runs under the victim's
-			// Session.Mu only (enforceBudget holds no shard lock across this
-			// hook), and its publish pushes to the blob tier there too.
+			// The write-behind worker usually got here first: a clean
+			// session with a current disk copy is preserved by just dropping
+			// the resident copy — no file IO under the victim's lock. The
+			// synchronous spill is the fallback (a dirty victim the worker
+			// has not reached yet); it runs under the victim's Session.Mu
+			// only (enforceBudget holds no shard lock across this hook),
+			// and its publish pushes to the blob tier there too.
 			// A clean chain whose earlier push failed is left to the GC
 			// sweep's blob pass: nothing is uploaded for it here.
 			_, err := t.spillLocked(sess)
@@ -457,7 +440,6 @@ func NewTiered(dir string, mem *Memory, opts ...TieredOption) (*Tiered, error) {
 		t.invalidate(sess.ID)
 		return evictLost
 	}
-	t.startLifecycle()
 	return t, nil
 }
 
@@ -535,7 +517,7 @@ func (t *Tiered) Put(sess *Session) error {
 	if tombstoned || unsynced {
 		t.tombstoneSettle(sess.ID)
 	}
-	t.armWriteBehind(sess)
+	sess.notifyDirty = t.enqueueSpill
 	if err := t.mem.Put(sess); err != nil {
 		return err
 	}
@@ -555,7 +537,7 @@ func (t *Tiered) Get(id string) (*Session, bool) {
 		return sess, true
 	}
 	t.mu.Lock()
-	if f, inflight := t.flights[id]; inflight {
+	if f, joining := t.flights[id]; joining {
 		t.mu.Unlock()
 		<-f.done
 		return f.sess, f.ok
@@ -657,10 +639,11 @@ func (t *Tiered) Stats() Stats {
 	st.Unspillable = t.unspillable.Load()
 	st.SpillMaxBytes = t.maxDiskBytes
 	st.WriteBehindSpills = t.writeBehind.Load()
-	st.SpillQueueFull = t.queueFull.Load()
 	st.DiskEvictions = t.diskEvictions.Load()
 	st.GCRemovals = t.gcRemovals.Load()
-	st.SpillQueueDepth = t.queueDepth()
+	t.qmu.Lock()
+	st.SpillQueueDepth = len(t.dirty) + t.spilling
+	t.qmu.Unlock()
 	st.BlobTier = t.blob != nil
 	st.BlobPuts = t.blobPuts.Load()
 	st.BlobGets = t.blobGets.Load()
@@ -697,8 +680,8 @@ func (t *Tiered) Stats() Stats {
 }
 
 // Close implements Store: the SIGTERM drain, ordered after the write-behind
-// queue. The GC sweep stops, the queue is closed and its backlog flushed by
-// the workers, and then every dirty resident session is snapshotted to the
+// worker. The GC sweep stops, the worker makes its last pass over the dirty
+// set, and then every dirty resident session is snapshotted to the
 // spill directory so the next process restores the exact pre-shutdown
 // state. Unspillable sessions are counted and skipped.
 func (t *Tiered) Close() error {
@@ -801,7 +784,8 @@ type spillCut struct {
 // cut is a delta segment — O(batch) bytes, not O(session) — unless the
 // chain already holds compactAfter segments: then the cut folds it into a
 // new base (O(log) under the lock, the snapshot bytes copied from the old
-// base at publish). Otherwise it is a full v2 base.
+// base at publish), which publishes like every base: a crash leaves either
+// the old chain or the new base authoritative. Otherwise it is a full base.
 func (t *Tiered) cutLocked(sess *Session) (*spillCut, error) {
 	if !sess.Dirty() {
 		t.mu.Lock()
@@ -874,10 +858,10 @@ func (cut *spillCut) covered() bool {
 }
 
 // serialize renders a delta or base cut's file bytes into the payload
-// buffer. Called from publishCut, which write-behind workers reach after
-// releasing the session lock — the capture copied every mutable input, and
-// the training set and updater never mutate after capture, so even the
-// O(session) base snapshot serializes without blocking readers.
+// buffer. Called from publishCut, which the write-behind worker reaches
+// after releasing the session lock — the capture copied every mutable
+// input, and the training set and updater never mutate after capture, so
+// even the O(session) base snapshot serializes without blocking readers.
 func (cut *spillCut) serialize() error {
 	var buf bytes.Buffer
 	if cut.isDelta {
@@ -915,7 +899,7 @@ func (t *Tiered) writeCut(w io.Writer, cut *spillCut) error {
 
 // publishCut stages a cut's payload in the spill directory (temp file +
 // fsync) and commits it with an atomic rename — all without holding the
-// session's Mu (write-behind workers call it after releasing the lock;
+// session's Mu (the write-behind worker calls it after releasing the lock;
 // synchronous callers may still hold it). The stage runs off t.mu; the
 // commit happens under t.mu behind the chain guard, so a cut never becomes
 // a visible key before its guard passes, and a stale cut, a gone
@@ -1430,7 +1414,7 @@ func (t *Tiered) restore(id string, e *spillEntry) (*Session, error) {
 		}
 		t.mu.Unlock()
 	}
-	t.armWriteBehind(sess)
+	sess.notifyDirty = t.enqueueSpill
 	t.restores.Add(1)
 	if m := t.metrics; m != nil && e != nil {
 		observeSince(m.RestoreSeconds, start) // adopts are not timed as restores

@@ -26,7 +26,7 @@ import (
 // copy restore from it, and the disk-budget evictor may demote blob-backed
 // local chains (a cache drop, not a session loss). A failed push, and a
 // tombstoned session's blob delete that did not stick, are retried by the
-// GC sweep's blob pass (so configure WithSpillGC) and at boot; short of
+// GC sweep's blob pass, which runs every minute, and at boot; short of
 // those, only the session's next publish pushes its chain again.
 func WithBlobStore(bs BlobStore) TieredOption {
 	return func(t *Tiered) { t.blob = bs }
