@@ -12,7 +12,7 @@ FUZZTIME ?= 10s
 STORE_COVER_MIN ?= 85
 SERVICE_COVER_MIN ?= 81
 
-.PHONY: all build test race bench bench-guard bench-baseline kernel-bench spill-smoke auth-smoke whatif-smoke fleet-smoke obs-smoke fuzz-smoke cover fmt fmt-check vet ci
+.PHONY: all build test race bench bench-guard bench-baseline kernel-bench spill-smoke auth-smoke whatif-smoke fleet-smoke obs-smoke fuzz-smoke cover deadpkg fmt fmt-check vet ci
 
 all: build
 
@@ -124,6 +124,17 @@ fleet-smoke:
 obs-smoke:
 	$(GO) test -race -count=1 -run 'TestObsSmoke' ./priu/client
 
+# Dead-package guard: every package under internal/ and priu/ must be
+# imported by a binary under cmd/ or examples/ (its own tests do not count).
+# Prints nothing when each has a caller; otherwise lists the orphans and fails.
+deadpkg: SHELL := /bin/bash
+deadpkg:
+	@set -o pipefail; \
+	pkgs="$$($(GO) list ./internal/... ./priu/... | sort)" && \
+	deps="$$($(GO) list -deps ./cmd/... ./examples/... | sort)" && \
+	dead="$$(comm -23 <(echo "$$pkgs") <(echo "$$deps"))" && \
+	if [ -n "$$dead" ]; then echo "no binary imports:"; echo "$$dead"; exit 1; fi
+
 fmt:
 	gofmt -w .
 
@@ -135,4 +146,4 @@ vet:
 	$(GO) vet ./...
 
 # Everything CI runs, in one target, for local parity.
-ci: build vet fmt-check race spill-smoke auth-smoke whatif-smoke fleet-smoke obs-smoke fuzz-smoke cover bench
+ci: build vet fmt-check deadpkg race spill-smoke auth-smoke whatif-smoke fleet-smoke obs-smoke fuzz-smoke cover bench

@@ -76,7 +76,7 @@ func BenchmarkMatVecParallel(b *testing.B) {
 }
 
 // BenchmarkMatVecTParallel: dense mᵀ*x over 100k rows — the gradient
-// aggregation shape (MapReduce with per-worker accumulators).
+// aggregation shape (MapReduceDet with per-chunk accumulators).
 func BenchmarkMatVecTParallel(b *testing.B) {
 	rng := benchRand(2)
 	const rows, cols = 100_000, 64

@@ -3,7 +3,7 @@
 // Usage:
 //
 //	priuserve -addr :8080 -workers 0 -max-sessions 0 -max-bytes 0 \
-//	          -store-dir /var/lib/priu -spill -spill-max-bytes 0 \
+//	          -store-dir /var/lib/priu -spill-max-bytes 0 \
 //	          -drain-timeout 15s \
 //	          -whatif-workers 0 -whatif-limit 8 \
 //	          -auth required -auth-keys /etc/priu/keys.json \
@@ -50,8 +50,7 @@
 // directory as priu session snapshots and lazily restore on the next touch,
 // SIGTERM/SIGINT snapshots every dirty resident session before exit, and a
 // restarted server re-indexes the directory — so a kill/restart loses no
-// session, model or deletion log. -spill=false keeps evictions dropping (the
-// pre-tiered behavior) while retaining shutdown/restart durability.
+// session, model or deletion log.
 // -drain-timeout bounds how long shutdown waits for in-flight requests
 // before snapshotting; the shutdown then stops the write-behind queue,
 // flushes its backlog, and only then drains stragglers, so everything the
@@ -60,11 +59,11 @@
 // The spill tier is managed by a lifecycle manager with fixed settings
 // (priu/store's defaults; the end-to-end benchmark runs the same ones):
 //
-//   - write-behind: a background queue (256 deep, one worker) snapshots
-//     sessions eagerly as they are registered and after every mutation, so
-//     LRU evictions usually just drop the resident copy instead of paying
-//     snapshot IO on the evicting request's goroutine. A full queue falls
-//     back to the synchronous spill — never a lost session.
+//   - write-behind: one background worker snapshots sessions eagerly as
+//     they are registered and after every mutation, so LRU evictions
+//     usually just drop the resident copy instead of paying snapshot IO on
+//     the evicting request's goroutine. A victim the worker has not reached
+//     yet pays the synchronous spill — never a lost session.
 //   - compaction: a delta chain never holds more than 8 segments; the next
 //     cut of a full chain folds it into a new base by copying the old base's
 //     snapshot bytes under the session's full deletion log.
@@ -147,7 +146,6 @@ func main() {
 	maxBytes := flag.Int64("max-bytes", 0, "max resident session bytes (data + provenance) before LRU eviction (0 = unbounded)")
 	maxBatch := flag.Int("max-batch", 0, "max removals per v2 deletion batch (0 = default)")
 	storeDir := flag.String("store-dir", "", "spill directory for the tiered session store (empty = memory only)")
-	spill := flag.Bool("spill", true, "with -store-dir: spill evicted sessions to disk instead of dropping them")
 	spillMaxBytes := flag.Int64("spill-max-bytes", 0, "disk budget for the spill directory; LRU spill files are evicted to stay under it (0 = unbounded)")
 	drainTimeout := flag.Duration("drain-timeout", 15*time.Second, "max wait for in-flight requests before the shutdown snapshot")
 	whatifWorkers := flag.Int("whatif-workers", 0, "parallel evaluators per what-if batch (0 = GOMAXPROCS)")
@@ -194,7 +192,6 @@ func main() {
 	}
 	if *storeDir != "" {
 		tieredOpts := []store.TieredOption{
-			store.WithSpillOnEvict(*spill),
 			store.WithSpillMaxBytes(*spillMaxBytes),
 			store.WithMetrics(store.NewTierMetrics(reg)),
 		}

@@ -130,28 +130,6 @@ func (d *Dataset) Split(trainFrac float64, seed int64) (train, valid *Dataset, e
 	return take(perm[:nTrain]), take(perm[nTrain:]), nil
 }
 
-// Concat returns the dataset repeated `copies` times — the construction the
-// paper uses for Cov (extended), HIGGS (extended) and Heartbeat (extended).
-func (d *Dataset) Concat(copies int) (*Dataset, error) {
-	if copies < 1 {
-		return nil, fmt.Errorf("dataset: Concat copies = %d", copies)
-	}
-	n, m := d.N(), d.M()
-	x := mat.NewDense(n*copies, m)
-	y := make([]float64, n*copies)
-	for c := 0; c < copies; c++ {
-		copy(x.Data()[c*n*m:(c+1)*n*m], d.X.Data())
-		copy(y[c*n:(c+1)*n], d.Y)
-	}
-	return &Dataset{
-		Name:    d.Name + " (extended)",
-		Task:    d.Task,
-		Classes: d.Classes,
-		X:       x,
-		Y:       y,
-	}, nil
-}
-
 // Remove returns a copy of the dataset without the rows in removed.
 func (d *Dataset) Remove(removed []int) (*Dataset, error) {
 	drop := make(map[int]bool, len(removed))
@@ -217,43 +195,4 @@ func (d *Dataset) InjectDirty(count int, scale float64, seed int64) (*Dataset, [
 		}
 	}
 	return out, dirty, nil
-}
-
-// Standardize rescales every feature column to zero mean and unit variance
-// in place (constant columns are left centered). Returns the per-column
-// means and standard deviations so validation data can be transformed
-// consistently.
-func (d *Dataset) Standardize() (means, stds []float64) {
-	n, m := d.N(), d.M()
-	means = make([]float64, m)
-	stds = make([]float64, m)
-	for i := 0; i < n; i++ {
-		row := d.X.Row(i)
-		for j, v := range row {
-			means[j] += v
-		}
-	}
-	for j := range means {
-		means[j] /= float64(n)
-	}
-	for i := 0; i < n; i++ {
-		row := d.X.Row(i)
-		for j, v := range row {
-			dlt := v - means[j]
-			stds[j] += dlt * dlt
-		}
-	}
-	for j := range stds {
-		stds[j] = math.Sqrt(stds[j] / float64(n))
-	}
-	for i := 0; i < n; i++ {
-		row := d.X.Row(i)
-		for j := range row {
-			row[j] -= means[j]
-			if stds[j] > 0 {
-				row[j] /= stds[j]
-			}
-		}
-	}
-	return means, stds
 }

@@ -1,7 +1,6 @@
 package dataset
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 
@@ -168,27 +167,6 @@ func TestSplitSizesAndDisjoint(t *testing.T) {
 	}
 }
 
-func TestConcatExtended(t *testing.T) {
-	d := mustRegression(t, 30, 4, 6)
-	ext, err := d.Concat(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ext.N() != 90 || ext.M() != 4 {
-		t.Fatalf("Concat shape %dx%d", ext.N(), ext.M())
-	}
-	for c := 0; c < 3; c++ {
-		for i := 0; i < 30; i++ {
-			if ext.Y[c*30+i] != d.Y[i] {
-				t.Fatal("Concat labels wrong")
-			}
-		}
-	}
-	if _, err := d.Concat(0); err == nil {
-		t.Fatal("expected error for zero copies")
-	}
-}
-
 func TestRemove(t *testing.T) {
 	d := mustRegression(t, 10, 2, 9)
 	r, err := d.Remove([]int{0, 9, 5})
@@ -250,29 +228,6 @@ func TestInjectDirty(t *testing.T) {
 	}
 	if _, _, err := d.InjectDirty(50, 2, 1); err == nil {
 		t.Fatal("expected error for count = n")
-	}
-}
-
-func TestStandardize(t *testing.T) {
-	d := mustRegression(t, 300, 4, 13)
-	means, stds := d.Standardize()
-	if len(means) != 4 || len(stds) != 4 {
-		t.Fatal("bad standardization shapes")
-	}
-	for j := 0; j < 4; j++ {
-		var mean, varr float64
-		for i := 0; i < d.N(); i++ {
-			mean += d.X.At(i, j)
-		}
-		mean /= float64(d.N())
-		for i := 0; i < d.N(); i++ {
-			dv := d.X.At(i, j) - mean
-			varr += dv * dv
-		}
-		varr /= float64(d.N())
-		if math.Abs(mean) > 1e-10 || math.Abs(varr-1) > 1e-8 {
-			t.Fatalf("col %d: mean %v var %v after Standardize", j, mean, varr)
-		}
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"repro/internal/dataset"
-	"repro/internal/interp"
 	"repro/internal/mat"
 )
 
@@ -145,7 +144,3 @@ func Softmax(p, z []float64) {
 		p[k] /= s
 	}
 }
-
-// Sigmoid re-exports the stable logistic sigmoid for callers that have a
-// gbm dependency only.
-func Sigmoid(x float64) float64 { return interp.Sigmoid(x) }

@@ -1,7 +1,7 @@
 // Package par provides the reusable parallelism substrate for the PrIU
 // reproduction: a lazily started pool of worker goroutines and two chunked
-// scheduling primitives, For (independent index ranges) and MapReduce
-// (per-worker accumulators merged at the end). The dense and sparse kernels
+// scheduling primitives, For (independent index ranges) and MapReduceDet
+// (per-chunk accumulators merged in chunk order). The dense and sparse kernels
 // route their row loops through this package, so one knob — SetWorkers —
 // controls the parallelism of the whole stack.
 //
@@ -121,7 +121,7 @@ func init() { workers.Store(int64(runtime.GOMAXPROCS(0))) }
 // goroutine).
 func Workers() int { return int(workers.Load()) }
 
-// SetWorkers sets the target parallelism for subsequent For/MapReduce calls.
+// SetWorkers sets the target parallelism for subsequent For/MapReduceDet calls.
 // n <= 0 resets to runtime.GOMAXPROCS(0). It returns the previous value so
 // callers (benchmarks, tests) can restore it.
 func SetWorkers(n int) int {
@@ -239,89 +239,6 @@ func For(n, grain int, fn func(lo, hi int)) {
 	}
 }
 
-// MapReduce runs chunk over disjoint subranges covering [0, n), giving each
-// participating worker its own accumulator from newAcc, and folds the
-// per-worker accumulators with merge. chunk receives the worker's current
-// accumulator and returns the (possibly same, possibly replaced) accumulator.
-// merge may mutate and return its first argument. For n <= grain or a single
-// worker the call reduces to chunk(newAcc(), 0, n) with no merge.
-func MapReduce[T any](n, grain int, newAcc func() T, chunk func(acc T, lo, hi int) T, merge func(a, b T) T) T {
-	if n <= 0 {
-		return newAcc()
-	}
-	w := Workers()
-	if w <= 1 || n <= grain {
-		return chunk(newAcc(), 0, n)
-	}
-	sz, chunks := plan(n, grain, w)
-	if chunks <= 1 {
-		return chunk(newAcc(), 0, n)
-	}
-	var (
-		next     atomic.Int64
-		panicked atomic.Pointer[any]
-		mu       sync.Mutex
-		accs     []T
-	)
-	runner := func() {
-		defer func() {
-			if r := recover(); r != nil {
-				panicked.CompareAndSwap(nil, &r)
-				next.Store(int64(chunks))
-			}
-		}()
-		var acc T
-		started := false
-		for {
-			c := int(next.Add(1)) - 1
-			if c >= chunks {
-				break
-			}
-			if !started {
-				acc = newAcc()
-				started = true
-			}
-			lo := c * sz
-			hi := lo + sz
-			if hi > n {
-				hi = n
-			}
-			acc = chunk(acc, lo, hi)
-		}
-		if started {
-			mu.Lock()
-			accs = append(accs, acc)
-			mu.Unlock()
-		}
-	}
-	helpers := w - 1
-	if chunks-1 < helpers {
-		helpers = chunks - 1
-	}
-	var wg sync.WaitGroup
-	p := pool()
-	for i := 0; i < helpers; i++ {
-		wg.Add(1)
-		select {
-		case p <- func() { defer wg.Done(); runner() }:
-			statDispatches.Add(1)
-		default:
-			statInline.Add(1)
-			wg.Done()
-		}
-	}
-	runner()
-	wg.Wait()
-	if r := panicked.Load(); r != nil {
-		panic(*r)
-	}
-	out := accs[0]
-	for _, a := range accs[1:] {
-		out = merge(out, a)
-	}
-	return out
-}
-
 // detMaxChunks bounds how many fixed chunks (and therefore live accumulators)
 // a deterministic reduction creates, independent of the worker count.
 const detMaxChunks = 32
@@ -342,14 +259,15 @@ func detPlan(n, grain int) (chunk, chunks int) {
 	return chunk, chunks
 }
 
-// MapReduceDet is MapReduce with a bitwise-deterministic reduction order:
-// chunk boundaries are fixed by (n, grain) alone — callers take grain from
-// DetGrain, so it is a function of the shape — and the per-chunk
-// accumulators are folded left-to-right in chunk-index order, so the result
-// is identical at any worker count — including Workers() == 1, where the same
-// chunked fold runs serially. Kernels whose output feeds persisted snapshots
-// (the PR 3 bitwise contract) use this instead of MapReduce, whose merge
-// order depends on chunk completion order.
+// MapReduceDet runs chunk over disjoint subranges covering [0, n), giving
+// each chunk its own accumulator from newAcc, and folds the accumulators
+// with merge (which may mutate and return its first argument) in a
+// bitwise-deterministic order: chunk boundaries are fixed by (n, grain)
+// alone — callers take grain from DetGrain, so it is a function of the
+// shape — and the per-chunk accumulators are folded left-to-right in
+// chunk-index order, so the result is identical at any worker count —
+// including Workers() == 1, where the same chunked fold runs serially.
+// Kernels whose output feeds persisted snapshots rely on that order.
 //
 // The cost of determinism is bounded extra merging: at most detMaxChunks
 // accumulators exist regardless of pool size.

@@ -105,11 +105,13 @@ func TestForNested(t *testing.T) {
 	})
 }
 
+// The MapReduce tests drive MapReduceDet, the package's one reduction, at
+// several pool sizes.
 func TestMapReduceSum(t *testing.T) {
 	for _, w := range []int{1, 2, 8} {
 		withWorkers(t, w, func() {
 			const n = 123457
-			got := MapReduce(n, 100,
+			got := MapReduceDet(n, 100,
 				func() int64 { return 0 },
 				func(acc int64, lo, hi int) int64 {
 					for i := lo; i < hi; i++ {
@@ -128,12 +130,12 @@ func TestMapReduceSum(t *testing.T) {
 
 func TestMapReduceEmpty(t *testing.T) {
 	withWorkers(t, 4, func() {
-		got := MapReduce(0, 1,
+		got := MapReduceDet(0, 1,
 			func() int { return 42 },
 			func(acc, lo, hi int) int { t.Fatal("chunk called"); return acc },
 			func(a, b int) int { return a + b })
 		if got != 42 {
-			t.Fatalf("empty MapReduce = %d, want identity 42", got)
+			t.Fatalf("empty MapReduceDet = %d, want identity 42", got)
 		}
 	})
 }
@@ -145,7 +147,7 @@ func TestMapReducePanicPropagates(t *testing.T) {
 				t.Fatal("panic did not propagate")
 			}
 		}()
-		MapReduce(10000, 1,
+		MapReduceDet(10000, 1,
 			func() int { return 0 },
 			func(acc, lo, hi int) int { panic("mr boom") },
 			func(a, b int) int { return a + b })

@@ -7,7 +7,7 @@ import (
 
 // Dataset is a dense training set (row-major features + labels). It is an
 // alias of the internal representation, so every method — Split, Remove,
-// InjectDirty, Standardize, ... — is available on values built here.
+// InjectDirty, ... — is available on values built here.
 type Dataset = dataset.Dataset
 
 // SparseDataset is the CSR training set used by the sparse-logistic family.

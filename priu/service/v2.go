@@ -842,38 +842,41 @@ func (s *Server) handleV2TenantStats(w http.ResponseWriter, r *http.Request) {
 // removal batch against the session's bounds and cumulative deletion log and
 // folds the batch as sent. Callers hold sess.Mu.
 func validateBatchLocked(sess *Session, removed []int) ([]int, *APIError) {
-	if len(removed) == 0 {
-		return nil, apiErrorf(http.StatusBadRequest, ErrCodeInvalidRemovals, "empty removal set")
-	}
-	n := sess.DS.N()
-	for _, i := range removed {
-		if i < 0 || i >= n {
-			return nil, apiErrorf(http.StatusBadRequest, ErrCodeInvalidRemovals,
-				"removal index %d out of range [0,%d)", i, n)
-		}
-	}
-	// Each id joins the log's membership set as it passes, so a repeat
-	// within the batch reads as already deleted; the ids leave it again
-	// before returning.
-	logged := sess.LoggedLocked()
-	var e *APIError
-	k := 0
-	for ; k < len(removed); k++ {
-		i := removed[k]
-		if logged.Has(i) {
-			e = apiErrorf(http.StatusBadRequest, ErrCodeInvalidRemovals,
-				"removal index %d is duplicated or already deleted", i)
-			break
-		}
-		logged.Add(i)
-	}
-	for _, i := range removed[:k] {
-		logged.Remove(i)
-	}
-	if e != nil {
+	if e := checkRemovals(sess.LoggedLocked(), sess.DS.N(), removed, "empty removal set"); e != nil {
 		return nil, e
 	}
 	return removed, nil
+}
+
+// checkRemovals holds one removal set — a v2 commit batch or a what-if set —
+// to the rules both share: it is non-empty (else the emptyMsg error), every
+// id is in [0,n), and no id is repeated or already in logged, the membership
+// set of the deletion log it is checked against. Each id joins logged as it
+// passes, so a repeat within the set reads as already deleted; the ids leave
+// it again before returning.
+func checkRemovals(logged store.RowSet, n int, removed []int, emptyMsg string) *APIError {
+	if len(removed) == 0 {
+		return apiErrorf(http.StatusBadRequest, ErrCodeInvalidRemovals, "%s", emptyMsg)
+	}
+	k := 0
+	defer func() {
+		for _, i := range removed[:k] {
+			logged.Remove(i)
+		}
+	}()
+	for ; k < len(removed); k++ {
+		i := removed[k]
+		if i < 0 || i >= n {
+			return apiErrorf(http.StatusBadRequest, ErrCodeInvalidRemovals,
+				"removal index %d out of range [0,%d)", i, n)
+		}
+		if logged.Has(i) {
+			return apiErrorf(http.StatusBadRequest, ErrCodeInvalidRemovals,
+				"removal index %d is duplicated or already deleted", i)
+		}
+		logged.Add(i)
+	}
+	return nil
 }
 
 // ParamDigest hashes a parameter vector (FNV-1a over the float bits) into a

@@ -130,42 +130,28 @@ type whatifEvaluator struct {
 	maxRem int
 }
 
-// validate checks one candidate set and returns its sorted union with the
-// committed log (the id path the planner walks), or the typed error line.
-// The union is read off the membership bits, so it comes out ascending and
-// distinct with no sort.
+// validate checks one candidate set (the per-set cap, then checkRemovals)
+// and returns its sorted union with the committed log (the id path the
+// planner walks), or the typed error line. The union is read off the
+// membership bits, so it comes out ascending and distinct with no sort.
 func (e *whatifEvaluator) validate(candidate []int) ([]int, *APIError) {
-	if len(candidate) == 0 {
-		return nil, &APIError{Code: ErrCodeInvalidRemovals, Message: "empty what-if set"}
-	}
 	if len(candidate) > e.maxRem {
 		return nil, &APIError{
 			Code:    ErrCodeBatchTooLarge,
 			Message: fmt.Sprintf("what-if set of %d removals exceeds the limit of %d", len(candidate), e.maxRem),
 		}
 	}
-	k := 0
+	if apiErr := checkRemovals(e.logged, e.n, candidate, "empty what-if set"); apiErr != nil {
+		return nil, apiErr
+	}
+	for _, i := range candidate {
+		e.logged.Add(i)
+	}
 	defer func() {
-		for _, i := range candidate[:k] {
+		for _, i := range candidate {
 			e.logged.Remove(i)
 		}
 	}()
-	for ; k < len(candidate); k++ {
-		i := candidate[k]
-		if i < 0 || i >= e.n {
-			return nil, &APIError{
-				Code:    ErrCodeInvalidRemovals,
-				Message: fmt.Sprintf("removal index %d out of range [0,%d)", i, e.n),
-			}
-		}
-		if e.logged.Has(i) {
-			return nil, &APIError{
-				Code:    ErrCodeInvalidRemovals,
-				Message: fmt.Sprintf("removal index %d is duplicated or already deleted", i),
-			}
-		}
-		e.logged.Add(i)
-	}
 	size := 0
 	for _, word := range e.logged {
 		size += bits.OnesCount64(word)

@@ -37,9 +37,6 @@ const (
 // waiting merges for free: the worker cuts whatever it holds when reached.
 // A publish that lost the chain race re-adds its session through here too.
 func (t *Tiered) enqueueSpill(sess *Session) {
-	if !t.spillOnEvict {
-		return
-	}
 	t.qmu.Lock()
 	t.dirty[sess] = true
 	t.qmu.Unlock()

@@ -258,7 +258,7 @@ const (
 	// evictPreserved: the victim's state survives in a colder tier; drop
 	// the resident copy and keep the tenant's ownership charge.
 	evictPreserved = iota
-	// evictLost: the victim could not be preserved (spilling disabled, the
+	// evictLost: the victim could not be preserved (no colder tier, or the
 	// spill failed); the session is dropped and its ownership released.
 	evictLost
 	// evictRefused: the disk tier is under pressure it cannot relieve
@@ -358,12 +358,6 @@ func (m *Memory) Delete(id string) bool {
 	sess.gone.Store(true)
 	sess.Mu.Unlock()
 	return true
-}
-
-// Touch implements Store.
-func (m *Memory) Touch(id string) bool {
-	_, ok := m.Get(id)
-	return ok
 }
 
 // drop removes a session without touching the explicit-delete counter — used

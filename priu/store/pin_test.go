@@ -10,7 +10,7 @@ func TestPinnedSessionSurvivesBudgetEviction(t *testing.T) {
 	a, b, c := trainSession(t, "sess-1", 1), trainSession(t, "sess-2", 2), trainSession(t, "sess-3", 3)
 	m.Put(a)
 	m.Put(b)
-	m.Touch("sess-1") // sess-2 would be the LRU victim...
+	m.Get("sess-1") // sess-2 would be the LRU victim...
 	b.Pin()
 	defer b.Unpin()
 	m.Put(c) // ...but it is pinned, so sess-1 is evicted instead

@@ -11,7 +11,7 @@ import (
 	"repro/priu"
 )
 
-// The property/oracle suite: randomized Put/Touch/Get/Delete churn from
+// The property/oracle suite: randomized Put/Get/Delete churn from
 // several tenants against a plain-map oracle, with LRU evictions, the
 // write-behind worker, disk-budget file evictions and GC sweeps racing
 // underneath, punctuated by crash-restarts on the same directory. Run under
@@ -222,7 +222,7 @@ func TestStorePropertyOracle(t *testing.T) {
 						} else if _, ok := err.(*QuotaError); !ok {
 							t.Errorf("Put(%s): unexpected error %v", id, err)
 						}
-					case 4, 5, 6, 7: // get + verify presence
+					case 4, 5, 6, 7, 8: // get (bumps the LRU clock) + verify presence
 						id := o.randLive()
 						if id == "" {
 							continue
@@ -230,17 +230,6 @@ func TestStorePropertyOracle(t *testing.T) {
 						if _, ok := ti.Get(id); !ok {
 							if !isDropped(id) {
 								t.Errorf("live session %s vanished without a disk eviction", id)
-							}
-							delete(o.live, id)
-						}
-					case 8: // touch
-						id := o.randLive()
-						if id == "" {
-							continue
-						}
-						if !ti.Touch(id) {
-							if !isDropped(id) {
-								t.Errorf("live session %s untouchable without a disk eviction", id)
 							}
 							delete(o.live, id)
 						}

@@ -510,9 +510,6 @@ type Store interface {
 	Get(id string) (*Session, bool)
 	// Delete forgets the session in every tier, reporting whether it existed.
 	Delete(id string) bool
-	// Touch bumps the session's LRU clock (restoring it if cold), reporting
-	// whether it exists.
-	Touch(id string) bool
 	// Range calls fn for every resident session until fn returns false.
 	Range(fn func(*Session) bool)
 	// Stats returns a point-in-time view of every tier.

@@ -82,7 +82,7 @@ func TestMemoryBudgetAndCounterSplit(t *testing.T) {
 	a, b, c := trainSession(t, "sess-1", 1), trainSession(t, "sess-2", 2), trainSession(t, "sess-3", 3)
 	m.Put(a)
 	m.Put(b)
-	m.Touch("sess-1") // make sess-2 the LRU victim
+	m.Get("sess-1") // make sess-2 the LRU victim
 	m.Put(c)
 
 	if _, ok := m.Get("sess-2"); ok {
@@ -297,19 +297,27 @@ func TestTieredCleanReSpillSkipsWrite(t *testing.T) {
 }
 
 func TestTieredStaleCopyNeverResurrects(t *testing.T) {
-	// With spilling disabled (or a failed spill), evicting a session whose
-	// state has moved past its disk copy must drop that copy: restoring it
+	// An eviction whose spill fails loses the victim. If the victim's state
+	// has moved past its disk copy, that copy must go with it: restoring it
 	// would silently undo honored deletions.
 	dir := t.TempDir()
-	ti := newTestTiered(t, dir, NewMemory(WithMaxSessions(1)), WithSpillOnEvict(false))
+	ti := newSteppedTiered(t, dir, NewMemory(WithMaxSessions(1)), defaultCompactAfter, defaultGCAge)
+	var armed atomic.Bool
+	ti.fault = faultOn("spill.create-temp", &armed)
+	var lost []string
+	ti.onEvictLost = func(id string) { lost = append(lost, id) }
+
 	a := trainSession(t, "sess-1", 61)
 	ti.Put(a)
-	if err := ti.Close(); err != nil { // drain: disk copy with 0 deletions
-		t.Fatal(err)
-	}
-	applyDeletion(t, a, []int{2, 4})      // disk copy is now stale
-	ti.Put(trainSession(t, "sess-2", 62)) // evicts dirty sess-1 without spilling
+	ti.Flush()                       // disk copy with 0 deletions
+	applyDeletion(t, a, []int{2, 4}) // disk copy is now stale
+	armed.Store(true)
+	ti.Put(trainSession(t, "sess-2", 62)) // evicts dirty sess-1; its spill fails
+	armed.Store(false)
 
+	if len(lost) != 1 || lost[0] != "sess-1" {
+		t.Fatalf("lost evictions = %v, want [sess-1]", lost)
+	}
 	if _, ok := ti.Get("sess-1"); ok {
 		t.Fatal("stale disk copy resurrected a session past its persisted state")
 	}
@@ -317,15 +325,34 @@ func TestTieredStaleCopyNeverResurrects(t *testing.T) {
 		t.Fatalf("stale entry still indexed: %+v", st.SpilledSessions)
 	}
 
-	// A clean eviction under -spill=false keeps the (current) disk copy.
+	// A clean eviction keeps the (current) disk copy and writes nothing.
 	b := trainSession(t, "sess-3", 63)
-	ti.Put(b)
+	ti.Put(b) // evicts dirty sess-2 through the synchronous spill
+	ti.Flush()
+	spills := ti.Stats().Spills
+	armed.Store(true) // a clean eviction must not reach the write path
+	ti.Put(trainSession(t, "sess-4", 64))
+	armed.Store(false)
+	if st := ti.Stats(); st.Spills != spills {
+		t.Fatalf("clean eviction spilled: %d spills, want %d", st.Spills, spills)
+	}
+	if len(lost) != 1 {
+		t.Fatalf("lost evictions = %v, want only sess-1", lost)
+	}
+	if _, ok := ti.Get("sess-3"); !ok {
+		t.Fatal("clean eviction dropped a current disk copy")
+	}
+
+	// The tombstone keeps the stale copy away across a reboot too.
 	if err := ti.Close(); err != nil {
 		t.Fatal(err)
 	}
-	ti.Put(trainSession(t, "sess-4", 64)) // evicts clean sess-3
-	if _, ok := ti.Get("sess-3"); !ok {
-		t.Fatal("clean eviction dropped a current disk copy")
+	reboot := newSteppedTiered(t, dir, NewMemory(), defaultCompactAfter, defaultGCAge)
+	if _, ok := reboot.Get("sess-1"); ok {
+		t.Fatal("stale disk copy resurrected after a reboot")
+	}
+	if _, ok := reboot.Get("sess-3"); !ok {
+		t.Fatal("current disk copy lost across a reboot")
 	}
 }
 

@@ -158,7 +158,6 @@ type Tiered struct {
 	// Lifecycle configuration (fixed after NewTiered). A cut folds a chain
 	// of compactAfter deltas (0 = never); the GC removes orphans older than
 	// gcAge.
-	spillOnEvict bool
 	maxDiskBytes int64
 	compactAfter int
 	gcAge        time.Duration
@@ -239,7 +238,7 @@ type Tiered struct {
 	fault func(point string) error
 	// onDiskEvict, when set (tests only), observes disk-budget drops of
 	// disk-only sessions; onEvictLost observes evictions that could not
-	// preserve their victim (spilling disabled or the spill failed). These
+	// preserve their victim (the spill failed). These
 	// are the only paths that lose a session by design, and both fire
 	// before the loss is observable through Get.
 	onDiskEvict func(id string)
@@ -293,13 +292,10 @@ func (t *Tiered) dropEntryLocked(id string) (*spillEntry, bool) {
 // TieredOption configures NewTiered.
 type TieredOption func(*Tiered)
 
-// WithSpillOnEvict controls whether budget evictions spill to disk (default
-// true). When disabled, evictions drop sessions as in the plain memory store
-// (and write-behind is idle) but Close still snapshots dirty residents,
-// giving restart durability without an eviction disk tier.
-func WithSpillOnEvict(enabled bool) TieredOption {
-	return func(t *Tiered) { t.spillOnEvict = enabled }
-}
+// WithSpillOnEvict has no effect: budget evictions always spill.
+//
+// Deprecated: drop the option.
+func WithSpillOnEvict(bool) TieredOption { return noOption }
 
 // WithSpillMaxBytes bounds the spill directory (0 = unbounded): when a new
 // spill would take the indexed-plus-orphaned file bytes over the budget,
@@ -366,7 +362,6 @@ func openTiered(dir string, mem *Memory, opts ...TieredOption) (*Tiered, error) 
 		unlinking:    make(map[string]bool),
 		tombstones:   make(map[string]*tombstone),
 		tombUnsynced: make(map[string]bool),
-		spillOnEvict: true,
 		compactAfter: defaultCompactAfter,
 		gcAge:        defaultGCAge,
 	}
@@ -393,42 +388,33 @@ func openTiered(dir string, mem *Memory, opts ...TieredOption) (*Tiered, error) 
 		mem.adjustSpill(TenantOf(id), e.spillCharged)
 	}
 	mem.onEvictLocked = func(sess *Session) int {
-		if t.spillOnEvict {
-			// The write-behind worker usually got here first: a clean
-			// session with a current disk copy is preserved by just dropping
-			// the resident copy — no file IO under the victim's lock. The
-			// synchronous spill is the fallback (a dirty victim the worker
-			// has not reached yet); it runs under the victim's Session.Mu
-			// only (enforceBudget holds no shard lock across this hook),
-			// and its publish pushes to the blob tier there too.
-			// A clean chain whose earlier push failed is left to the GC
-			// sweep's blob pass: nothing is uploaded for it here.
-			_, err := t.spillLocked(sess)
-			if err == nil {
-				return evictPreserved // the spill chain holds this state
-			}
-			if errors.Is(err, errSpillDiskPinned) {
-				// The disk budget is full of files that cannot be reclaimed
-				// (pinned by clean residents, or mid-restore). Dropping the
-				// victim would silently lose a session to make room for a
-				// new one; refuse instead — the enforcer tries another
-				// victim or rejects the registration with typed pressure.
-				return evictRefused
-			}
-		} else if !sess.Dirty() {
-			t.mu.Lock()
-			_, onDisk := t.index[sess.ID]
-			t.mu.Unlock()
-			if onDisk {
-				return evictPreserved // any disk copy is exactly this state
-			}
+		// The write-behind worker usually got here first: a clean session
+		// with a current disk copy is preserved by just dropping the
+		// resident copy — no file IO under the victim's lock. The
+		// synchronous spill is the fallback (a dirty victim the worker has
+		// not reached yet); it runs under the victim's Session.Mu only
+		// (enforceBudget holds no shard lock across this hook), and its
+		// publish pushes to the blob tier there too. A clean chain whose
+		// earlier push failed is left to the GC sweep's blob pass: nothing
+		// is uploaded for it here.
+		_, err := t.spillLocked(sess)
+		if err == nil {
+			return evictPreserved // the spill chain holds this state
+		}
+		if errors.Is(err, errSpillDiskPinned) {
+			// The disk budget is full of files that cannot be reclaimed
+			// (pinned by clean residents, or mid-restore). Dropping the
+			// victim would silently lose a session to make room for a new
+			// one; refuse instead — the enforcer tries another victim or
+			// rejects the registration with typed pressure.
+			return evictRefused
 		}
 		// The session is leaving memory carrying state the disk tier does
-		// not have (spilling disabled, or the spill failed for a reason
-		// pressure cannot fix — tenant cap, IO error). A stale disk copy
-		// must not resurrect on the next touch — that would silently undo
-		// honored deletions — so drop it: the session is lost, exactly
-		// like a memory-only eviction.
+		// not have (the spill failed for a reason pressure cannot fix —
+		// tenant cap, IO error). A stale disk copy must not resurrect on
+		// the next touch — that would silently undo honored deletions — so
+		// drop it: the session is lost, exactly like a memory-only
+		// eviction.
 		if t.onEvictLost != nil {
 			t.onEvictLost(sess.ID)
 		}
@@ -612,13 +598,6 @@ func (t *Tiered) Delete(id string) bool {
 		}
 	}
 	return resident || spilled
-}
-
-// Touch implements Store: touching a cold session restores it ("the LRU
-// budget is a cache tier, not a cliff").
-func (t *Tiered) Touch(id string) bool {
-	_, ok := t.Get(id)
-	return ok
 }
 
 // Range implements Store (resident sessions only; spilled sessions are
